@@ -46,7 +46,6 @@ from .simulator import (
     Topology,
     isolation_count,
     link_trial,
-    pair_distance,
     run_monte_carlo,
     sample_topology,
 )

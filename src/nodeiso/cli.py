@@ -418,6 +418,8 @@ def _numeric_er2(params: ChannelParams, scheme: DiversityScheme, m_real: float |
 
 
 def _p_i(node_density: float, er2: float) -> float:
+    if not 0.0 <= node_density < math.inf:
+        raise ValueError(f"node density must be finite and >= 0, got {node_density}")
     return math.exp(-node_density * math.pi * er2)
 
 

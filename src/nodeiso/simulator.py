@@ -11,6 +11,7 @@ counters, so serial and parallel execution agree bit for bit.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ __all__ = [
     "format_topology_export",
     "isolation_count",
     "link_trial",
-    "pair_distance",
     "run_monte_carlo",
     "sample_topology",
 ]
@@ -36,6 +36,12 @@ __all__ = [
 # Pairs farther apart than the cutoff radius have a shadow-averaged link
 # probability below this and are skipped without consuming randomness.
 _CUTOFF_TAIL = 1e-12
+
+# Pair enumeration works on row blocks of about this many candidate pairs,
+# so its scratch memory does not grow with the square of the node count.
+# 2**17 float64 pairs (1 MiB per array) keeps a block's arrays near cache
+# size; larger blocks measured slower on ~3200-node topologies.
+_BLOCK_PAIRS = 1 << 17
 
 # Substream domains under one (master_seed, run_index) pair.
 _TOPOLOGY_DOMAIN = 0
@@ -122,19 +128,56 @@ def sample_topology(config: SimConfig, run_index: int) -> Topology:
     return Topology(positions=positions, area_side=config.area_side, boundary=config.boundary)
 
 
-def pair_distance(
-    p1: tuple[float, float],
-    p2: tuple[float, float],
+def _pairs_within(
+    positions: np.ndarray,
     area_side: float,
     boundary: str,
-) -> float:
-    """Euclidean distance, with per-axis wraparound in toroidal mode."""
-    dx = abs(p1[0] - p2[0])
-    dy = abs(p1[1] - p2[1])
-    if boundary == "toroidal":
-        dx = min(dx, area_side - dx)
-        dy = min(dy, area_side - dy)
-    return math.hypot(dx, dy)
+    cutoff: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unordered pairs (i < j) at distance <= cutoff, in row-major order.
+
+    Returns index arrays ``i`` and ``j`` and the distances, in exactly the
+    order of ``np.triu_indices(n, k=1)`` restricted to the kept pairs.
+    Distances use per-axis wraparound in toroidal mode. Rows are processed
+    in blocks of about ``_BLOCK_PAIRS`` candidate pairs: a squared-distance
+    prefilter with a little slack discards far pairs cheaply, and the exact
+    ``hypot`` test decides the survivors, so every kept distance is computed
+    by the same elementwise operations as an all-pairs ``hypot``.
+    """
+    n = len(positions)
+    x = np.ascontiguousarray(positions[:, 0])
+    y = np.ascontiguousarray(positions[:, 1])
+    # The slack keeps every pair the exact test keeps, including squares that
+    # round up or underflow; the exact test then drops the extras.
+    limit = cutoff * cutoff * (1.0 + 1e-9) + np.finfo(float).tiny
+    out_i, out_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    out_d = [np.empty(0)]
+    a = 0
+    while a < n - 1:
+        width = n - 1 - a                          # columns a+1 .. n-1
+        b = min(n - 1, a + max(1, _BLOCK_PAIRS // width))
+        rows = b - a
+        dx = x[a:b, None] - x[None, a + 1 :]
+        dy = y[a:b, None] - y[None, a + 1 :]
+        np.abs(dx, out=dx)
+        np.abs(dy, out=dy)
+        if boundary == "toroidal":
+            np.minimum(dx, area_side - dx, out=dx)
+            np.minimum(dy, area_side - dy, out=dy)
+        d2 = dx * dx
+        d2 += dy * dy
+        near = d2 <= limit
+        # Row r holds i = a + r; column c holds j = a + 1 + c; keep c >= r.
+        near[:, :rows] &= np.arange(rows)[None, :] >= np.arange(rows)[:, None]
+        flat = np.flatnonzero(near)
+        dist = np.hypot(dx.ravel()[flat], dy.ravel()[flat])
+        exact = dist <= cutoff
+        flat = flat[exact]
+        out_i.append(flat // width + a)
+        out_j.append(flat % width + (a + 1))
+        out_d.append(dist[exact])
+        a = b
+    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d)
 
 
 def link_trial(
@@ -216,24 +259,17 @@ def isolation_count(
     """Count degree-zero nodes after one channel realization per pair.
 
     Links are reciprocal: a single draw decides both directions of each
-    unordered pair. Pairs beyond the range cutoff are skipped. Draws are
-    consumed in sorted-pair order, so the result is deterministic in the
-    generator state.
+    unordered pair. Pairs beyond the range cutoff are skipped without
+    consuming randomness. The kept pairs come in ``np.triu_indices`` order
+    (row-major over i < j) and all draws are made after enumeration, so the
+    result is deterministic in the generator state and bit-identical to an
+    all-pairs enumeration. Pairs are enumerated in row blocks, so memory
+    grows with the number of pairs kept, not with the square of n.
     """
     n = len(topology)
-    if n == 0:
-        return 0, 0
-    if n == 1:
-        return 1, 1
-    pos = topology.positions
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    delta = np.abs(pos[i_idx] - pos[j_idx])
-    if topology.boundary == "toroidal":
-        delta = np.minimum(delta, topology.area_side - delta)
-    dist = np.hypot(delta[:, 0], delta[:, 1])
-    if math.isfinite(range_cutoff):
-        keep = dist <= range_cutoff
-        i_idx, j_idx, dist = i_idx[keep], j_idx[keep], dist[keep]
+    i_idx, j_idx, dist = _pairs_within(
+        topology.positions, topology.area_side, topology.boundary, range_cutoff
+    )
     connected = np.zeros(n, dtype=bool)
     if len(dist):
         dist = np.maximum(dist, 1e-9)
@@ -271,22 +307,30 @@ def _simulate_block(
     return start, isolated, totals
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_monte_carlo(config: SimConfig, n_jobs: int = 1) -> MonteCarloEstimate:
     """Execute all replications and reduce them to one estimate.
 
     The point estimate is total isolated nodes over total nodes; the
     standard error treats each replication as one cluster, which accounts
     for the correlation of isolation events within a topology. Results are
-    bit-identical for any n_jobs.
+    bit-identical for any n_jobs. Workers are capped at the number of
+    replications and at the CPUs this process may run on.
     """
     cutoff = effective_range_cutoff(config.params, config.scheme)
     runs = config.runs
     isolated = np.empty(runs, dtype=np.int64)
     totals = np.empty(runs, dtype=np.int64)
-    if n_jobs <= 1 or runs == 1:
+    n_jobs = min(n_jobs, runs, _usable_cpus())
+    if n_jobs <= 1:
         _, isolated, totals = _simulate_block(config, cutoff, 0, runs)
     else:
-        n_jobs = min(n_jobs, runs)
         bounds = np.linspace(0, runs, n_jobs + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             futures = [

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from nodeiso import cli
 from nodeiso.channel import sigma_from_db
 
 
@@ -108,6 +109,14 @@ def test_eval_real_m_rejects_diversity():
 
 def test_eval_missing_lambda_exit_2():
     assert run_cli("eval", "--m", "2", check=False).returncode == 2
+
+
+@pytest.mark.parametrize("density", ["-1", "nan"])
+def test_eval_rejects_bad_density_exit_2(density):
+    proc = run_cli("eval", "--m", "2", "--lambda", density, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "node density must be finite and >= 0" in proc.stderr
 
 
 def test_eval_json_format():
@@ -254,6 +263,14 @@ def test_sweep_all_points_failing_exits_3():
     assert all(row[i_pi] == "" for row in body)
 
 
+def test_sweep_bad_density_fails_every_point():
+    proc = run_cli("sweep", "--variable", "sigma", "--grid", "0,1", "--m", "2",
+                   "--lambda", "-1", "--format", "json", check=False)
+    assert proc.returncode == 3
+    assert [row["p_i_analytic"] for row in json.loads(proc.stdout)] == [None, None]
+    assert proc.stderr.count("node density must be finite and >= 0") == 2
+
+
 def test_sweep_m_variable_with_diversity_fixed():
     header, body = parse_csv(
         run_cli(
@@ -296,6 +313,54 @@ def test_invert_bad_target_exit_2():
 # ============================================================================
 
 SIM_ARGS = ["simulate", "--m", "2", "--lambda", "1e-3", "--runs", "150", "--seed", "42"]
+
+
+# Golden outputs recorded before pair enumeration moved to row blocks. Equal
+# text means equal floats, so the pair order and the random stream are unchanged.
+GOLDEN_SIMULATE = [
+    (
+        ["--m", "2", "--sigma", "2", "--scheme", "sc", "--M", "4", "--lambda", "5e-3",
+         "--boundary", "bounded", "--runs", "200", "--seed", "7"],
+        """{
+  "p_i_sim": 0.7277132761231702,
+  "sim_stderr": 0.006066692416690829,
+  "sim_ci_low": 0.7158225589864562,
+  "sim_ci_high": 0.7396039932598841,
+  "p_i_any_isolated": 1.0,
+  "p_i_analytic": 0.7134651879967382,
+  "z_score": 2.348575986353336,
+  "total_nodes": 9905,
+  "total_isolated": 7208,
+  "runs_executed": 200,
+  "runs_empty": 0
+}
+""",
+    ),
+    (
+        ["--m", "2", "--lambda", "1e-2", "--runs", "100", "--seed", "7"],
+        """{
+  "p_i_sim": 0.7511124595469255,
+  "sim_stderr": 0.0058673421257558755,
+  "sim_ci_low": 0.739612468980444,
+  "sim_ci_high": 0.7626124501134071,
+  "p_i_any_isolated": 1.0,
+  "p_i_analytic": 0.7443044011586312,
+  "z_score": 1.1603309032226037,
+  "total_nodes": 9888,
+  "total_isolated": 7427,
+  "runs_executed": 100,
+  "runs_empty": 0
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", GOLDEN_SIMULATE,
+                         ids=["sigma2-sc4-bounded", "sigma0-toroidal"])
+def test_simulate_json_matches_golden(capsys, args, expected):
+    assert cli.main(["simulate", *args, "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_simulate_fixed_seed_reproducible():

@@ -1,19 +1,21 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import nodeiso.simulator as simulator
 from nodeiso.analytic import min_density_for_isolation
 from nodeiso.channel import ChannelParams, DiversityScheme, make_success_fn
 from nodeiso.quadrature import shadow_averaged_success
 from nodeiso.simulator import (
     SimConfig,
     Topology,
+    _pairs_within,
     effective_range_cutoff,
     format_topology_export,
     isolation_count,
     link_trial,
-    pair_distance,
     run_monte_carlo,
     sample_topology,
 )
@@ -78,16 +80,78 @@ def test_topology_mean_one_node():
 # ============================================================================
 
 
-def test_pair_distance_euclidean():
-    assert pair_distance((0.0, 0.0), (3.0, 4.0), 100.0, "bounded") == 5.0
+def _triu_reference(positions, side, boundary, cutoff):
+    """The all-pairs enumeration the simulator used before row blocks."""
+    i, j = np.triu_indices(len(positions), k=1)
+    delta = np.abs(positions[i] - positions[j])
+    if boundary == "toroidal":
+        delta = np.minimum(delta, side - delta)
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    keep = dist <= cutoff
+    return i[keep], j[keep], dist[keep]
 
 
-def test_pair_distance_toroidal_wrap():
-    assert pair_distance((1.0, 1.0), (99.0, 1.0), 100.0, "toroidal") == pytest.approx(2.0)
+def test_pairs_within_euclidean():
+    i, j, dist = _pairs_within(np.array([[0.0, 0.0], [3.0, 4.0]]), 100.0, "bounded", math.inf)
+    assert (i.tolist(), j.tolist(), dist.tolist()) == ([0], [1], [5.0])
 
 
-def test_pair_distance_bounded_no_wrap():
-    assert pair_distance((1.0, 1.0), (99.0, 1.0), 100.0, "bounded") == pytest.approx(98.0)
+def test_pairs_within_toroidal_wrap():
+    _, _, dist = _pairs_within(np.array([[1.0, 1.0], [99.0, 1.0]]), 100.0, "toroidal", math.inf)
+    assert dist.tolist() == [pytest.approx(2.0)]
+
+
+def test_pairs_within_bounded_no_wrap():
+    _, _, dist = _pairs_within(np.array([[1.0, 1.0], [99.0, 1.0]]), 100.0, "bounded", math.inf)
+    assert dist.tolist() == [pytest.approx(98.0)]
+
+
+def _positions(n):
+    rng = np.random.default_rng(1000 + n)
+    pos = rng.random((n, 2)) * 100.0
+    if n >= 4:
+        pos[3] = pos[1]  # a coincident pair, at distance exactly 0
+    return pos
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17, 18, 33, 100])
+def test_pairs_within_matches_all_pairs_enumeration(monkeypatch, boundary, n):
+    # Blocks of 16 candidate pairs: n = 17 fills each one-row block exactly,
+    # and every n >= 17 runs through dozens of blocks of varying height.
+    monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
+    pos = _positions(n)
+    _, _, all_dist = _triu_reference(pos, 100.0, boundary, math.inf)
+    cutoffs = [0.0, 30.0, math.inf]
+    if len(all_dist):
+        cutoffs.append(float(np.sort(all_dist)[len(all_dist) // 2]))  # one pair's distance
+    for cutoff in cutoffs:
+        got = _pairs_within(pos, 100.0, boundary, cutoff)
+        want = _triu_reference(pos, 100.0, boundary, cutoff)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    if len(all_dist):
+        # '<=' is inclusive: the pair at exactly the cutoff is kept.
+        cutoff = cutoffs[-1]
+        assert cutoff in _pairs_within(pos, 100.0, boundary, cutoff)[2]
+
+
+def test_pairs_within_default_blocks_match_all_pairs_enumeration():
+    pos = _positions(1500)
+    for boundary in ("toroidal", "bounded"):
+        got = _pairs_within(pos, 100.0, boundary, 40.0)
+        want = _triu_reference(pos, 100.0, boundary, 40.0)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_pairs_within_keeps_pairs_at_tiny_scales():
+    # Squared distances here are subnormal and dx^2 + dy^2 rounds above
+    # cutoff^2, yet hypot keeps the pair; the prefilter must not drop it.
+    pos = np.array([[0.0, 0.0], [6.855419844806947e-162, 3.7249494740262556e-162]])
+    cutoff = float(np.hypot(*pos[1]))
+    got = _pairs_within(pos, 100.0, "bounded", cutoff)
+    assert (got[0].tolist(), got[1].tolist(), got[2].tolist()) == ([0], [1], [cutoff])
 
 
 # ============================================================================
@@ -228,6 +292,41 @@ def test_run_monte_carlo_deterministic_and_parallel():
     b = run_monte_carlo(cfg)
     c = run_monte_carlo(cfg, n_jobs=3)
     assert a == b == c
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs tasks inline."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("cpus, jobs, runs, workers", [
+    ({0, 1}, 5000, 5000, [2]),
+    ({0, 1, 2, 3}, 3, 40, [3]),
+    ({0, 1, 2, 3}, 8, 2, [2]),
+    ({0}, 8, 40, []),
+])
+def test_run_monte_carlo_caps_workers(monkeypatch, cpus, jobs, runs, workers):
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    cfg = config(runs=runs, lam=1e-2, seed=99)
+    assert run_monte_carlo(cfg, n_jobs=jobs) == run_monte_carlo(cfg)
+    assert _RecordingPool.created == workers
 
 
 def test_run_monte_carlo_agrees_with_analytic():
