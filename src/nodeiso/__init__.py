@@ -45,7 +45,6 @@ from .simulator import (
     SimConfig,
     Topology,
     isolation_count,
-    link_trial,
     run_monte_carlo,
     sample_topology,
 )

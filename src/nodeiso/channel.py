@@ -66,10 +66,11 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for name in ("ptx", "w", "k", "psi", "alpha"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if int(self.m) != self.m or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
@@ -125,14 +126,6 @@ class BetaTable:
     m: int
     diversity_order: int
     rows: tuple[tuple[float, ...], ...]
-
-    def coeff(self, k: int, n: int) -> float:
-        if n < 0 or n > self.diversity_order:
-            raise ValueError(f"power index {n} outside table (0..{self.diversity_order})")
-        row = self.rows[n]
-        if k < 0 or k >= len(row):
-            return 0.0
-        return row[k]
 
 
 def build_beta_table(m: int, diversity_order: int) -> BetaTable:
@@ -210,33 +203,52 @@ def success_prob_sc(
             f"coefficient table built for (m={beta.m}, M={beta.diversity_order}) "
             f"does not cover (m={params.m}, M={M})"
         )
-    m = params.m
-    x = m * params.psi / y
-    terms: list[float] = []
-    top = M * (m - 1)
-    # x^k itself can overflow for very long polynomials even while each
-    # full term is tiny; route those through the log-space branch too.
-    if x <= LOG_SPACE_CUTOVER and top * max(math.log(x), 0.0) < 680.0:
-        for n in range(1, M + 1):
-            row = beta.rows[n]
-            poly = 0.0
-            xk = 1.0
-            for k in range(len(row)):
-                poly += row[k] * xk
-                xk *= x
-            terms.append(-((-1.0) ** n) * comb(M, n) * math.exp(-n * x) * poly)
-    else:
-        # Per-term log-space evaluation keeps sub-normal results meaningful.
-        lx = math.log(x)
-        for n in range(1, M + 1):
-            row = beta.rows[n]
-            for k in range(len(row)):
-                if row[k] == 0.0:
-                    continue
-                mag = math.log(comb(M, n)) + math.log(row[k]) + k * lx - n * x
-                terms.append(-((-1.0) ** n) * math.exp(mag))
-    total = math.fsum(terms)
-    return min(max(total, 0.0), 1.0)
+    return _sc_law(params, M, beta)(y)
+
+
+def _sc_law(params: ChannelParams, M: int, beta: BetaTable) -> Callable[[float], float]:
+    """Selection-combining success probability as a function of mean SNR y.
+
+    Everything that does not depend on y (signed binomial weights, table
+    rows, m*psi and the log-space term bases) is computed once here; the
+    returned function evaluates -sum_n (-1)^n C(M,n) e^{-n x} sum_k
+    beta_kn x^k, x = m psi / y, term by term with compensated summation.
+    """
+    m_psi = params.m * params.psi
+    top = M * (params.m - 1)
+    direct = [(n, -((-1.0) ** n) * comb(M, n), beta.rows[n]) for n in range(1, M + 1)]
+    # Per-term log-space bases log C(M,n) + log beta_kn; zero entries carry
+    # no term there.
+    logged = [
+        (-((-1.0) ** n), math.log(comb(M, n)) + math.log(row[k]), k, n)
+        for n, _, row in direct
+        for k in range(len(row))
+        if row[k] != 0.0
+    ]
+
+    def success(y: float) -> float:
+        if not y > 0:
+            raise ValueError(f"average SNR must be positive, got {y}")
+        x = m_psi / y
+        # x^k itself can overflow for very long polynomials even while each
+        # full term is tiny; route those through the log-space branch too.
+        if x <= LOG_SPACE_CUTOVER and top * max(math.log(x), 0.0) < 680.0:
+            powers = [1.0]
+            for _ in range(top):
+                powers.append(powers[-1] * x)
+            terms = []
+            for n, weight, row in direct:
+                poly = 0.0
+                for coeff, xk in zip(row, powers):
+                    poly += coeff * xk
+                terms.append(weight * math.exp(-n * x) * poly)
+        else:
+            # Per-term log-space evaluation keeps sub-normal results meaningful.
+            lx = math.log(x)
+            terms = [sign * math.exp(base + k * lx - n * x) for sign, base, k, n in logged]
+        return min(max(math.fsum(terms), 0.0), 1.0)
+
+    return success
 
 
 def make_success_fn(params: ChannelParams, scheme: DiversityScheme) -> Callable[[float], float]:
@@ -246,8 +258,7 @@ def make_success_fn(params: ChannelParams, scheme: DiversityScheme) -> Callable[
         return lambda y: success_prob_mrc(y, M, params)
     if scheme.kind == "sc" and scheme.branches > 1:
         M = scheme.branches
-        beta = build_beta_table(params.m, M)
-        return lambda y: success_prob_sc(y, M, params, beta)
+        return _sc_law(params, M, build_beta_table(params.m, M))
     return lambda y: success_prob_nakagami(y, params)
 
 

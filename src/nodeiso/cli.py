@@ -463,8 +463,15 @@ def _sweep_point(
     value: float,
     args: argparse.Namespace,
     target_pi: float | None,
+    er2_by_channel: dict,
 ) -> dict:
-    """Evaluate one grid point; raises on invalid or failing configurations."""
+    """Evaluate one grid point; raises on invalid or failing configurations.
+
+    E[R^2] does not depend on the density, so ``er2_by_channel`` keeps each
+    route's value per (params, scheme) for the rest of the sweep. Only
+    successful evaluations are kept; a failing one is recomputed, and fails
+    the same way, at every point that needs it.
+    """
     knobs = dict(spec.fixed)
     knobs[_knob_key(spec.variable)] = value
     for int_name in ("m", "M"):
@@ -473,7 +480,10 @@ def _sweep_point(
     scheme = _build_scheme(knobs["scheme"], int(knobs["M"]))
     params = _build_params(args, m=int(knobs["m"]), sigma=knobs["sigma"], alpha=knobs["alpha"])
     result: dict = {}
-    er2_a = expected_r2(params, scheme)
+    er2 = er2_by_channel.setdefault((params, scheme), {})
+    if "analytic" not in er2:
+        er2["analytic"] = expected_r2(params, scheme)
+    er2_a = er2["analytic"]
     if target_pi is not None:
         result["lambda_min"] = min_density_for_isolation(params, scheme, target_pi)
         result["er2_analytic"] = er2_a
@@ -484,7 +494,9 @@ def _sweep_point(
     result["p_i_analytic"] = _p_i(node_density, er2_a)
     result["er2_analytic"] = er2_a
     if "quadrature" in spec.outputs:
-        result["p_i_quadrature"] = _p_i(node_density, _numeric_er2(params, scheme, None))
+        if "quadrature" not in er2:
+            er2["quadrature"] = _numeric_er2(params, scheme, None)
+        result["p_i_quadrature"] = _p_i(node_density, er2["quadrature"])
     if "simulation" in spec.outputs:
         config = SimConfig(
             params=params,
@@ -575,6 +587,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             columns += ["p_i_sim", "sim_stderr", "sim_ci_low", "sim_ci_high"]
 
     rows: list[list] = []
+    er2_by_channel: dict = {}
     failures = 0
     total_points = 0
     for curve_value, spec in curve_list:
@@ -583,8 +596,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             head: list = [] if curve_value is None else [curve_value]
             point_value = int(value) if spec.variable in ("m", "M") else value
             try:
-                result = _sweep_point(spec, value, args, target_pi)
-            except (UsageError, ValueError, CancellationError, QuadratureError) as exc:
+                result = _sweep_point(spec, value, args, target_pi, er2_by_channel)
+            except (UsageError, ValueError, OverflowError, CancellationError, QuadratureError) as exc:
                 failures += 1
                 print(f"nodeiso: sweep point {spec.variable}={value:g} failed: {exc}",
                       file=sys.stderr)
@@ -672,7 +685,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"nodeiso: error: {exc}", file=sys.stderr)
         return 2
-    except (CancellationError, QuadratureError) as exc:
+    except (CancellationError, QuadratureError, OverflowError) as exc:
         print(f"nodeiso: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

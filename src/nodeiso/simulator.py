@@ -28,7 +28,6 @@ __all__ = [
     "effective_range_cutoff",
     "format_topology_export",
     "isolation_count",
-    "link_trial",
     "run_monte_carlo",
     "sample_topology",
 ]
@@ -112,7 +111,7 @@ def _stream(master_seed: int, run_index: int, domain: int) -> np.random.Generato
 
 
 # ============================================================================
-#  Geometry and per-link trials
+#  Geometry and link draws
 # ============================================================================
 
 
@@ -180,32 +179,32 @@ def _pairs_within(
     return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d)
 
 
-def link_trial(
-    rho: float,
+def _links_up(
+    dist: np.ndarray,
     params: ChannelParams,
     scheme: DiversityScheme,
     rng: np.random.Generator,
-) -> bool:
-    """Realize one link at distance rho and test it against the threshold.
+) -> np.ndarray:
+    """Realize one channel per link distance; True where the link is up.
 
-    One shadowing multiplier is shared across all diversity branches;
-    branch fading gains are independent. The MRC combiner output is drawn
-    as a single Gamma(m*M, y/m) variate (the exact law of the branch sum);
-    SC draws all M branches and keeps the maximum.
+    One shadowing multiplier per link is shared across all diversity
+    branches; branch fading gains are independent. The MRC combiner output
+    is drawn as a single Gamma(m*M, y/m) variate (the exact law of the
+    branch sum); SC draws all M branches and keeps the maximum. All
+    shadowing normals are drawn before any fading gamma. Distances must be
+    positive.
     """
-    if not rho > 0:
-        raise ValueError(f"distance must be positive, got {rho}")
-    y = params.mean_snr(rho)
+    y = params.k * params.ptx * dist ** -params.alpha / params.w
     if params.sigma > 0:
-        y *= math.exp(params.sigma * rng.standard_normal())
+        y = y * np.exp(params.sigma * rng.standard_normal(len(dist)))
     m = params.m
     if scheme.kind == "mrc" and scheme.branches > 1:
         snr = rng.gamma(m * scheme.branches, y / m)
     elif scheme.kind == "sc" and scheme.branches > 1:
-        snr = rng.gamma(m, y / m, size=scheme.branches).max()
+        snr = rng.gamma(m, y[:, None] / m, size=(len(dist), scheme.branches)).max(axis=1)
     else:
         snr = rng.gamma(m, y / m)
-    return bool(snr >= params.psi)
+    return snr >= params.psi
 
 
 def effective_range_cutoff(
@@ -272,18 +271,10 @@ def isolation_count(
     )
     connected = np.zeros(n, dtype=bool)
     if len(dist):
+        # Coincident nodes get a finite, huge mean SNR. Rebinding frees the
+        # unclamped array before the draws allocate theirs.
         dist = np.maximum(dist, 1e-9)
-        y = params.k * params.ptx * dist ** -params.alpha / params.w
-        if params.sigma > 0:
-            y = y * np.exp(params.sigma * rng.standard_normal(len(dist)))
-        m = params.m
-        if scheme.kind == "mrc" and scheme.branches > 1:
-            snr = rng.gamma(m * scheme.branches, y / m)
-        elif scheme.kind == "sc" and scheme.branches > 1:
-            snr = rng.gamma(m, y[:, None] / m, size=(len(dist), scheme.branches)).max(axis=1)
-        else:
-            snr = rng.gamma(m, y / m)
-        up = snr >= params.psi
+        up = _links_up(dist, params, scheme, rng)
         connected[i_idx[up]] = True
         connected[j_idx[up]] = True
     isolated = n - int(connected.sum())

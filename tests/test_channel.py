@@ -11,6 +11,7 @@ from nodeiso.channel import (
     DiversityScheme,
     build_beta_table,
     db_to_linear,
+    make_success_fn,
     path_loss_pdf,
     sigma_from_db,
     success_prob_mrc,
@@ -38,6 +39,11 @@ def test_params_validation():
         ChannelParams(ptx=1, w=0.01, k=10, psi=10, alpha=4, m=0)
     with pytest.raises(ValueError):
         ChannelParams(ptx=1, w=0.01, k=10, psi=10, alpha=4, m=1.5)
+    base = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0, alpha=4.0, sigma=0.0)
+    for name in base:
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                ChannelParams(**{**base, name: bad})
 
 
 def test_theta_and_mean_snr():
@@ -155,11 +161,11 @@ def test_mrc_two_branch_nakagami2_monte_carlo():
 
 def test_beta_base_cases():
     table = build_beta_table(4, 5)
-    assert table.coeff(0, 0) == 1.0
+    assert table.rows[0][0] == 1.0
     for n in range(table.diversity_order + 1):
-        assert table.coeff(0, n) == 1.0
+        assert table.rows[n][0] == 1.0
     for k in range(4):
-        assert table.coeff(k, 1) == pytest.approx(1.0 / math.factorial(k), rel=1e-15)
+        assert table.rows[1][k] == pytest.approx(1.0 / math.factorial(k), rel=1e-15)
 
 
 def test_beta_m1_rows_are_unity():
@@ -177,11 +183,11 @@ def test_beta_m3_square():
 
 
 def test_beta_out_of_range_is_zero():
+    # Coefficients beyond a row are zero by omission: row n stops at x^(n(m-1)),
+    # and there is no row past the diversity order.
     table = build_beta_table(2, 3)
-    assert table.coeff(5, 2) == 0.0
-    assert table.coeff(-1, 2) == 0.0
-    with pytest.raises(ValueError):
-        table.coeff(0, 7)
+    assert len(table.rows[2]) == 3
+    assert len(table.rows) == 4
 
 
 def _beta_rows_fraction(m, order):
@@ -252,6 +258,54 @@ def test_sc_three_branch_example():
     value = success_prob_sc(y, 3, p, build_beta_table(2, 3))
     single = success_prob_nakagami(y, p)
     assert value == pytest.approx(1 - (1 - single) ** 3, rel=1e-10)
+
+
+def _sc_reference(y, M, p, beta, branches_hit):
+    """The selection-combining sum as a plain loop, one term at a time."""
+    m = p.m
+    x = m * p.psi / y
+    terms = []
+    top = M * (m - 1)
+    if x <= 700.0 and top * max(math.log(x), 0.0) < 680.0:
+        branches_hit.add("direct")
+        for n in range(1, M + 1):
+            row = beta.rows[n]
+            poly = 0.0
+            xk = 1.0
+            for k in range(len(row)):
+                poly += row[k] * xk
+                xk *= x
+            terms.append(-((-1.0) ** n) * math.comb(M, n) * math.exp(-n * x) * poly)
+    else:
+        branches_hit.add("x > 700" if x > 700.0 else "long polynomial")
+        lx = math.log(x)
+        for n in range(1, M + 1):
+            row = beta.rows[n]
+            for k in range(len(row)):
+                if row[k] == 0.0:
+                    continue
+                mag = math.log(math.comb(M, n)) + math.log(row[k]) + k * lx - n * x
+                terms.append(-((-1.0) ** n) * math.exp(mag))
+    return min(max(math.fsum(terms), 0.0), 1.0)
+
+
+def test_sc_bound_law_is_bit_identical():
+    # m=8, M=16 has a degree-112 polynomial, so 434 < x <= 700 takes the
+    # log-space branch through the polynomial-length test alone.
+    ys = [float(v) for v in np.logspace(-8, 8, 161)] + [80.0 / 500.0, 80.0 / 650.0]
+    branches_hit = set()
+    for m, M in ((2, 4), (3, 2), (8, 16)):
+        p = params(m=m)
+        table = build_beta_table(m, M)
+        bound = make_success_fn(p, DiversityScheme.sc(M))
+        for y in ys:
+            expected = _sc_reference(y, M, p, table, branches_hit)
+            assert bound(y) == expected
+            assert success_prob_sc(y, M, p, table) == expected
+        for y in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                bound(y)
+    assert branches_hit == {"direct", "x > 700", "long polynomial"}
 
 
 def test_sc_requires_matching_table():

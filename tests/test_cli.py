@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import time
@@ -117,6 +118,20 @@ def test_eval_rejects_bad_density_exit_2(density):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "node density must be finite and >= 0" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["eval", "--ptx", "inf", "--lambda", "1e-4"], 2, "ptx must be positive and finite"),
+    (["eval", "--alpha", "inf", "--lambda", "1e-4"], 2, "alpha must be positive and finite"),
+    (["eval", "--sigma", "nan", "--lambda", "1e-4"], 2, "sigma must be finite and >= 0"),
+    (["eval", "--sigma", "100", "--lambda", "1e-4"], 3, "numerical failure"),
+    (["invert", "--sigma", "100", "--target-pi", "0.5"], 3, "numerical failure"),
+], ids=["eval-ptx-inf", "eval-alpha-inf", "eval-sigma-nan", "eval-sigma-100", "invert-sigma-100"])
+def test_out_of_domain_channel_exits_with_message(capsys, argv, code, message):
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_eval_json_format():
@@ -269,6 +284,81 @@ def test_sweep_bad_density_fails_every_point():
     assert proc.returncode == 3
     assert [row["p_i_analytic"] for row in json.loads(proc.stdout)] == [None, None]
     assert proc.stderr.count("node density must be finite and >= 0") == 2
+
+
+def test_sweep_infinite_ptx_fails_every_point(capsys):
+    assert cli.main(["sweep", "--figure", "2", "--ptx", "inf", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert all(row["p_i_analytic"] is None for row in json.loads(captured.out))
+    assert captured.err.count("ptx must be positive and finite") == 63
+
+
+def test_sweep_overflowing_point_fails_alone(capsys):
+    assert cli.main(["sweep", "--variable", "sigma", "--grid", "1,100", "--m", "2",
+                     "--lambda", "1e-4", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
+    assert rows[0]["p_i_analytic"] > 0 and rows[1]["p_i_analytic"] is None
+    assert captured.err == "nodeiso: sweep point sigma=100 failed: math range error\n"
+
+
+def test_sweep_computes_each_channel_once_per_invocation(monkeypatch, capsys):
+    calls = []
+
+    def counting(params, scheme, m_real):
+        calls.append((params, scheme))
+        return cli.expected_r2(params, scheme)
+
+    monkeypatch.setattr(cli, "_numeric_er2", counting)
+    argv = ["sweep", "--figure", "2", "--outputs", "analytic,quadrature", "--format", "csv"]
+    assert cli.main(argv) == 0
+    assert [p.sigma for p, _ in calls] == [0.0, 2.0, 4.0]  # one per curve, not per point
+    first = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert len(calls) == 6  # a second sweep in the same process pays again
+    assert capsys.readouterr().out == first
+
+
+# Golden outputs recorded before E[R^2] was kept per sweep and the
+# selection-combining law was bound once. Equal text means equal floats.
+GOLDEN_SWEEP = [
+    (
+        ["--figure", "2"],
+        (pathlib.Path(__file__).parent / "golden" / "sweep_figure2_quadrature.json").read_text(),
+    ),
+    (
+        ["--variable", "sigma", "--grid", "0,1,2", "--scheme", "sc", "--M", "4", "--m", "2",
+         "--lambda", "1e-4"],
+        """[
+  {
+    "sigma": 0.0,
+    "p_i_analytic": 0.9959128179127854,
+    "er2_analytic": 13.036564241089335,
+    "p_i_quadrature": 0.9959128179127854
+  },
+  {
+    "sigma": 1.0,
+    "p_i_analytic": 0.9953698776357786,
+    "er2_analytic": 14.772362603096685,
+    "p_i_quadrature": 0.9953698776357786
+  },
+  {
+    "sigma": 2.0,
+    "p_i_analytic": 0.9932703137721736,
+    "er2_analytic": 21.493660761132663,
+    "p_i_quadrature": 0.9932703137721736
+  }
+]
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", GOLDEN_SWEEP, ids=["figure2", "sigma-sc4"])
+def test_sweep_quadrature_json_matches_golden(capsys, args, expected):
+    argv = ["sweep", *args, "--outputs", "analytic,quadrature", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_sweep_m_variable_with_diversity_fixed():

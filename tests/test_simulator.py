@@ -11,11 +11,11 @@ from nodeiso.quadrature import shadow_averaged_success
 from nodeiso.simulator import (
     SimConfig,
     Topology,
+    _links_up,
     _pairs_within,
     effective_range_cutoff,
     format_topology_export,
     isolation_count,
-    link_trial,
     run_monte_carlo,
     sample_topology,
 )
@@ -155,7 +155,7 @@ def test_pairs_within_keeps_pairs_at_tiny_scales():
 
 
 # ============================================================================
-#  Link trials
+#  Link trials (the vectorised channel draw, n links at one distance)
 # ============================================================================
 
 
@@ -164,7 +164,7 @@ def test_link_trial_near_certain_at_tiny_distance():
     rng = np.random.default_rng(1)
     # y/psi = 1e6 at this distance; failures are astronomically unlikely.
     rho = (p.k * p.ptx / (p.w * p.psi * 1e6)) ** (1.0 / p.alpha)
-    assert all(link_trial(rho, p, DiversityScheme.no_diversity(), rng) for _ in range(10_000))
+    assert _links_up(np.full(10_000, rho), p, DiversityScheme.no_diversity(), rng).all()
 
 
 def test_link_trial_rayleigh_rate():
@@ -173,7 +173,7 @@ def test_link_trial_rayleigh_rate():
     expected = math.exp(-p.psi * p.w * rho**p.alpha / (p.k * p.ptx))
     rng = np.random.default_rng(2)
     n = 200_000
-    hits = sum(link_trial(rho, p, DiversityScheme.no_diversity(), rng) for _ in range(n))
+    hits = int(_links_up(np.full(n, rho), p, DiversityScheme.no_diversity(), rng).sum())
     se = math.sqrt(expected * (1 - expected) / n)
     assert abs(hits / n - expected) <= 3 * se
 
@@ -185,7 +185,7 @@ def test_link_trial_shadowed_mrc_rate_vs_quadrature():
     expected = shadow_averaged_success(make_success_fn(p, scheme), p.mean_snr(rho), p.sigma)
     rng = np.random.default_rng(3)
     n = 200_000
-    hits = sum(link_trial(rho, p, scheme, rng) for _ in range(n))
+    hits = int(_links_up(np.full(n, rho), p, scheme, rng).sum())
     se = math.sqrt(expected * (1 - expected) / n)
     assert abs(hits / n - expected) <= 3 * se
 
@@ -200,14 +200,19 @@ def test_link_trial_sc_rate():
     expected = 1 - (1 - single) ** 3
     rng = np.random.default_rng(4)
     n = 200_000
-    hits = sum(link_trial(rho, p, scheme, rng) for _ in range(n))
+    hits = int(_links_up(np.full(n, rho), p, scheme, rng).sum())
     se = math.sqrt(expected * (1 - expected) / n)
     assert abs(hits / n - expected) <= 3 * se
 
 
-def test_link_trial_domain():
-    with pytest.raises(ValueError):
-        link_trial(0.0, params(), DiversityScheme.no_diversity(), np.random.default_rng(0))
+def test_coincident_nodes_connect():
+    # Distance 0 is clamped to 1e-9, where the mean SNR is astronomically high.
+    topo = Topology(positions=np.array([[5.0, 5.0], [5.0, 5.0]]), area_side=100.0,
+                    boundary="bounded")
+    for scheme in (DiversityScheme.no_diversity(), DiversityScheme.mrc(2), DiversityScheme.sc(3)):
+        for sigma in (0.0, 2.0):
+            rng = np.random.default_rng(0)
+            assert isolation_count(topo, params(m=2, sigma=sigma), scheme, rng) == (0, 2)
 
 
 def test_gamma_sampler_moments():
