@@ -9,7 +9,6 @@ Nakagami-m fading with optional MRC/SC receive diversity.
 from .analytic import (
     CancellationError,
     IsolationQuery,
-    density_spread_tradeoff,
     expected_r2,
     expected_r2_mrc,
     expected_r2_nakagami,
@@ -25,7 +24,6 @@ from .channel import (
     DiversityScheme,
     build_beta_table,
     db_to_linear,
-    path_loss_pdf,
     sigma_from_db,
     success_prob_mrc,
     success_prob_nakagami,
@@ -48,6 +46,6 @@ from .simulator import (
     run_monte_carlo,
     sample_topology,
 )
-from .specialfn import gamma_fn, log_factorial, upper_incomplete_gamma_ratio
+from .specialfn import log_factorial
 
 __version__ = "0.1.0"

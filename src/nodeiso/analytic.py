@@ -15,24 +15,23 @@ its unshadowed counterpart exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
-from typing import Sequence
 
 from .channel import BetaTable, ChannelParams, DiversityScheme, build_beta_table
-from .specialfn import gamma_fn
 
 __all__ = [
     "CancellationError",
     "IsolationQuery",
     "SC_MAX_ORDER",
-    "density_spread_tradeoff",
+    "check_node_density",
     "expected_r2",
     "expected_r2_mrc",
     "expected_r2_nakagami",
     "expected_r2_nakagami_shadow",
     "expected_r2_sc",
     "expected_r2_shadow_only",
+    "isolation_from_er2",
     "isolation_probability",
     "min_density_for_isolation",
 ]
@@ -59,8 +58,7 @@ class IsolationQuery:
     node_density: float   # nodes per square meter
 
     def __post_init__(self) -> None:
-        if not self.node_density >= 0:
-            raise ValueError(f"node density must be >= 0, got {self.node_density}")
+        check_node_density(self.node_density)
 
 
 def _shadow_factor(params: ChannelParams) -> float:
@@ -69,7 +67,7 @@ def _shadow_factor(params: ChannelParams) -> float:
 
 def _gamma_ladder(x0: float, count: int) -> list[float]:
     """[Gamma(x0), Gamma(x0+1), ..., Gamma(x0+count-1)] from one evaluation."""
-    values = [gamma_fn(x0)]
+    values = [math.gamma(x0)]
     for l in range(1, count):
         values.append(values[-1] * (x0 + l - 1))
     return values
@@ -78,7 +76,7 @@ def _gamma_ladder(x0: float, count: int) -> list[float]:
 def _gamma_over_factorial_ladder(x0: float, count: int) -> list[float]:
     """[Gamma(x0+l)/l! for l < count]; the ratio grows only like l^(x0-1),
     so the ladder stays in range for arbitrarily long series."""
-    values = [gamma_fn(x0)]
+    values = [math.gamma(x0)]
     for l in range(1, count):
         values.append(values[-1] * (x0 + l - 1) / l)
     return values
@@ -178,12 +176,12 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int, beta: BetaTable)
 def expected_r2(params: ChannelParams, scheme: DiversityScheme) -> float:
     """Single dispatch point for E[R^2] over receiver structures.
 
-    M = 1 MRC/SC collapse to the single-branch form here, so the
-    downstream isolation probability is computed in exactly one place.
+    MRC and SC with M = 1 arrive as the single-branch scheme, because
+    :class:`DiversityScheme` folds them, and take the single-branch form.
     """
-    if scheme.branches > 1 and scheme.kind == "mrc":
+    if scheme.kind == "mrc":
         return expected_r2_mrc(params, scheme.branches)
-    if scheme.branches > 1 and scheme.kind == "sc":
+    if scheme.kind == "sc":
         return expected_r2_sc(params, scheme.branches, build_beta_table(params.m, scheme.branches))
     return expected_r2_nakagami_shadow(params)
 
@@ -193,9 +191,21 @@ def expected_r2(params: ChannelParams, scheme: DiversityScheme) -> float:
 # ============================================================================
 
 
+def check_node_density(node_density: float) -> None:
+    """The one density rule: finite and >= 0 (nodes per square meter)."""
+    if not 0.0 <= node_density < math.inf:
+        raise ValueError(f"node density must be finite and >= 0, got {node_density}")
+
+
+def isolation_from_er2(node_density: float, er2: float) -> float:
+    """P_I = exp(-lambda * pi * E[R^2]), the result for every receiver structure."""
+    check_node_density(node_density)
+    return math.exp(-node_density * math.pi * er2)
+
+
 def isolation_probability(query: IsolationQuery) -> float:
-    """P_I = exp(-lambda * pi * E[R^2]) for the queried configuration."""
-    return math.exp(-query.node_density * math.pi * expected_r2(query.params, query.scheme))
+    """P_I for the queried configuration, with the closed-form E[R^2]."""
+    return isolation_from_er2(query.node_density, expected_r2(query.params, query.scheme))
 
 
 def min_density_for_isolation(
@@ -206,26 +216,9 @@ def min_density_for_isolation(
     """Node density at which the isolation probability equals the target."""
     if not 0.0 < target_p_i < 1.0:
         raise ValueError(f"target isolation probability must lie in (0, 1), got {target_p_i}")
-    return -math.log(target_p_i) / (math.pi * expected_r2(params, scheme))
+    er2 = expected_r2(params, scheme)
+    lam = -math.log(target_p_i) / (math.pi * er2) if er2 > 0 else math.inf
+    if lam == math.inf:
+        raise OverflowError(f"the minimum node density overflows: E[R^2] = {er2:.3e} m^2")
+    return lam
 
-
-def density_spread_tradeoff(
-    params: ChannelParams,
-    scheme: DiversityScheme,
-    target_p_i: float,
-    sigma_grid: Sequence[float],
-) -> list[tuple[float, float]]:
-    """Required density versus shadowing spread at a fixed isolation target.
-
-    Returns (sigma, lambda) pairs; lambda decreases with sigma because the
-    shadowing factor inflates E[R^2].
-    """
-    if len(sigma_grid) == 0:
-        raise ValueError("sigma grid must be nonempty")
-    out = []
-    for sigma in sigma_grid:
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        p = replace(params, sigma=sigma)
-        out.append((sigma, min_density_for_isolation(p, scheme, target_p_i)))
-    return out

@@ -10,7 +10,6 @@ Provides:
   - single-branch, maximal-ratio and selection-combining success
     probabilities for integer Nakagami severity
   - the multinomial coefficient table behind the selection-combining form
-  - the lognormal path-loss density
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "build_beta_table",
     "db_to_linear",
     "make_success_fn",
-    "path_loss_pdf",
     "sigma_from_db",
     "success_prob_mrc",
     "success_prob_nakagami",
@@ -87,7 +85,11 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class DiversityScheme:
-    """Receiver structure: single branch, MRC or SC over M branches."""
+    """Receiver structure: single branch, MRC or SC over M branches.
+
+    MRC and SC with one branch are the single-branch channel and are stored
+    as ``kind="none"``, so no dispatch needs an M = 1 case.
+    """
 
     kind: str            # 'none' | 'mrc' | 'sc'
     branches: int = 1
@@ -100,6 +102,8 @@ class DiversityScheme:
         object.__setattr__(self, "branches", int(self.branches))
         if self.kind == "none" and self.branches != 1:
             raise ValueError("single-branch reception has exactly one branch")
+        if self.branches == 1:
+            object.__setattr__(self, "kind", "none")
 
     @classmethod
     def no_diversity(cls) -> "DiversityScheme":
@@ -142,16 +146,22 @@ def build_beta_table(m: int, diversity_order: int) -> BetaTable:
     m = int(m)
     diversity_order = int(diversity_order)
     rows: list[tuple[float, ...]] = [(1.0,)]
-    for n in range(1, diversity_order + 1):
-        prev = rows[n - 1]
-        prev_top = (n - 1) * (m - 1)
-        row = []
-        for k in range(n * (m - 1) + 1):
-            acc = 0.0
-            for i in range(max(0, k - m + 1), min(k, prev_top) + 1):
-                acc += prev[i] / factorial(k - i)
-            row.append(acc)
-        rows.append(tuple(row))
+    try:
+        for n in range(1, diversity_order + 1):
+            prev = rows[n - 1]
+            prev_top = (n - 1) * (m - 1)
+            row = []
+            for k in range(n * (m - 1) + 1):
+                acc = 0.0
+                for i in range(max(0, k - m + 1), min(k, prev_top) + 1):
+                    acc += prev[i] / factorial(k - i)
+                row.append(acc)
+            rows.append(tuple(row))
+    except OverflowError as exc:
+        raise OverflowError(
+            f"coefficient table for (m={m}, M={diversity_order}) needs {m - 1}!, "
+            "which exceeds the float range"
+        ) from exc
     return BetaTable(m=m, diversity_order=diversity_order, rows=tuple(rows))
 
 
@@ -253,32 +263,10 @@ def _sc_law(params: ChannelParams, M: int, beta: BetaTable) -> Callable[[float],
 
 def make_success_fn(params: ChannelParams, scheme: DiversityScheme) -> Callable[[float], float]:
     """Bind the per-scheme success probability to a function of mean SNR."""
-    if scheme.kind == "mrc" and scheme.branches > 1:
-        M = scheme.branches
+    M = scheme.branches
+    if scheme.kind == "mrc":
         return lambda y: success_prob_mrc(y, M, params)
-    if scheme.kind == "sc" and scheme.branches > 1:
-        M = scheme.branches
+    if scheme.kind == "sc":
         return _sc_law(params, M, build_beta_table(params.m, M))
     return lambda y: success_prob_nakagami(y, params)
 
-
-# ============================================================================
-#  Path-loss density
-# ============================================================================
-
-
-def path_loss_pdf(a: float, rho: float, params: ChannelParams) -> float:
-    """Lognormal density of the linear path loss at distance rho.
-
-    The log of path loss is normal with median k * rho^-alpha and spread
-    sigma. sigma = 0 is a point mass and must be dispatched by the caller
-    to the unshadowed model instead of evaluated here.
-    """
-    if not params.sigma > 0:
-        raise ValueError("sigma = 0 is a degenerate point mass; use the unshadowed model")
-    if not a > 0:
-        raise ValueError(f"path loss must be positive, got {a}")
-    if not rho > 0:
-        raise ValueError(f"distance must be positive, got {rho}")
-    z = (math.log(a) - math.log(params.k) + params.alpha * math.log(rho)) / params.sigma
-    return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * params.sigma * a)

@@ -28,6 +28,7 @@ from .analytic import (
     CancellationError,
     IsolationQuery,
     expected_r2,
+    isolation_from_er2,
     isolation_probability,
     min_density_for_isolation,
 )
@@ -292,12 +293,14 @@ def _resolve_db_alternates(args: argparse.Namespace) -> None:
         db_value = getattr(args, db, None)
         if db_value is None:
             continue
+        flag = "--" + db.replace("_", "-")
         if getattr(args, base) is not None:
-            raise UsageError(f"--{base.replace('_', '-')} and --{db.replace('_', '-')} are exclusive")
-        if base == "sigma":
-            setattr(args, base, sigma_from_db(db_value))
-        else:
-            setattr(args, base, db_to_linear(db_value))
+            raise UsageError(f"--{base} and {flag} are exclusive")
+        try:
+            linear = sigma_from_db(db_value) if base == "sigma" else db_to_linear(db_value)
+        except OverflowError as exc:
+            raise UsageError(f"{flag} {db_value:g} overflows as a linear value") from exc
+        setattr(args, base, linear)
 
 
 def _build_params(args: argparse.Namespace, **overrides) -> ChannelParams:
@@ -315,14 +318,8 @@ def _build_params(args: argparse.Namespace, **overrides) -> ChannelParams:
 
 
 def _build_scheme(kind: str, branches: int) -> DiversityScheme:
-    if kind == "none":
-        if branches != 1:
-            raise UsageError("--M applies to mrc or sc schemes only")
-        return DiversityScheme.no_diversity()
-    if branches == 1:
-        # M = 1 diversity is identical to no diversity; normalizing here keeps
-        # every downstream evaluation and report on a single code path.
-        return DiversityScheme.no_diversity()
+    if kind == "none" and branches != 1:
+        raise UsageError("--M applies to mrc or sc schemes only")
     return DiversityScheme(kind, branches)
 
 
@@ -417,12 +414,6 @@ def _numeric_er2(params: ChannelParams, scheme: DiversityScheme, m_real: float |
     return expected_r2_numeric_fading(success, params)
 
 
-def _p_i(node_density: float, er2: float) -> float:
-    if not 0.0 <= node_density < math.inf:
-        raise ValueError(f"node density must be finite and >= 0, got {node_density}")
-    return math.exp(-node_density * math.pi * er2)
-
-
 # ============================================================================
 #  Subcommands
 # ============================================================================
@@ -438,7 +429,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         params = _build_params(args, m=1)
         er2_q = _numeric_er2(params, scheme, args.m_real)
         fields = [
-            ("p_i_quadrature", _p_i(args.node_density, er2_q)),
+            ("p_i_quadrature", isolation_from_er2(args.node_density, er2_q)),
             ("er2_quadrature", er2_q),
         ]
         _emit(_render_record(fields, args.out_format), args)
@@ -447,12 +438,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     outputs = _parse_outputs(args.outputs, ("analytic", "quadrature"))
     er2_a = expected_r2(params, scheme)
     fields = [
-        ("p_i_analytic", _p_i(args.node_density, er2_a)),
+        ("p_i_analytic", isolation_from_er2(args.node_density, er2_a)),
         ("er2_analytic", er2_a),
     ]
     if "quadrature" in outputs:
         er2_q = _numeric_er2(params, scheme, None)
-        fields.append(("p_i_quadrature", _p_i(args.node_density, er2_q)))
+        fields.append(("p_i_quadrature", isolation_from_er2(args.node_density, er2_q)))
         fields.append(("er2_quadrature", er2_q))
     _emit(_render_record(fields, args.out_format), args)
     return 0
@@ -491,12 +482,12 @@ def _sweep_point(
     node_density = knobs.get("node_density")
     if node_density is None:
         raise UsageError("sweep requires --lambda when the density is not swept")
-    result["p_i_analytic"] = _p_i(node_density, er2_a)
+    result["p_i_analytic"] = isolation_from_er2(node_density, er2_a)
     result["er2_analytic"] = er2_a
     if "quadrature" in spec.outputs:
         if "quadrature" not in er2:
             er2["quadrature"] = _numeric_er2(params, scheme, None)
-        result["p_i_quadrature"] = _p_i(node_density, er2["quadrature"])
+        result["p_i_quadrature"] = isolation_from_er2(node_density, er2["quadrature"])
     if "simulation" in spec.outputs:
         config = SimConfig(
             params=params,
@@ -626,7 +617,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     estimate = run_monte_carlo(config, n_jobs=args.jobs)
     er2_a = expected_r2(params, scheme)
-    p_analytic = _p_i(args.node_density, er2_a)
+    p_analytic = isolation_from_er2(args.node_density, er2_a)
     z = math.nan
     if estimate.std_error and not math.isnan(estimate.std_error) and estimate.std_error > 0:
         z = (estimate.p_isolated - p_analytic) / estimate.std_error

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import check_node_density
 from .channel import ChannelParams, DiversityScheme, make_success_fn
 from .quadrature import shadow_averaged_success
 
@@ -60,8 +61,7 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.node_density >= 0:
-            raise ValueError(f"node density must be >= 0, got {self.node_density}")
+        check_node_density(self.node_density)
         if not self.area_side > 0:
             raise ValueError(f"area side must be positive, got {self.area_side}")
         if self.boundary not in ("bounded", "toroidal"):
@@ -198,9 +198,9 @@ def _links_up(
     if params.sigma > 0:
         y = y * np.exp(params.sigma * rng.standard_normal(len(dist)))
     m = params.m
-    if scheme.kind == "mrc" and scheme.branches > 1:
+    if scheme.kind == "mrc":
         snr = rng.gamma(m * scheme.branches, y / m)
-    elif scheme.kind == "sc" and scheme.branches > 1:
+    elif scheme.kind == "sc":
         snr = rng.gamma(m, y[:, None] / m, size=(len(dist), scheme.branches)).max(axis=1)
     else:
         snr = rng.gamma(m, y / m)

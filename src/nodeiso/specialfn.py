@@ -8,10 +8,8 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "gamma_fn",
     "log_factorial",
     "truncated_exp_series",
-    "upper_incomplete_gamma_ratio",
 ]
 
 # Above this, e^{-x} and x^l individually over/underflow before they can
@@ -21,17 +19,6 @@ LOG_SPACE_CUTOVER = 700.0
 # Compensated summation only pays off once the series is long enough to
 # accumulate cancellation; below this a plain running sum is fine.
 _FSUM_MIN_TERMS = 30
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive real axis.
-
-    Delegates to the platform's Lanczos-class implementation, which is
-    well inside 1e-12 relative error on (0, 170].
-    """
-    if x <= 0:
-        raise ValueError(f"gamma argument must be positive, got {x}")
-    return math.gamma(x)
 
 
 def log_factorial(n: int) -> float:
@@ -46,8 +33,9 @@ def log_factorial(n: int) -> float:
 def truncated_exp_series(x: float, num_terms: int) -> float:
     """e^{-x} * sum_{l=0}^{num_terms-1} x^l / l!, clamped to [0, 1].
 
-    This is the tail probability of a unit-scale Erlang variate and the
-    workhorse behind every integer-shape link success probability.
+    This is the regularized upper incomplete gamma Q(num_terms, x), the tail
+    probability of a unit-scale Erlang variate, and the workhorse behind
+    every integer-shape link success probability.
     """
     if x < 0:
         raise ValueError(f"series argument must be >= 0, got {x}")
@@ -75,16 +63,3 @@ def truncated_exp_series(x: float, num_terms: int) -> float:
         terms.append(term)
     return min(math.exp(-x) * math.fsum(terms), 1.0)
 
-
-def upper_incomplete_gamma_ratio(m: int, x: float) -> float:
-    """Regularized upper incomplete gamma Q(m, x) for integer m >= 1.
-
-    Evaluated through the exact finite sum e^{-x} sum_{l<m} x^l/l! rather
-    than a continued fraction: for integer shape the sum is exact up to
-    floating-point rounding.
-    """
-    if int(m) != m or m < 1:
-        raise ValueError(f"shape must be a positive integer, got {m}")
-    if x < 0:
-        raise ValueError(f"threshold must be >= 0, got {x}")
-    return truncated_exp_series(float(x), int(m))

@@ -75,12 +75,6 @@ def _closed_er2(p: ChannelParams, kind: str, M: int) -> float:
     return expected_r2_sc(p, M, build_beta_table(p.m, M))
 
 
-def _scheme(kind: str, M: int) -> DiversityScheme:
-    if kind == "none" or M == 1:
-        return DiversityScheme.no_diversity()
-    return DiversityScheme(kind, M)
-
-
 def test_criterion_1_closed_forms_match_quadrature():
     start = time.monotonic()
     worst = 0.0
@@ -91,7 +85,7 @@ def test_criterion_1_closed_forms_match_quadrature():
                 p = params(m=m, sigma=sigma, alpha=alpha)
                 for kind, M in _scheme_combos():
                     closed = _closed_er2(p, kind, M)
-                    fn = make_success_fn(p, _scheme(kind, M))
+                    fn = make_success_fn(p, DiversityScheme(kind, M))
                     if sigma == 0.0:
                         numeric = expected_r2_numeric_fading(fn, p)
                     else:
@@ -317,7 +311,7 @@ def test_criterion_8_density_inversion_round_trip():
             for sigma in SIGMA_GRID:
                 p = params(m=m, sigma=sigma, alpha=alpha)
                 for kind, M in _scheme_combos():
-                    scheme = _scheme(kind, M)
+                    scheme = DiversityScheme(kind, M)
                     for target in (0.01, 0.1, 0.5, 0.9):
                         lam = min_density_for_isolation(p, scheme, target)
                         back = isolation_probability(IsolationQuery(p, scheme, lam))

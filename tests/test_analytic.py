@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +7,13 @@ import pytest
 from nodeiso.analytic import (
     SC_MAX_ORDER,
     IsolationQuery,
-    density_spread_tradeoff,
     expected_r2,
     expected_r2_mrc,
     expected_r2_nakagami,
     expected_r2_nakagami_shadow,
     expected_r2_sc,
     expected_r2_shadow_only,
+    isolation_from_er2,
     isolation_probability,
     min_density_for_isolation,
 )
@@ -163,8 +164,22 @@ def test_isolation_limit_large_density():
 
 
 def test_isolation_query_validation():
-    with pytest.raises(ValueError):
-        IsolationQuery(params(), DiversityScheme.no_diversity(), -1e-3)
+    for bad in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="node density must be finite and >= 0"):
+            IsolationQuery(params(), DiversityScheme.no_diversity(), bad)
+
+
+def test_isolation_from_er2_is_the_one_formula():
+    p = params(m=2, sigma=1.0)
+    for scheme in (DiversityScheme.no_diversity(), DiversityScheme.mrc(2), DiversityScheme.sc(3)):
+        er2 = expected_r2(p, scheme)
+        for lam in (0.0, 1e-5, 1e-3, 1.0):
+            assert isolation_from_er2(lam, er2) == math.exp(-lam * math.pi * er2)
+            query = IsolationQuery(p, scheme, lam)
+            assert isolation_probability(query) == isolation_from_er2(lam, er2)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="node density must be finite and >= 0"):
+            isolation_from_er2(bad, 1.0)
 
 
 # ============================================================================
@@ -192,23 +207,25 @@ def test_min_density_domain(bad):
         min_density_for_isolation(params(), DiversityScheme.no_diversity(), bad)
 
 
+def test_min_density_overflow_is_numerical():
+    # E[R^2] of 2e-320 (subnormal) and of exactly 0: no finite density reaches the target.
+    for psi, alpha in ((1e163, 1.0), (1e300, 0.5)):
+        with pytest.raises(OverflowError, match="minimum node density overflows"):
+            min_density_for_isolation(
+                params(psi=psi, alpha=alpha), DiversityScheme.no_diversity(), 0.5
+            )
+
+
 def test_density_spread_tradeoff():
+    # The required density versus the shadowing spread (the figure-4 sweep).
     p = params(m=4)
     scheme = DiversityScheme.no_diversity()
     grid = [0.0, 1.0, 2.0, 3.0, 4.0]
-    pairs = density_spread_tradeoff(p, scheme, 0.01, grid)
+    lams = [min_density_for_isolation(replace(p, sigma=s), scheme, 0.01) for s in grid]
     lam0 = min_density_for_isolation(p, scheme, 0.01)
-    assert pairs[0] == (0.0, lam0)
-    lams = [lam for _, lam in pairs]
+    assert lams[0] == lam0
     assert all(b < a for a, b in zip(lams, lams[1:]))
-    for sigma, lam in pairs:
+    for sigma, lam in zip(grid, lams):
         assert lam / lam0 == pytest.approx(math.exp(-2 * sigma**2 / p.alpha**2), rel=1e-12)
     # alpha = 4, sigma = 4 forces the ratio e^-2.
     assert lams[-1] / lam0 == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-
-def test_density_spread_tradeoff_validation():
-    with pytest.raises(ValueError):
-        density_spread_tradeoff(params(), DiversityScheme.no_diversity(), 0.5, [])
-    with pytest.raises(ValueError):
-        density_spread_tradeoff(params(), DiversityScheme.no_diversity(), 0.5, [-1.0])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate
 
 from nodeiso.channel import (
     BetaTable,
@@ -12,13 +12,12 @@ from nodeiso.channel import (
     build_beta_table,
     db_to_linear,
     make_success_fn,
-    path_loss_pdf,
     sigma_from_db,
     success_prob_mrc,
     success_prob_nakagami,
     success_prob_sc,
 )
-from nodeiso.specialfn import upper_incomplete_gamma_ratio
+from nodeiso.specialfn import truncated_exp_series
 
 
 def params(m=1, sigma=0.0, alpha=4.0, psi=10.0):
@@ -64,6 +63,15 @@ def test_diversity_scheme_validation():
         DiversityScheme("rake", 2)
 
 
+def test_single_branch_diversity_folds_to_none():
+    none = DiversityScheme.no_diversity()
+    assert DiversityScheme.mrc(1) == DiversityScheme.sc(1) == none
+    assert hash(DiversityScheme.mrc(1)) == hash(DiversityScheme.sc(1)) == hash(none)
+    assert DiversityScheme("sc", 1.0).kind == "none"
+    assert DiversityScheme.mrc(2).kind == "mrc"
+    assert DiversityScheme.sc(2).kind == "sc"
+
+
 def test_db_helpers():
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
     assert db_to_linear(0.0) == 1.0
@@ -91,7 +99,7 @@ def test_success_nakagami_derived_m2():
     y = 2 * p.psi
     value = success_prob_nakagami(y, p)
     assert value == pytest.approx(0.7357588823428847, rel=1e-12)
-    assert abs(value - upper_incomplete_gamma_ratio(2, 1.0)) <= 1e-14
+    assert abs(value - truncated_exp_series(1.0, 2)) <= 1e-14
 
     def snr_pdf(x):
         m = 2
@@ -106,7 +114,7 @@ def test_success_nakagami_equals_gamma_ratio_everywhere():
         p = params(m=m)
         for y in np.logspace(-2, 4, 25):
             assert abs(
-                success_prob_nakagami(y, p) - upper_incomplete_gamma_ratio(m, m * p.psi / y)
+                success_prob_nakagami(y, p) - truncated_exp_series(m * p.psi / y, m)
             ) <= 1e-14
 
 
@@ -188,6 +196,15 @@ def test_beta_out_of_range_is_zero():
     table = build_beta_table(2, 3)
     assert len(table.rows[2]) == 3
     assert len(table.rows) == 4
+
+
+def test_beta_table_overflow_names_m_and_M():
+    # 170! is the largest factorial a float holds, so m = 171 is the last
+    # severity whose table exists; beyond it the build names m and M.
+    assert build_beta_table(171, 2).rows[1][170] > 0.0
+    for m, M in ((172, 1), (200, 2), (200, 16)):
+        with pytest.raises(OverflowError, match=rf"\(m={m}, M={M}\) needs {m - 1}!"):
+            build_beta_table(m, M)
 
 
 def _beta_rows_fraction(m, order):
@@ -346,37 +363,3 @@ def test_mrc_dominates_sc():
             for y in np.logspace(-1, 3, 30) * p.psi:
                 assert success_prob_mrc(y, M, p) >= success_prob_sc(y, M, p, table) - 1e-12
 
-
-# ============================================================================
-#  Path-loss density
-# ============================================================================
-
-
-def test_path_loss_pdf_at_median():
-    p = params(sigma=1.0)
-    a_median = p.k * 1.0 ** -p.alpha
-    assert path_loss_pdf(a_median, 1.0, p) == pytest.approx(
-        1.0 / (math.sqrt(2 * math.pi) * p.sigma * a_median), rel=1e-12
-    )
-
-
-def test_path_loss_pdf_example_matches_lognorm():
-    p = ChannelParams(ptx=1, w=0.01, k=10, psi=10, alpha=4, sigma=1.0, m=1)
-    value = path_loss_pdf(10.0, 1.0, p)
-    assert value == pytest.approx(0.039894228040143274, rel=1e-12)
-    assert value == pytest.approx(stats.lognorm.pdf(10.0, s=1.0, scale=10.0), rel=1e-12)
-
-
-def test_path_loss_pdf_normalizes():
-    p = params(sigma=2.0)
-    rho = 3.0
-    mu = math.log(p.k) - p.alpha * math.log(rho)
-    total, _ = integrate.quad(
-        lambda v: path_loss_pdf(math.exp(v), rho, p) * math.exp(v), mu - 45 * 2.0, mu + 45 * 2.0
-    )
-    assert total == pytest.approx(1.0, abs=1e-8)
-
-
-def test_path_loss_pdf_sigma_zero_rejected():
-    with pytest.raises(ValueError):
-        path_loss_pdf(1.0, 1.0, params(sigma=0.0))

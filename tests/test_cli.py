@@ -112,7 +112,7 @@ def test_eval_missing_lambda_exit_2():
     assert run_cli("eval", "--m", "2", check=False).returncode == 2
 
 
-@pytest.mark.parametrize("density", ["-1", "nan"])
+@pytest.mark.parametrize("density", ["-1", "nan", "inf"])
 def test_eval_rejects_bad_density_exit_2(density):
     proc = run_cli("eval", "--m", "2", "--lambda", density, check=False)
     assert proc.returncode == 2
@@ -126,7 +126,21 @@ def test_eval_rejects_bad_density_exit_2(density):
     (["eval", "--sigma", "nan", "--lambda", "1e-4"], 2, "sigma must be finite and >= 0"),
     (["eval", "--sigma", "100", "--lambda", "1e-4"], 3, "numerical failure"),
     (["invert", "--sigma", "100", "--target-pi", "0.5"], 3, "numerical failure"),
-], ids=["eval-ptx-inf", "eval-alpha-inf", "eval-sigma-nan", "eval-sigma-100", "invert-sigma-100"])
+    (["eval", "--psi-db", "4000", "--lambda", "1e-4"], 2, "--psi-db 4000 overflows as a linear value"),
+    (["eval", "--k-db", "4000", "--lambda", "1e-4"], 2, "--k-db 4000 overflows as a linear value"),
+    (["eval", "--m", "200", "--scheme", "sc", "--M", "16", "--lambda", "1e-4"], 3,
+     "numerical failure: coefficient table for (m=200, M=16) needs 199!"),
+    (["eval", "--m", "200", "--scheme", "sc", "--M", "2", "--lambda", "1e-4"], 3,
+     "numerical failure: coefficient table for (m=200, M=2) needs 199!"),
+    (["invert", "--psi", "1e163", "--alpha", "1", "--target-pi", "0.5"], 3,
+     "numerical failure: the minimum node density overflows"),
+    (["invert", "--psi", "1e300", "--alpha", "0.5", "--target-pi", "0.5"], 3,
+     "numerical failure: the minimum node density overflows"),
+    (["simulate", "--m", "2", "--lambda", "inf"], 2, "node density must be finite and >= 0"),
+    (["simulate", "--m", "2", "--lambda", "-1"], 2, "node density must be finite and >= 0"),
+], ids=["eval-ptx-inf", "eval-alpha-inf", "eval-sigma-nan", "eval-sigma-100", "invert-sigma-100",
+        "eval-psi-db-4000", "eval-k-db-4000", "eval-m200-sc16", "eval-m200-sc2",
+        "invert-subnormal-er2", "invert-zero-er2", "simulate-lambda-inf", "simulate-lambda--1"])
 def test_out_of_domain_channel_exits_with_message(capsys, argv, code, message):
     assert cli.main(argv) == code
     captured = capsys.readouterr()

@@ -4,31 +4,24 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from nodeiso.specialfn import (
-    gamma_fn,
-    log_factorial,
-    truncated_exp_series,
-    upper_incomplete_gamma_ratio,
-)
+from nodeiso.analytic import _gamma_ladder, _gamma_over_factorial_ladder
+from nodeiso.specialfn import log_factorial, truncated_exp_series
 
 
 def test_gamma_known_values():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-12)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-def test_gamma_domain(bad):
-    with pytest.raises(ValueError):
-        gamma_fn(bad)
+    # The closed forms take Gamma(x0 + l) from one math.gamma call per ladder.
+    assert _gamma_ladder(1.0, 5) == pytest.approx([1.0, 1.0, 2.0, 6.0, 24.0], rel=1e-12)
+    root_pi = math.sqrt(math.pi)
+    expected = [root_pi, root_pi / 2, 3 * root_pi / 4]
+    assert _gamma_ladder(0.5, 3) == pytest.approx(expected, rel=1e-12)
+    assert _gamma_over_factorial_ladder(1.0, 6) == pytest.approx([1.0] * 6, rel=1e-12)
 
 
 def test_gamma_recurrence():
     rng = np.random.default_rng(20240901)
     for x in rng.uniform(1e-3, 100.0, size=200):
-        lhs = gamma_fn(x + 1.0)
-        assert abs(lhs - x * gamma_fn(x)) / lhs < 1e-12
+        lhs = math.gamma(x + 1.0)
+        assert abs(lhs - _gamma_ladder(x, 2)[1]) / lhs < 1e-12
 
 
 def test_log_factorial_small_exact():
@@ -48,8 +41,8 @@ def test_log_factorial_domain():
 
 
 def test_incomplete_gamma_trivial_cases():
-    assert upper_incomplete_gamma_ratio(1, 0.0) == 1.0
-    assert upper_incomplete_gamma_ratio(1, math.log(10.0)) == pytest.approx(0.1, rel=1e-12)
+    assert truncated_exp_series(0.0, 1) == 1.0
+    assert truncated_exp_series(math.log(10.0), 1) == pytest.approx(0.1, rel=1e-12)
 
 
 def test_incomplete_gamma_derived_m3():
@@ -57,34 +50,34 @@ def test_incomplete_gamma_derived_m3():
     m, x = 3, 2.0
     oracle, _ = integrate.quad(lambda t: t ** (m - 1) * math.exp(-t), x, np.inf)
     oracle /= math.gamma(m)
-    value = upper_incomplete_gamma_ratio(m, x)
+    value = truncated_exp_series(x, m)
     assert value == pytest.approx(oracle, rel=1e-10)
     assert value == pytest.approx(0.6766764161830635, rel=1e-12)
 
 
 def test_incomplete_gamma_m1_is_exponential():
     for x in (0.0, 0.3, 1.0, 5.0, 40.0, 200.0):
-        assert abs(upper_incomplete_gamma_ratio(1, x) - math.exp(-x)) <= 1e-14
+        assert abs(truncated_exp_series(x, 1) - math.exp(-x)) <= 1e-14
 
 
 def test_incomplete_gamma_monotonicity_and_limits():
     xs = np.linspace(0.0, 60.0, 200)
     for m in (1, 2, 3, 5, 8):
-        vals = [upper_incomplete_gamma_ratio(m, x) for x in xs]
+        vals = [truncated_exp_series(x, m) for x in xs]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
         assert vals[0] == 1.0
         assert vals[-1] < 1e-10
     for x in (0.5, 3.0, 12.0):
-        by_m = [upper_incomplete_gamma_ratio(m, x) for m in range(1, 10)]
+        by_m = [truncated_exp_series(x, m) for m in range(1, 10)]
         assert all(b >= a - 1e-15 for a, b in zip(by_m, by_m[1:]))
 
 
 def test_incomplete_gamma_domain():
     with pytest.raises(ValueError):
-        upper_incomplete_gamma_ratio(0, 1.0)
+        truncated_exp_series(1.0, 0)
     with pytest.raises(ValueError):
-        upper_incomplete_gamma_ratio(2, -0.5)
+        truncated_exp_series(-0.5, 2)
 
 
 def test_series_log_space_branch():
