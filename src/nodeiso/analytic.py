@@ -65,9 +65,24 @@ def _shadow_factor(params: ChannelParams) -> float:
     return math.exp(2.0 * params.sigma**2 / params.alpha**2)
 
 
+def _gamma_at(x0: float) -> float:
+    """Gamma(x0) for x0 = 2/alpha; an overflow names alpha."""
+    try:
+        return math.gamma(x0)
+    except OverflowError:
+        raise _er2_out_of_range(x0) from None
+
+
+def _er2_out_of_range(x0: float) -> OverflowError:
+    return OverflowError(
+        f"E[R^2] is outside the float range at alpha = {2.0 / x0:g}: "
+        f"Gamma(2/alpha) = Gamma({x0:g}) overflows"
+    )
+
+
 def _gamma_ladder(x0: float, count: int) -> list[float]:
     """[Gamma(x0), Gamma(x0+1), ..., Gamma(x0+count-1)] from one evaluation."""
-    values = [math.gamma(x0)]
+    values = [_gamma_at(x0)]
     for l in range(1, count):
         values.append(values[-1] * (x0 + l - 1))
     return values
@@ -76,7 +91,7 @@ def _gamma_ladder(x0: float, count: int) -> list[float]:
 def _gamma_over_factorial_ladder(x0: float, count: int) -> list[float]:
     """[Gamma(x0+l)/l! for l < count]; the ratio grows only like l^(x0-1),
     so the ladder stays in range for arbitrarily long series."""
-    values = [math.gamma(x0)]
+    values = [_gamma_at(x0)]
     for l in range(1, count):
         values.append(values[-1] * (x0 + l - 1) / l)
     return values
@@ -162,7 +177,10 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int, beta: BetaTable)
                 if row[l] == 0.0:
                     continue
                 mag = log_c + math.log(row[l]) - (x0 + l) * log_h + math.lgamma(x0 + l)
-                terms.append(sign * math.exp(mag))
+                try:
+                    terms.append(sign * math.exp(mag))
+                except OverflowError:
+                    raise _er2_out_of_range(x0) from None
     inner = math.fsum(terms)
     peak = max(abs(t) for t in terms)
     if inner >= 0.0 or peak > _MAX_DIGIT_LOSS * abs(inner):

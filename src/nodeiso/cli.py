@@ -682,6 +682,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"nodeiso: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"nodeiso: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -37,11 +37,15 @@ __all__ = [
 # probability below this and are skipped without consuming randomness.
 _CUTOFF_TAIL = 1e-12
 
-# Pair enumeration works on row blocks of about this many candidate pairs,
-# so its scratch memory does not grow with the square of the node count.
-# 2**17 float64 pairs (1 MiB per array) keeps a block's arrays near cache
-# size; larger blocks measured slower on ~3200-node topologies.
-_BLOCK_PAIRS = 1 << 17
+# Pair enumeration works on blocks of about this many candidate pairs, so
+# its scratch memory does not grow with the square of the node count.
+# 2**14 float64 pairs (128 KiB per array) measured faster than 2**17 (1 MiB):
+# at 2**17 a row-block pass on the 100 m torus jumped from 0.23-0.26 ms at
+# n = 145 to 0.67-0.85 ms at n = 170, most likely because arrays that large
+# are handed back to the OS and faulted in again on every call; 2**14 took
+# 0.20-0.26 and 0.23-0.33 ms, and a 3200-node topology (400 m, cutoff
+# 119 m) 124-146 ms against 180-183 ms.
+_BLOCK_PAIRS = 1 << 14
 
 # Substream domains under one (master_seed, run_index) pair.
 _TOPOLOGY_DOMAIN = 0
@@ -62,8 +66,17 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_node_density(self.node_density)
-        if not self.area_side > 0:
-            raise ValueError(f"area side must be positive, got {self.area_side}")
+        if not 0.0 < self.area_side < math.inf:
+            raise ValueError(f"area side must be positive and finite, got {self.area_side}")
+        try:
+            expected_nodes = self.node_density * self.area_side**2
+        except OverflowError:
+            expected_nodes = math.inf
+        if not math.isfinite(expected_nodes):
+            raise ValueError(
+                f"area side {self.area_side:g} m gives a non-finite expected node count "
+                f"lambda * side^2 at node density {self.node_density:g}"
+            )
         if self.boundary not in ("bounded", "toroidal"):
             raise ValueError(f"boundary must be 'bounded' or 'toroidal', got {self.boundary!r}")
         if int(self.runs) != self.runs or self.runs < 1:
@@ -137,11 +150,37 @@ def _pairs_within(
 
     Returns index arrays ``i`` and ``j`` and the distances, in exactly the
     order of ``np.triu_indices(n, k=1)`` restricted to the kept pairs.
-    Distances use per-axis wraparound in toroidal mode. Rows are processed
-    in blocks of about ``_BLOCK_PAIRS`` candidate pairs: a squared-distance
-    prefilter with a little slack discards far pairs cheaply, and the exact
-    ``hypot`` test decides the survivors, so every kept distance is computed
-    by the same elementwise operations as an all-pairs ``hypot``.
+    Distances use per-axis wraparound in toroidal mode. Short links
+    (``4 * cutoff < area_side``) are searched in x-sorted strips, everything
+    else (including an infinite cutoff) in row blocks. Both paths decide a
+    pair by the same elementwise operations as an all-pairs enumeration
+    (``abs``, the torus ``minimum``, ``hypot``, ``<= cutoff``), so the pair
+    set, the order and every distance are identical whichever path runs.
+    """
+    # Crossover, measured on the helpers alone (toroidal, single thread):
+    # at n = 186 on 100 m with cutoff 6.3 m, strips took 0.15-0.23 ms
+    # against 0.27-0.37 ms for row blocks, and they stay ahead up to about
+    # cutoff = side/4. At n = 3200 they lose from about side/7 on: with
+    # cutoff 119 m on 400 m they took 320-340 ms against 124-146 ms,
+    # spent on gathering scattered candidates and on the final argsort of
+    # 1.4M kept keys (95 ms alone). The rule puts the short-link cells of
+    # the acceptance campaign on strips and the dense 3200-node cells
+    # (4 * 119 m > 400 m) on row blocks.
+    if 4.0 * cutoff < area_side:
+        return _strip_pairs(positions, area_side, boundary, cutoff)
+    return _row_block_pairs(positions, area_side, boundary, cutoff)
+
+
+def _row_block_pairs(
+    positions: np.ndarray,
+    area_side: float,
+    boundary: str,
+    cutoff: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_pairs_within`` by rows: blocks of about ``_BLOCK_PAIRS`` candidates.
+
+    A squared-distance prefilter with a little slack discards far pairs
+    cheaply, and the exact ``hypot`` test decides the survivors.
     """
     n = len(positions)
     x = np.ascontiguousarray(positions[:, 0])
@@ -179,6 +218,71 @@ def _pairs_within(
     return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d)
 
 
+def _strip_pairs(
+    positions: np.ndarray,
+    area_side: float,
+    boundary: str,
+    cutoff: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_pairs_within`` for short links: candidates from x-sorted strips.
+
+    Nodes are sorted by x; each node's candidates are the later nodes whose
+    x lies within the cutoff (plus slack) and, on the torus, those across
+    the x seam. The candidates are expanded in chunks of at most about
+    ``_BLOCK_PAIRS`` and decided by the exact test; one argsort of the kept
+    keys ``i * n + j`` restores ``triu_indices`` order.
+    """
+    n = len(positions)
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    order = np.argsort(positions[:, 0], kind="stable")
+    xs = positions[order, 0]
+    ys = positions[order, 1]
+    # The slack covers rounding in hypot (relative to the cutoff) and in the
+    # window bounds (relative to the coordinates), so the windows hold every
+    # pair the exact test keeps; the exact test then drops the extras.
+    scale = max(area_side, abs(xs[0]), abs(xs[-1]))
+    reach = cutoff * (1.0 + 1e-9) + 8.0 * np.finfo(float).eps * scale
+    # Segments of candidate positions (in sorted order) for each node p:
+    # p+1 .. near[p]-1 in x, and on the torus seam[p] .. n-1 across the seam.
+    first = np.arange(1, n + 1)
+    near = np.searchsorted(xs, xs + reach, side="right")
+    if boundary == "toroidal":
+        seam = np.maximum(np.searchsorted(xs, xs + (area_side - reach), side="left"), near)
+        starts = np.stack((first, seam), axis=1).ravel()
+        lengths = np.stack((near - first, n - seam), axis=1).ravel()
+        segments = 2
+    else:
+        starts, lengths, segments = first, near - first, 1
+    per_node = lengths.reshape(n, segments).sum(axis=1)
+    ends = np.cumsum(per_node)
+    # Candidate t of segment s sits at sorted position t + shift[s].
+    shift = starts - (np.cumsum(lengths) - lengths)
+    out_lo, out_hi, out_d = [], [], []
+    p0 = 0
+    while p0 < n:
+        base = int(ends[p0 - 1]) if p0 else 0
+        p1 = max(p0 + 1, int(np.searchsorted(ends, base + _BLOCK_PAIRS, side="right")))
+        seg = slice(segments * p0, segments * p1)
+        p = np.repeat(np.arange(p0, p1), per_node[p0:p1])
+        q = np.arange(base, int(ends[p1 - 1])) + np.repeat(shift[seg], lengths[seg])
+        dx = np.abs(xs[p] - xs[q])
+        dy = np.abs(ys[p] - ys[q])
+        if boundary == "toroidal":
+            np.minimum(dx, area_side - dx, out=dx)
+            np.minimum(dy, area_side - dy, out=dy)
+        dist = np.hypot(dx, dy)
+        keep = np.flatnonzero(dist <= cutoff)
+        i, j = order[p[keep]], order[q[keep]]
+        out_lo.append(np.minimum(i, j))
+        out_hi.append(np.maximum(i, j))
+        out_d.append(dist[keep])
+        p0 = p1
+    lo, hi = np.concatenate(out_lo), np.concatenate(out_hi)
+    rank = np.argsort(lo * n + hi)
+    return lo[rank], hi[rank], np.concatenate(out_d)[rank]
+
+
 def _links_up(
     dist: np.ndarray,
     params: ChannelParams,
@@ -193,18 +297,24 @@ def _links_up(
     branch sum); SC draws all M branches and keeps the maximum. All
     shadowing normals are drawn before any fading gamma. Distances must be
     positive.
+
+    Gammas are drawn with a scalar shape and scaled afterwards (for SC after
+    the maximum). numpy's ``gamma(k, s)`` is ``s * standard_gamma(k)`` from
+    the same stream and rounding a product with a positive scale is
+    monotone, so the outcomes equal those of ``rng.gamma(m, y / m)`` bit for
+    bit while skipping its per-element broadcasting.
     """
     y = params.k * params.ptx * dist ** -params.alpha / params.w
     if params.sigma > 0:
         y = y * np.exp(params.sigma * rng.standard_normal(len(dist)))
     m = params.m
     if scheme.kind == "mrc":
-        snr = rng.gamma(m * scheme.branches, y / m)
+        gain = rng.standard_gamma(m * scheme.branches, len(dist))
     elif scheme.kind == "sc":
-        snr = rng.gamma(m, y[:, None] / m, size=(len(dist), scheme.branches)).max(axis=1)
+        gain = rng.standard_gamma(m, (len(dist), scheme.branches)).max(axis=1)
     else:
-        snr = rng.gamma(m, y / m)
-    return snr >= params.psi
+        gain = rng.standard_gamma(m, len(dist))
+    return gain * (y / m) >= params.psi
 
 
 def effective_range_cutoff(
@@ -262,8 +372,10 @@ def isolation_count(
     consuming randomness. The kept pairs come in ``np.triu_indices`` order
     (row-major over i < j) and all draws are made after enumeration, so the
     result is deterministic in the generator state and bit-identical to an
-    all-pairs enumeration. Pairs are enumerated in row blocks, so memory
-    grows with the number of pairs kept, not with the square of n.
+    all-pairs enumeration. Pairs are enumerated in x-sorted strips when
+    ``4 * range_cutoff < area_side`` and in row blocks otherwise, both in
+    chunks of about ``_BLOCK_PAIRS`` candidates, so memory grows with the
+    number of pairs kept, not with the square of n.
     """
     n = len(topology)
     i_idx, j_idx, dist = _pairs_within(

@@ -138,9 +138,24 @@ def test_eval_rejects_bad_density_exit_2(density):
      "numerical failure: the minimum node density overflows"),
     (["simulate", "--m", "2", "--lambda", "inf"], 2, "node density must be finite and >= 0"),
     (["simulate", "--m", "2", "--lambda", "-1"], 2, "node density must be finite and >= 0"),
+    (["eval", "--alpha", "0.001", "--lambda", "1e-4"], 3,
+     "numerical failure: E[R^2] is outside the float range at alpha = 0.001"),
+    (["invert", "--alpha", "0.001", "--target-pi", "0.5"], 3,
+     "numerical failure: E[R^2] is outside the float range at alpha = 0.001"),
+    (["eval", "--alpha", "0.001", "--scheme", "sc", "--M", "2", "--lambda", "1e-4"], 3,
+     "numerical failure: E[R^2] is outside the float range at alpha = 0.001"),
+    (["simulate", "--m", "2", "--lambda", "1e-2", "--area", "inf"], 2,
+     "area side must be positive and finite, got inf"),
+    (["simulate", "--m", "2", "--lambda", "1e-2", "--area", "1e200"], 2,
+     "area side 1e+200 m gives a non-finite expected node count"),
+    # About 1e14 nodes: numpy refuses the 1.4 PiB position array at once.
+    (["simulate", "--m", "2", "--lambda", "1", "--area", "1e7", "--runs", "2"], 3,
+     "out of memory: Unable to allocate"),
 ], ids=["eval-ptx-inf", "eval-alpha-inf", "eval-sigma-nan", "eval-sigma-100", "invert-sigma-100",
         "eval-psi-db-4000", "eval-k-db-4000", "eval-m200-sc16", "eval-m200-sc2",
-        "invert-subnormal-er2", "invert-zero-er2", "simulate-lambda-inf", "simulate-lambda--1"])
+        "invert-subnormal-er2", "invert-zero-er2", "simulate-lambda-inf", "simulate-lambda--1",
+        "eval-alpha-0.001", "invert-alpha-0.001", "eval-alpha-0.001-sc2", "simulate-area-inf",
+        "simulate-area-1e200", "simulate-area-1e7-out-of-memory"])
 def test_out_of_domain_channel_exits_with_message(capsys, argv, code, message):
     assert cli.main(argv) == code
     captured = capsys.readouterr()
@@ -419,8 +434,9 @@ def test_invert_bad_target_exit_2():
 SIM_ARGS = ["simulate", "--m", "2", "--lambda", "1e-3", "--runs", "150", "--seed", "42"]
 
 
-# Golden outputs recorded before pair enumeration moved to row blocks. Equal
-# text means equal floats, so the pair order and the random stream are unchanged.
+# Golden outputs recorded before pair enumeration moved to row blocks (the
+# short-link cell: before it moved to x-sorted strips). Equal text means equal
+# floats, so the pair order and the random stream are unchanged.
 GOLDEN_SIMULATE = [
     (
         ["--m", "2", "--sigma", "2", "--scheme", "sc", "--M", "4", "--lambda", "5e-3",
@@ -457,11 +473,29 @@ GOLDEN_SIMULATE = [
 }
 """,
     ),
+    (
+        # About 180 nodes with a 7.25 m cutoff on the 100 m square: strips.
+        ["--m", "1", "--lambda", "0.018", "--boundary", "bounded", "--runs", "100", "--seed", "5"],
+        """{
+  "p_i_sim": 0.6148012841802281,
+  "sim_stderr": 0.004615321901192753,
+  "sim_ci_low": 0.6057552532538902,
+  "sim_ci_high": 0.6238473151065659,
+  "p_i_any_isolated": 1.0,
+  "p_i_analytic": 0.6058338413415892,
+  "z_score": 1.942972349625566,
+  "total_nodes": 18066,
+  "total_isolated": 11107,
+  "runs_executed": 100,
+  "runs_empty": 0
+}
+""",
+    ),
 ]
 
 
 @pytest.mark.parametrize("args, expected", GOLDEN_SIMULATE,
-                         ids=["sigma2-sc4-bounded", "sigma0-toroidal"])
+                         ids=["sigma2-sc4-bounded", "sigma0-toroidal", "sigma0-short-link-bounded"])
 def test_simulate_json_matches_golden(capsys, args, expected):
     assert cli.main(["simulate", *args, "--format", "json"]) == 0
     assert capsys.readouterr().out == expected

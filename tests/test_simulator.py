@@ -114,35 +114,71 @@ def _positions(n):
     return pos
 
 
-@pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17, 18, 33, 100])
-def test_pairs_within_matches_all_pairs_enumeration(monkeypatch, boundary, n):
-    # Blocks of 16 candidate pairs: n = 17 fills each one-row block exactly,
-    # and every n >= 17 runs through dozens of blocks of varying height.
-    monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
-    pos = _positions(n)
-    _, _, all_dist = _triu_reference(pos, 100.0, boundary, math.inf)
-    cutoffs = [0.0, 30.0, math.inf]
-    if len(all_dist):
-        cutoffs.append(float(np.sort(all_dist)[len(all_dist) // 2]))  # one pair's distance
+# Cutoffs below side/4 take the x-sorted strip path, the others row blocks.
+SHORT_CUTOFFS = [0.0, 3.0, 6.3, 24.9]
+
+
+def _with_seam_nodes(pos):
+    """``pos`` plus nodes packed against the x seam of the 100 m square, and
+    pairs on horizontal lines whose x-gap, direct or across the seam, is a
+    short cutoff (exactly for 3)."""
+    seam_x = [0.0, 5e-324, 1e-12, 0.4, 2.9, 97.1, 99.6, 100.0 - 1e-12, np.nextafter(100.0, 0.0)]
+    seam = [[x, 50.0 + 7.0 * k % 13.0] for k, x in enumerate(seam_x)]
+    line = [[0.0, 40.0], [0.0, 70.0]]
+    for cutoff in SHORT_CUTOFFS[1:]:
+        line += [[cutoff, 40.0], [50.0, 60.0], [50.0 + cutoff, 60.0], [100.0 - cutoff, 70.0]]
+    return np.concatenate([pos, np.array(seam + line)])
+
+
+def _assert_matches_reference(pos, boundary, cutoffs):
     for cutoff in cutoffs:
         got = _pairs_within(pos, 100.0, boundary, cutoff)
         want = _triu_reference(pos, 100.0, boundary, cutoff)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17, 18, 33, 100])
+def test_pairs_within_matches_all_pairs_enumeration(monkeypatch, boundary, n):
+    # Blocks of 16 candidate pairs: n = 17 fills each one-row block exactly,
+    # and every n >= 17 runs through dozens of blocks of varying height, or
+    # of strip chunks for the short cutoffs.
+    monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
+    pos = _positions(n)
+    _, _, all_dist = _triu_reference(pos, 100.0, boundary, math.inf)
+    cutoffs = SHORT_CUTOFFS + [30.0, math.inf]
+    if len(all_dist):
+        cutoffs.append(float(np.sort(all_dist)[len(all_dist) // 2]))  # one pair's distance
+        cutoffs.append(float(np.sort(all_dist)[len(all_dist) // 50]))  # a short one
+    _assert_matches_reference(pos, boundary, cutoffs)
+    _assert_matches_reference(_with_seam_nodes(pos), boundary, cutoffs)
     if len(all_dist):
         # '<=' is inclusive: the pair at exactly the cutoff is kept.
-        cutoff = cutoffs[-1]
-        assert cutoff in _pairs_within(pos, 100.0, boundary, cutoff)[2]
+        for cutoff in cutoffs[-2:]:
+            assert cutoff in _pairs_within(pos, 100.0, boundary, cutoff)[2]
+    for cutoff in SHORT_CUTOFFS[1:]:
+        # So is a pair whose x-gap is exactly the cutoff.
+        assert cutoff in _pairs_within(_with_seam_nodes(pos), 100.0, boundary, cutoff)[2]
 
 
 def test_pairs_within_default_blocks_match_all_pairs_enumeration():
     pos = _positions(1500)
     for boundary in ("toroidal", "bounded"):
-        got = _pairs_within(pos, 100.0, boundary, 40.0)
-        want = _triu_reference(pos, 100.0, boundary, 40.0)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        _assert_matches_reference(pos, boundary, SHORT_CUTOFFS + [40.0])
+        _assert_matches_reference(_with_seam_nodes(pos), boundary, SHORT_CUTOFFS + [40.0])
+
+
+def test_pairs_within_takes_strips_below_a_quarter_side(monkeypatch):
+    pos = _positions(50)
+    taken = []
+    for name in ("_strip_pairs", "_row_block_pairs"):
+        helper = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name,
+                            lambda *args, helper=helper, name=name: taken.append(name) or helper(*args))
+    for cutoff in (24.9, 25.0, math.inf):
+        _pairs_within(pos, 100.0, "toroidal", cutoff)
+    assert taken == ["_strip_pairs", "_row_block_pairs", "_row_block_pairs"]
 
 
 def test_pairs_within_keeps_pairs_at_tiny_scales():
@@ -203,6 +239,35 @@ def test_link_trial_sc_rate():
     hits = int(_links_up(np.full(n, rho), p, scheme, rng).sum())
     se = math.sqrt(expected * (1 - expected) / n)
     assert abs(hits / n - expected) <= 3 * se
+
+
+def _links_up_scaled_gamma(dist, p, scheme, rng):
+    """The channel draw as once written, with the gamma scale broadcast per link."""
+    y = p.k * p.ptx * dist ** -p.alpha / p.w
+    if p.sigma > 0:
+        y = y * np.exp(p.sigma * rng.standard_normal(len(dist)))
+    m = p.m
+    if scheme.kind == "mrc":
+        snr = rng.gamma(m * scheme.branches, y / m)
+    elif scheme.kind == "sc":
+        snr = rng.gamma(m, y[:, None] / m, size=(len(dist), scheme.branches)).max(axis=1)
+    else:
+        snr = rng.gamma(m, y / m)
+    return snr >= p.psi
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+@pytest.mark.parametrize("scheme", [DiversityScheme.no_diversity(), DiversityScheme.mrc(2),
+                                    DiversityScheme.sc(4)], ids=["none", "mrc2", "sc4"])
+def test_links_up_matches_scaled_gamma_draws(scheme, sigma):
+    p = params(m=2, sigma=sigma)
+    dist = np.random.default_rng(8).random(20_000) * 9.0 + 1e-9
+    for seed in (5, 20260809):
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        up = _links_up(dist, p, scheme, rng_new)
+        assert np.array_equal(up, _links_up_scaled_gamma(dist, p, scheme, rng_old))
+        assert 0 < up.sum() < len(up)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 def test_coincident_nodes_connect():
