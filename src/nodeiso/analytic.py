@@ -73,11 +73,24 @@ def _gamma_at(x0: float) -> float:
         raise _er2_out_of_range(x0) from None
 
 
-def _er2_out_of_range(x0: float) -> OverflowError:
-    return OverflowError(
-        f"E[R^2] is outside the float range at alpha = {2.0 / x0:g}: "
-        f"Gamma(2/alpha) = Gamma({x0:g}) overflows"
-    )
+def _er2_out_of_range(x0: float, cause: str | None = None) -> OverflowError:
+    cause = cause or f"Gamma(2/alpha) = Gamma({x0:g}) overflows"
+    return OverflowError(f"E[R^2] is outside the float range at alpha = {2.0 / x0:g}: {cause}")
+
+
+def _theta_scaled(params: ChannelParams, x0: float, *factors: float) -> float:
+    """x0 * theta^(-x0) times the factors, left to right; beyond the float
+    range the error names alpha."""
+    try:
+        er2 = x0 * params.theta ** (-x0)
+    except OverflowError:
+        cause = f"theta^(-2/alpha) = {params.theta:g}^(-{x0:g}) overflows"
+        raise _er2_out_of_range(x0, cause) from None
+    for factor in factors:
+        er2 *= factor
+    if not math.isfinite(er2):
+        raise _er2_out_of_range(x0, "the Gamma series times theta^(-2/alpha) overflows")
+    return er2
 
 
 def _gamma_ladder(x0: float, count: int) -> list[float]:
@@ -116,7 +129,7 @@ def expected_r2_nakagami(params: ChannelParams) -> float:
     """Mean squared range under Nakagami-m fading, no shadowing."""
     x0 = 2.0 / params.alpha
     series = math.fsum(_gamma_over_factorial_ladder(x0, params.m))
-    return x0 * params.theta ** (-x0) * series
+    return _theta_scaled(params, x0, series)
 
 
 def expected_r2_nakagami_shadow(params: ChannelParams) -> float:
@@ -131,7 +144,7 @@ def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
     x0 = 2.0 / params.alpha
     series = math.fsum(_gamma_over_factorial_ladder(x0, params.m * M))
-    return x0 * params.theta ** (-x0) * series * _shadow_factor(params)
+    return _theta_scaled(params, x0, series, _shadow_factor(params))
 
 
 def expected_r2_sc(params: ChannelParams, diversity_order: int, beta: BetaTable) -> float:
@@ -188,7 +201,7 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int, beta: BetaTable)
             f"selection-combining sum lost more than 6 digits "
             f"(peak term {peak:.3e}, sum {inner:.3e})"
         )
-    return -x0 * params.theta ** (-x0) * _shadow_factor(params) * inner
+    return -_theta_scaled(params, x0, _shadow_factor(params), inner)
 
 
 def expected_r2(params: ChannelParams, scheme: DiversityScheme) -> float:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable
 
+import numpy as np
+
 from .specialfn import LOG_SPACE_CUTOVER, truncated_exp_series
 
 __all__ = [
@@ -170,24 +172,33 @@ def build_beta_table(m: int, diversity_order: int) -> BetaTable:
 # ============================================================================
 
 
-def success_prob_nakagami(y: float, params: ChannelParams) -> float:
-    """P(instantaneous SNR >= psi) on one Nakagami-m branch of mean SNR y."""
-    if not y > 0:
-        raise ValueError(f"average SNR must be positive, got {y}")
-    return truncated_exp_series(params.m * params.psi / y, params.m)
+def _positive_snr(y):
+    """Mean SNR y (float or array) as a numpy value, after checking y > 0."""
+    y = np.asarray(y, dtype=float)[()]
+    if not (y > 0).all():
+        raise ValueError(f"average SNR must be positive, got {np.extract(~(y > 0), y)[0]}")
+    return y
 
 
-def success_prob_mrc(y: float, diversity_order: int, params: ChannelParams) -> float:
+def success_prob_nakagami(y, params: ChannelParams):
+    """P(instantaneous SNR >= psi) on one Nakagami-m branch of mean SNR y.
+
+    ``y`` is a float or a numpy array; so is the result.
+    """
+    return truncated_exp_series(params.m * params.psi / _positive_snr(y), params.m)
+
+
+def success_prob_mrc(y, diversity_order: int, params: ChannelParams):
     """Success probability after maximal-ratio combining of M branches.
 
     Branches are independent with identical mean SNR y; the combiner output
     is Gamma(m*M, y/m), so the single-branch series simply runs to m*M - 1.
+    ``y`` is a float or a numpy array; so is the result.
     """
-    if not y > 0:
-        raise ValueError(f"average SNR must be positive, got {y}")
     if int(diversity_order) != diversity_order or diversity_order < 1:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
-    return truncated_exp_series(params.m * params.psi / y, params.m * int(diversity_order))
+    x = params.m * params.psi / _positive_snr(y)
+    return truncated_exp_series(x, params.m * int(diversity_order))
 
 
 def success_prob_sc(
@@ -200,8 +211,9 @@ def success_prob_sc(
 
     Complement of all M branches falling below threshold, expanded
     binomially with the coefficient table:
-        -sum_{n=1}^{M} (-1)^n C(M,n) e^{-n x} sum_k beta_kn x^k,  x = m psi / y.
-    Identically equal to 1 - (1 - single_branch)^M.
+        -sum_{n=1}^{M} (-1)^n C(M,n) e^{-n x} sum_k beta_kn x^k,  x = m psi / y,
+    the expansion the closed form integrates. Identically equal to
+    1 - (1 - single_branch)^M, the form :func:`make_success_fn` evaluates.
     """
     if not y > 0:
         raise ValueError(f"average SNR must be positive, got {y}")
@@ -213,60 +225,51 @@ def success_prob_sc(
             f"coefficient table built for (m={beta.m}, M={beta.diversity_order}) "
             f"does not cover (m={params.m}, M={M})"
         )
-    return _sc_law(params, M, beta)(y)
-
-
-def _sc_law(params: ChannelParams, M: int, beta: BetaTable) -> Callable[[float], float]:
-    """Selection-combining success probability as a function of mean SNR y.
-
-    Everything that does not depend on y (signed binomial weights, table
-    rows, m*psi and the log-space term bases) is computed once here; the
-    returned function evaluates -sum_n (-1)^n C(M,n) e^{-n x} sum_k
-    beta_kn x^k, x = m psi / y, term by term with compensated summation.
-    """
-    m_psi = params.m * params.psi
+    x = params.m * params.psi / y
     top = M * (params.m - 1)
-    direct = [(n, -((-1.0) ** n) * comb(M, n), beta.rows[n]) for n in range(1, M + 1)]
-    # Per-term log-space bases log C(M,n) + log beta_kn; zero entries carry
-    # no term there.
-    logged = [
-        (-((-1.0) ** n), math.log(comb(M, n)) + math.log(row[k]), k, n)
-        for n, _, row in direct
-        for k in range(len(row))
-        if row[k] != 0.0
-    ]
-
-    def success(y: float) -> float:
-        if not y > 0:
-            raise ValueError(f"average SNR must be positive, got {y}")
-        x = m_psi / y
-        # x^k itself can overflow for very long polynomials even while each
-        # full term is tiny; route those through the log-space branch too.
-        if x <= LOG_SPACE_CUTOVER and top * max(math.log(x), 0.0) < 680.0:
-            powers = [1.0]
-            for _ in range(top):
-                powers.append(powers[-1] * x)
-            terms = []
-            for n, weight, row in direct:
-                poly = 0.0
-                for coeff, xk in zip(row, powers):
-                    poly += coeff * xk
-                terms.append(weight * math.exp(-n * x) * poly)
-        else:
-            # Per-term log-space evaluation keeps sub-normal results meaningful.
-            lx = math.log(x)
-            terms = [sign * math.exp(base + k * lx - n * x) for sign, base, k, n in logged]
-        return min(max(math.fsum(terms), 0.0), 1.0)
-
-    return success
+    # x^k itself can overflow for very long polynomials even while each
+    # full term is tiny; route those through the log-space branch too.
+    if x <= LOG_SPACE_CUTOVER and top * max(math.log(x), 0.0) < 680.0:
+        powers = [1.0]
+        for _ in range(top):
+            powers.append(powers[-1] * x)
+        terms = []
+        for n in range(1, M + 1):
+            poly = 0.0
+            for coeff, xk in zip(beta.rows[n], powers):
+                poly += coeff * xk
+            terms.append(-((-1.0) ** n) * comb(M, n) * math.exp(-n * x) * poly)
+    else:
+        # Per-term log-space evaluation keeps sub-normal results meaningful;
+        # zero coefficients carry no term there.
+        lx = math.log(x)
+        terms = []
+        for n in range(1, M + 1):
+            log_c = math.log(comb(M, n))
+            for k, coeff in enumerate(beta.rows[n]):
+                if coeff != 0.0:
+                    mag = log_c + math.log(coeff) + k * lx - n * x
+                    terms.append(-((-1.0) ** n) * math.exp(mag))
+    return min(max(math.fsum(terms), 0.0), 1.0)
 
 
-def make_success_fn(params: ChannelParams, scheme: DiversityScheme) -> Callable[[float], float]:
-    """Bind the per-scheme success probability to a function of mean SNR."""
+def make_success_fn(params: ChannelParams, scheme: DiversityScheme) -> Callable:
+    """Bind the per-scheme success probability to a function of mean SNR.
+
+    The law maps a float or a numpy array of mean SNRs to the same shape.
+    SC is 1 - (1 - Q(m, x))^M as -expm1(M log1p(-Q)): full relative
+    precision in the tail, and no coefficient table.
+    """
     M = scheme.branches
     if scheme.kind == "mrc":
         return lambda y: success_prob_mrc(y, M, params)
     if scheme.kind == "sc":
-        return _sc_law(params, M, build_beta_table(params.m, M))
-    return lambda y: success_prob_nakagami(y, params)
 
+        def success_sc(y):
+            q = np.asarray(success_prob_nakagami(y, params))
+            with np.errstate(divide="ignore"):
+                p = -np.expm1(M * np.log1p(-q))
+            return float(p) if p.ndim == 0 else p
+
+        return success_sc
+    return lambda y: success_prob_nakagami(y, params)

@@ -2,25 +2,30 @@
 
 This module is the independent check on every closed form in
 :mod:`nodeiso.analytic` and the only evaluation path for non-integer
-Nakagami severity. Nothing here reuses the closed-form algebra: the radial
-integral is computed adaptively after the substitution u = rho^alpha
-(which turns the stretched-exponential decay of the raw integrand into
-exponential-with-polynomial decay), and the shadowing average is a
-Gauss-Hermite sum over the standard normal.
+Nakagami severity. Nothing here reuses the closed-form algebra. After the
+substitution u = rho^alpha = e^t the radial integral is
+integral (2/alpha) e^{2t/alpha} P_S(budget e^{-t}) dt over the real line,
+whose analytic integrand decays exponentially to the left and doubly
+exponentially to the right; the trapezoid rule in t then converges
+geometrically in the step (Trefethen & Weideman, SIAM Review 56(3), 2014).
+The range grows until both tails are negligible, then the step halves,
+reusing every point, until two sums agree to ``rel_tol``; a law with a jump,
+or one that does not decay, raises :class:`QuadratureError`. Shadowing is
+a Gauss-Hermite average whose nodes all share one absolute t grid. Success
+laws are called with numpy arrays of mean SNRs, in chunks of bounded size.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .channel import ChannelParams
+from .channel import ChannelParams, _positive_snr
 
 __all__ = [
     "QuadratureError",
@@ -32,29 +37,41 @@ __all__ = [
     "success_prob_real_m",
 ]
 
-# Panel growth is geometric, so this cap corresponds to an astronomically
-# wide integration range; hitting it means the integrand does not decay.
-_MAX_PANELS = 600
-_MAX_DOUBLINGS = 2400
+# Grid points times Hermite nodes per call of the success law (128 KiB per
+# float64 array, whatever the node count and the grid length).
+_CHUNK = 1 << 14
+
+# The first step is at most _FIRST_STEP and halves at most _MAX_HALVINGS
+# times: smooth laws agree to 1e-9 within three halvings, while a law with a
+# jump converges only like the step. No grid exceeds _MAX_POINTS points.
+_FIRST_STEP = 0.5
+_MAX_HALVINGS = 6
+_MAX_POINTS = 1 << 22
+
+# The range grows by _BLOCK_WIDTH in t at a time, and each tail left out
+# holds at most _TAIL_SHARE * rel_tol of the integral.
+_BLOCK_WIDTH = 8.0
+_TAIL_SHARE = 1e-3
+
+# Mean SNRs stay within e^(+-_LN_LIMIT) and the Jacobian e^{rate t} below
+# e^_LN_LIMIT, so every law argument and integrand value is a finite float.
+_LN_LIMIT = 700.0
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive integration failed to reach the requested tolerance."""
+    """The integral could not be brought to the requested tolerance."""
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and orders for the numeric range integrals."""
+    """Tolerance and Hermite order for the numeric range integrals."""
 
     rel_tol: float = 1e-9
-    max_subdivisions: int = 200
     hermite_order: int = 64
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_subdivisions < 10:
-            raise ValueError(f"max_subdivisions must be >= 10, got {self.max_subdivisions}")
         if self.hermite_order < 8:
             raise ValueError(f"hermite_order must be >= 8, got {self.hermite_order}")
 
@@ -68,85 +85,97 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ============================================================================
-#  Core semi-infinite scheme
+#  Trapezoid rule in t = ln u
 # ============================================================================
 
 
-def _find_scale(fn: Callable[[float], float], level: float) -> float:
-    """Smallest power-of-two abscissa where the nonincreasing fn < level."""
-    u = 1.0
-    if fn(u) < level:
-        for _ in range(_MAX_DOUBLINGS):
-            u *= 0.5
-            if u < 1e-280 or fn(u) >= level:
-                return 2.0 * u
-        raise QuadratureError("could not locate the integrand scale (no ascent)")
-    for _ in range(_MAX_DOUBLINGS):
-        u *= 2.0
-        if u > 1e290:
-            raise QuadratureError("integrand does not decay below the tail threshold")
-        if fn(u) < level:
-            return u
-    raise QuadratureError("integrand does not decay below the tail threshold")
-
-
-def _panel_sum(
-    f: Callable[[float], float],
-    first_panel_end: float,
-    decay_end: float,
+def _log_trapezoid(
+    success_of_t: Callable[[np.ndarray], np.ndarray],
+    rate: float,
+    t_start: float,
+    t_max: float,
+    first_step: float,
+    points_per_call: int,
     spec: QuadratureSpec,
 ) -> float:
-    """Integrate f over (0, inf) with geometrically growing panels.
+    """Integral over the real line of rate * e^{rate t} * S(t) dt.
 
-    Panels are [0, h], [h, 2h], [2h, 4h], ...; iteration stops once the
-    decay region has been passed and two consecutive panels are negligible
-    against the running total. Endpoints are never evaluated (the interior
-    Gauss-Kronrod rule handles the u = 0 power singularity).
+    ``success_of_t`` maps an array of at most ``points_per_call`` values of t
+    to S(t) in [0, 1]. The grid is t = k * h for integers k, anchored at
+    zero, never at a feature of S. The left tail beyond a is at most
+    e^{rate a}, because S <= 1; the right tail is taken as negligible once a
+    block of width ``_BLOCK_WIDTH`` holds a negligible share of the sum and
+    no more than the block before it. No point lies beyond ``t_max``.
     """
-    total = 0.0
-    err_budget = 0.0
-    tiny_streak = 0
-    a, b = 0.0, first_panel_end
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for _ in range(_MAX_PANELS):
-            epsabs = max(1e-300, 0.02 * spec.rel_tol * abs(total))
-            val, err = integrate.quad(
-                f, a, b, epsabs=epsabs, epsrel=spec.rel_tol, limit=spec.max_subdivisions
-            )
-            total += val
-            err_budget += err
-            if b >= decay_end and abs(val) <= 0.5 * spec.rel_tol * abs(total):
-                tiny_streak += 1
-                if tiny_streak >= 2:
-                    break
-            else:
-                tiny_streak = 0
-            a, b = b, 2.0 * b
-        else:
-            raise QuadratureError("panel budget exhausted before the integrand decayed")
-    if err_budget > 10.0 * spec.rel_tol * max(abs(total), 1e-300):
-        raise QuadratureError(
-            f"estimated error {err_budget:.2e} exceeds tolerance for value {total:.6e}"
-        )
-    return total
+
+    def grid_sum(start: int, stop: int, offset: float) -> float:
+        # The integrand summed over t = (k + offset) * h, k in [start, stop).
+        if stop - start > _MAX_POINTS:
+            raise QuadratureError(f"the trapezoid grid would exceed {_MAX_POINTS} points")
+        acc = 0.0
+        for a in range(start, stop, points_per_call):
+            t = (np.arange(a, min(a + points_per_call, stop)) + offset) * h
+            acc += float(np.sum(rate * np.exp(rate * t) * success_of_t(t)))
+        return acc
+
+    tail = _TAIL_SHARE * spec.rel_tol
+    h = first_step
+    block = max(1, round(_BLOCK_WIDTH / h))
+    lo = hi = math.floor(min(t_start, t_max) / h)   # points k in [lo, hi)
+    total, previous = 0.0, math.inf
+    while True:
+        if (hi + block) * h > t_max:
+            raise QuadratureError("the integrand does not decay inside the float range")
+        current = h * grid_sum(hi, hi + block, 0.0)
+        hi += block
+        total += current
+        if current <= tail * total and current <= previous:
+            break
+        previous = current
+    # Ends at the latest where e^{rate t} underflows, also for a zero law.
+    while math.exp(rate * lo * h) > tail * total:
+        if hi - lo > _MAX_POINTS:
+            raise QuadratureError(f"the left tail needs more than {_MAX_POINTS} points")
+        total += h * grid_sum(lo - block, lo, 0.0)
+        lo -= block
+    for _ in range(_MAX_HALVINGS):
+        refined = 0.5 * total + 0.5 * h * grid_sum(lo, hi - 1, 0.5)
+        h, lo, hi = 0.5 * h, 2 * lo, 2 * hi - 1
+        if not math.isfinite(refined):
+            raise QuadratureError(f"the trapezoid sum is not finite ({refined})")
+        change = abs(refined - total)
+        if change <= spec.rel_tol * refined:
+            return refined
+        total = refined
+    raise QuadratureError(
+        f"trapezoid sums still differ by {change / refined:.1e} at step {h:g}, "
+        f"above rel_tol {spec.rel_tol:g}; the success law is not smooth"
+    )
 
 
 def _radial_integral(
-    success_of_u: Callable[[float], float],
-    alpha: float,
+    success_prob: Callable,
+    params: ChannelParams,
+    ln_gains: np.ndarray,
+    weights: np.ndarray,
     spec: QuadratureSpec,
 ) -> float:
-    """E[R^2] = integral (2/alpha) u^(2/alpha - 1) P_S(u) du over (0, inf)."""
-    q = 2.0 / alpha - 1.0
-    scale = 2.0 / alpha
+    """E[R^2] averaged over shadowing gains e^{ln_gains} with the given weights.
 
-    def integrand(u: float) -> float:
-        return scale * u**q * success_of_u(u)
+    Mean SNRs above e^700, far into the region where every law is 1, are
+    passed to the law as e^700, so it only ever sees finite positive values.
+    """
+    ln_budget = math.log(params.k * params.ptx / params.w)
+    ln_scales = ln_budget + ln_gains
+    rate = 2.0 / params.alpha
 
-    first_end = _find_scale(success_of_u, 0.5)
-    decay_end = _find_scale(success_of_u, 1e-16)
-    return _panel_sum(integrand, first_end, decay_end, spec)
+    def success_of_t(t: np.ndarray) -> np.ndarray:
+        y = np.exp(np.minimum(ln_scales - t[:, None], _LN_LIMIT))
+        return np.broadcast_to(np.asarray(success_prob(y), dtype=float), y.shape) @ weights
+
+    t_max = min(float(ln_scales.min()) + _LN_LIMIT, _LN_LIMIT / rate)
+    points = max(1, _CHUNK // len(ln_scales))
+    return _log_trapezoid(success_of_t, rate, ln_budget, t_max, _FIRST_STEP, points, spec)
 
 
 # ============================================================================
@@ -155,47 +184,35 @@ def _radial_integral(
 
 
 def expected_r2_numeric_fading(
-    success_prob: Callable[[float], float],
+    success_prob: Callable,
     params: ChannelParams,
     spec: QuadratureSpec = _DEFAULT_SPEC,
 ) -> float:
     """Mean squared range for an arbitrary success-probability law.
 
-    ``success_prob`` maps the distance-law mean SNR to a link success
-    probability and must be nonincreasing in distance with eventual decay.
+    ``success_prob`` maps an array of distance-law mean SNRs to link success
+    probabilities; it must be smooth and nondecreasing in the mean SNR, with
+    eventual decay as the mean SNR falls.
     """
-    budget = params.k * params.ptx / params.w
-
-    def success_of_u(u: float) -> float:
-        return success_prob(budget / u)
-
-    return _radial_integral(success_of_u, params.alpha, spec)
+    return _radial_integral(success_prob, params, np.zeros(1), np.ones(1), spec)
 
 
 def expected_r2_numeric_fading_shadow(
-    success_prob: Callable[[float], float],
+    success_prob: Callable,
     params: ChannelParams,
     spec: QuadratureSpec = _DEFAULT_SPEC,
 ) -> float:
     """Mean squared range with fading and lognormal shadowing.
 
     Outer Gauss-Hermite average over the standard normal shadowing
-    variable; inner radial integral with the mean SNR scaled by the
-    realized shadowing multiplier.
+    variable; the mean SNR at each node is scaled by the realized
+    shadowing multiplier, on the radial grid shared by all nodes.
     """
     if not params.sigma > 0:
         raise ValueError("shadowed integral requires sigma > 0; use the fading-only form")
     nodes, weights = _hermite_rule(spec.hermite_order)
-    budget = params.k * params.ptx / params.w
-    total = 0.0
-    for x, wgt in zip(nodes, weights):
-        gain = math.exp(params.sigma * math.sqrt(2.0) * x)
-
-        def success_of_u(u: float, _gain: float = gain) -> float:
-            return success_prob(_gain * budget / u)
-
-        total += wgt * _radial_integral(success_of_u, params.alpha, spec)
-    return total / math.sqrt(math.pi)
+    ln_gains = params.sigma * math.sqrt(2.0) * nodes
+    return _radial_integral(success_prob, params, ln_gains, weights / math.sqrt(math.pi), spec)
 
 
 def expected_r2_numeric_nofade(
@@ -204,42 +221,24 @@ def expected_r2_numeric_nofade(
 ) -> float:
     """Mean squared range under path loss and shadowing only (no fading).
 
-    Nested quadrature: the inner integral is the lognormal path-loss tail
-    mass above the decoding threshold (integrated in the log variable for
-    stability), the outer one the radial average.
+    The radial variable is u = rho^2 = e^t, the alpha = 2 form of the rule.
+    At distance rho the link is up when the lognormal path gain clears the
+    threshold, a standard normal tail taken by erfc at each point.
     """
     if not params.sigma > 0:
         raise ValueError("the shadowing-only integral requires sigma > 0")
-    loss_threshold = params.psi * params.w / params.ptx
-    ln_thr = math.log(loss_threshold)
-    ln_k = math.log(params.k)
-    sigma = params.sigma
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
+    ln_margin = math.log(params.k * params.ptx / (params.psi * params.w))
+    scale = 1.0 / (params.sigma * math.sqrt(2.0))
 
-    def tail_mass(rho: float) -> float:
-        # P[path loss > threshold] at distance rho, log-substituted density.
-        v0 = (ln_thr - (ln_k - params.alpha * math.log(rho))) / sigma
-        lo = max(v0, -40.0)
-        if lo >= 40.0:
-            return 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(
-                lambda v: norm * math.exp(-0.5 * v * v),
-                lo,
-                40.0,
-                epsabs=1e-14,
-                epsrel=1e-12,
-                limit=spec.max_subdivisions,
-            )
-        return val
+    def tail_mass(t: np.ndarray) -> np.ndarray:
+        return 0.5 * special.erfc((0.5 * params.alpha * t - ln_margin) * scale)
 
-    # Radial part via u = rho^2, i.e. the alpha = 2 reduction of the
-    # generic scheme: E[R^2] = integral tail_mass(sqrt(u)) du.
-    def success_of_u(u: float) -> float:
-        return tail_mass(math.sqrt(u))
-
-    return _radial_integral(success_of_u, 2.0, spec)
+    # The tail falls from 1 to 0 over a few widths 2 sigma/alpha around the
+    # disk edge; the first step resolves that width.
+    t_disk = 2.0 * ln_margin / params.alpha
+    width = 2.0 * params.sigma / params.alpha
+    first_step = min(_FIRST_STEP, 2.0 ** math.floor(math.log2(width)))
+    return _log_trapezoid(tail_mass, 1.0, t_disk, _LN_LIMIT, first_step, _CHUNK, spec)
 
 
 # ============================================================================
@@ -247,32 +246,34 @@ def expected_r2_numeric_nofade(
 # ============================================================================
 
 
-def success_prob_real_m(y: float, m: float, psi: float) -> float:
+def success_prob_real_m(y, m: float, psi: float):
     """Single-branch success probability for real Nakagami severity m >= 0.5.
 
     Regularized upper incomplete gamma at (m, m*psi/y); the library routine
     evaluates it by series/continued fraction to near machine precision.
+    ``y`` is a float or a numpy array; so is the result.
     """
-    if not y > 0:
-        raise ValueError(f"average SNR must be positive, got {y}")
+    y = _positive_snr(y)
     if not m >= 0.5:
         raise ValueError(f"Nakagami severity must be >= 0.5, got {m}")
     if not psi > 0:
         raise ValueError(f"threshold must be positive, got {psi}")
-    return float(special.gammaincc(m, m * psi / y))
+    p = special.gammaincc(m, m * psi / y)
+    return float(p) if p.ndim == 0 else p
 
 
 def shadow_averaged_success(
-    success_prob: Callable[[float], float],
+    success_prob: Callable,
     mean_snr: float,
     sigma: float,
     hermite_order: int = 64,
 ) -> float:
-    """Average the success probability over the lognormal shadowing gain."""
+    """Average the success probability over the lognormal shadowing gain.
+
+    One call of the law over all Hermite nodes.
+    """
     if sigma == 0.0:
         return success_prob(mean_snr)
     nodes, weights = _hermite_rule(hermite_order)
-    total = 0.0
-    for x, wgt in zip(nodes, weights):
-        total += wgt * success_prob(mean_snr * math.exp(sigma * math.sqrt(2.0) * x))
-    return total / math.sqrt(math.pi)
+    p = success_prob(mean_snr * np.exp(sigma * math.sqrt(2.0) * nodes))
+    return float(weights @ p) / math.sqrt(math.pi)

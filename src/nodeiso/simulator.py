@@ -47,6 +47,10 @@ _CUTOFF_TAIL = 1e-12
 # 119 m) 124-146 ms against 180-183 ms.
 _BLOCK_PAIRS = 1 << 14
 
+# numpy's Poisson sampler refuses a mean above this: the int64 maximum less
+# ten standard deviations.
+_POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 # Substream domains under one (master_seed, run_index) pair.
 _TOPOLOGY_DOMAIN = 0
 _CHANNEL_DOMAIN = 1
@@ -76,6 +80,12 @@ class SimConfig:
             raise ValueError(
                 f"area side {self.area_side:g} m gives a non-finite expected node count "
                 f"lambda * side^2 at node density {self.node_density:g}"
+            )
+        if expected_nodes > _POISSON_MAX_MEAN:
+            raise ValueError(
+                f"area side {self.area_side:g} m at node density {self.node_density:g} gives "
+                f"{expected_nodes:.3g} expected nodes per replication, above the Poisson "
+                f"sampler's limit of {_POISSON_MAX_MEAN:.3g}"
             )
         if self.boundary not in ("bounded", "toroidal"):
             raise ValueError(f"boundary must be 'bounded' or 'toroidal', got {self.boundary!r}")

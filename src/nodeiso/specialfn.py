@@ -1,11 +1,13 @@
-"""Scalar special functions shared by the closed forms and samplers.
+"""Special functions shared by the success laws and the closed forms.
 
-Everything here is pure and reentrant: plain floats in, plain floats out.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "log_factorial",
@@ -15,10 +17,6 @@ __all__ = [
 # Above this, e^{-x} and x^l individually over/underflow before they can
 # cancel, so the series switches to per-term log-space evaluation.
 LOG_SPACE_CUTOVER = 700.0
-
-# Compensated summation only pays off once the series is long enough to
-# accumulate cancellation; below this a plain running sum is fine.
-_FSUM_MIN_TERMS = 30
 
 
 def log_factorial(n: int) -> float:
@@ -30,36 +28,35 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1.0)
 
 
-def truncated_exp_series(x: float, num_terms: int) -> float:
+def truncated_exp_series(x, num_terms: int):
     """e^{-x} * sum_{l=0}^{num_terms-1} x^l / l!, clamped to [0, 1].
 
     This is the regularized upper incomplete gamma Q(num_terms, x), the tail
     probability of a unit-scale Erlang variate, and the workhorse behind
-    every integer-shape link success probability.
+    every integer-shape link success probability. ``x`` is a float or a
+    numpy array; the result has its shape, and a scalar gives a float. The
+    series is built one term at a time over the whole array, so scratch
+    memory does not grow with the number of terms.
     """
-    if x < 0:
-        raise ValueError(f"series argument must be >= 0, got {x}")
     if num_terms < 1:
         raise ValueError(f"series needs at least one term, got {num_terms}")
-    if x == 0.0:
-        return 1.0
-    if x > LOG_SPACE_CUTOVER:
-        lx = math.log(x)
-        total = 0.0
-        for l in range(num_terms):
-            total += math.exp(-x + l * lx - log_factorial(l))
-        return min(total, 1.0)
-    if num_terms <= _FSUM_MIN_TERMS:
-        term = 1.0
-        total = 1.0
-        for l in range(1, num_terms):
-            term *= x / l
-            total += term
-        return min(math.exp(-x) * total, 1.0)
-    terms = [1.0]
-    term = 1.0
+    x = np.asarray(x, dtype=float)[()]    # a numpy scalar for a scalar
+    if not (x >= 0).all():
+        raise ValueError(f"series argument must be >= 0, got {np.extract(~(x >= 0), x)[0]}")
+    far = x > LOG_SPACE_CUTOVER
+    near = np.minimum(x, LOG_SPACE_CUTOVER)
+    term = total = 1.0
     for l in range(1, num_terms):
-        term *= x / l
-        terms.append(term)
-    return min(math.exp(-x) * math.fsum(terms), 1.0)
-
+        term = term * (near / l)
+        total = total + term
+    out = np.exp(-near) * total
+    if far.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lx = np.log(x)
+            acc = 0.0
+            for l in range(num_terms):
+                acc = acc + np.exp(-x + l * lx - log_factorial(l))
+        # Q(n, inf) = 0; the log-space terms read inf - inf there.
+        out = np.where(far, np.where(np.isinf(x), 0.0, acc), out)
+    out = np.minimum(out, 1.0)
+    return float(out) if np.ndim(out) == 0 else out

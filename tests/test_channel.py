@@ -314,15 +314,44 @@ def test_sc_bound_law_is_bit_identical():
     for m, M in ((2, 4), (3, 2), (8, 16)):
         p = params(m=m)
         table = build_beta_table(m, M)
-        bound = make_success_fn(p, DiversityScheme.sc(M))
         for y in ys:
             expected = _sc_reference(y, M, p, table, branches_hit)
-            assert bound(y) == expected
             assert success_prob_sc(y, M, p, table) == expected
         for y in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
-                bound(y)
+                success_prob_sc(y, M, p, table)
     assert branches_hit == {"direct", "x > 700", "long polynomial"}
+
+
+def test_sc_law_matches_beta_expansion():
+    # make_success_fn's SC law is 1 - (1 - Q)^M, not the coefficient-table
+    # sum; the two agree to rounding wherever the sum keeps its digits.
+    ys = np.logspace(-1, 3, 60) * 10.0
+    for m in (1, 2, 3, 4):
+        p = params(m=m)
+        for M in (2, 3, 4, 6):
+            law = make_success_fn(p, DiversityScheme.sc(M))
+            table = build_beta_table(m, M)
+            for y in ys:
+                assert abs(law(y) - success_prob_sc(y, M, p, table)) <= 1e-12
+
+
+def test_success_laws_take_arrays():
+    # An array call gives, element by element, what the scalar call gives.
+    ys = np.logspace(-8, 8, 97).reshape(1, 97) * np.array([[1.0], [3.0]])
+    for m in (1, 2, 8):
+        p = params(m=m)
+        for scheme in (DiversityScheme.no_diversity(), DiversityScheme.mrc(3),
+                       DiversityScheme.sc(4)):
+            law = make_success_fn(p, scheme)
+            values = law(ys)
+            assert values.shape == ys.shape
+            scalars = np.array([[law(float(y)) for y in row] for row in ys])
+            assert isinstance(law(float(ys[0, 0])), float)
+            np.testing.assert_allclose(values, scalars, rtol=4 * np.finfo(float).eps, atol=0)
+            assert np.all((values >= 0.0) & (values <= 1.0))
+            with pytest.raises(ValueError, match="average SNR must be positive"):
+                law(np.array([1.0, 0.0]))
 
 
 def test_sc_requires_matching_table():

@@ -151,16 +151,46 @@ def test_eval_rejects_bad_density_exit_2(density):
     # About 1e14 nodes: numpy refuses the 1.4 PiB position array at once.
     (["simulate", "--m", "2", "--lambda", "1", "--area", "1e7", "--runs", "2"], 3,
      "out of memory: Unable to allocate"),
+    # 1e20 expected nodes, above what the Poisson sampler accepts.
+    (["simulate", "--m", "2", "--lambda", "1", "--area", "1e10"], 2,
+     "area side 1e+10 m at node density 1 gives 1e+20 expected nodes per replication, "
+     "above the Poisson sampler's limit"),
 ], ids=["eval-ptx-inf", "eval-alpha-inf", "eval-sigma-nan", "eval-sigma-100", "invert-sigma-100",
         "eval-psi-db-4000", "eval-k-db-4000", "eval-m200-sc16", "eval-m200-sc2",
         "invert-subnormal-er2", "invert-zero-er2", "simulate-lambda-inf", "simulate-lambda--1",
         "eval-alpha-0.001", "invert-alpha-0.001", "eval-alpha-0.001-sc2", "simulate-area-inf",
-        "simulate-area-1e200", "simulate-area-1e7-out-of-memory"])
+        "simulate-area-1e200", "simulate-area-1e7-out-of-memory", "simulate-area-1e10-poisson"])
 def test_out_of_domain_channel_exits_with_message(capsys, argv, code, message):
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("alpha, cause", [
+    ("0.012", "theta^(-2/alpha) = 0.01^(-166.667) overflows"),
+    ("0.02", "the Gamma series times theta^(-2/alpha) overflows"),
+])
+@pytest.mark.parametrize("scheme", [[], ["--scheme", "mrc", "--M", "2"],
+                                    ["--scheme", "sc", "--M", "2"]], ids=["none", "mrc2", "sc2"])
+@pytest.mark.parametrize("command", [["eval", "--lambda", "1e-4"],
+                                     ["invert", "--target-pi", "0.5"]], ids=["eval", "invert"])
+def test_er2_beyond_float_range_names_alpha(capsys, alpha, cause, scheme, command):
+    # Just above the Gamma overflow E[R^2] itself leaves the float range:
+    # neither an inf nor a bare errno message may come out.
+    assert cli.main([command[0], "--alpha", alpha, *scheme, *command[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"nodeiso: numerical failure: E[R^2] is outside the float range at alpha = {alpha}: "
+        f"{cause}\n"
+    )
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    code = "import sys, nodeiso.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_eval_json_format():
@@ -348,8 +378,10 @@ def test_sweep_computes_each_channel_once_per_invocation(monkeypatch, capsys):
     assert capsys.readouterr().out == first
 
 
-# Golden outputs recorded before E[R^2] was kept per sweep and the
-# selection-combining law was bound once. Equal text means equal floats.
+# Golden outputs. The analytic columns were recorded before E[R^2] was kept
+# per sweep; the quadrature column was recorded again when the oracle became
+# a trapezoid rule in ln u (it moved by at most 6e-14 relative). Equal text
+# means equal floats.
 GOLDEN_SWEEP = [
     (
         ["--figure", "2"],
@@ -369,13 +401,13 @@ GOLDEN_SWEEP = [
     "sigma": 1.0,
     "p_i_analytic": 0.9953698776357786,
     "er2_analytic": 14.772362603096685,
-    "p_i_quadrature": 0.9953698776357786
+    "p_i_quadrature": 0.9953698776357787
   },
   {
     "sigma": 2.0,
     "p_i_analytic": 0.9932703137721736,
     "er2_analytic": 21.493660761132663,
-    "p_i_quadrature": 0.9932703137721736
+    "p_i_quadrature": 0.9932703137721788
   }
 ]
 """,

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import nodeiso.channel as channel
+import nodeiso.quadrature as quadrature
 from nodeiso.analytic import (
     expected_r2_mrc,
     expected_r2_nakagami,
     expected_r2_nakagami_shadow,
+    expected_r2_sc,
     expected_r2_shadow_only,
 )
-from nodeiso.channel import ChannelParams, DiversityScheme, make_success_fn
+from nodeiso.channel import ChannelParams, DiversityScheme, build_beta_table, make_success_fn
 from nodeiso.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -33,8 +36,6 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(hermite_order=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=2)
 
 
 # ============================================================================
@@ -94,10 +95,13 @@ def test_fading_reference_point():
 
 
 def test_fading_step_function_gives_disk():
+    # The trapezoid rule converges only like the step on a law with a jump,
+    # so the oracle refuses it rather than return an O(h) answer; the disk
+    # limit itself is covered by test_nofade_small_sigma_approaches_disk.
     p = params(m=1, alpha=4.0)
-    disk = (p.k * p.ptx / (p.psi * p.w)) ** (2.0 / p.alpha)
-    step = lambda y: 1.0 if y >= p.psi else 0.0  # noqa: E731
-    assert expected_r2_numeric_fading(step, p) == pytest.approx(disk, rel=1e-9)
+    step = lambda y: np.where(y >= p.psi, 1.0, 0.0)  # noqa: E731
+    with pytest.raises(QuadratureError, match="not smooth"):
+        expected_r2_numeric_fading(step, p)
 
 
 def test_fading_mrc_one_branch_identical():
@@ -194,8 +198,50 @@ def test_integrand_evaluated_only_at_interior_points():
         return inner(y)
 
     expected_r2_numeric_fading_shadow(recording, p)
-    arr = np.asarray(seen)
+    arr = np.concatenate([np.ravel(y) for y in seen])
     assert np.all(np.isfinite(arr)) and np.all(arr > 0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+def test_sc_quadrature_needs_no_beta_table(monkeypatch, sigma):
+    # The SC oracle integrates 1 - (1 - Q)^M; the coefficient table belongs
+    # to the closed form it checks, so the check must not lean on it.
+    p = params(m=2, sigma=sigma)
+    closed = expected_r2_sc(p, 4, build_beta_table(2, 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quadrature route built a coefficient table")
+
+    monkeypatch.setattr(channel, "build_beta_table", refuse)
+    fn = make_success_fn(p, DiversityScheme.sc(4))
+    if sigma > 0:
+        numeric = expected_r2_numeric_fading_shadow(fn, p)
+    else:
+        numeric = expected_r2_numeric_fading(fn, p)
+    assert abs(numeric - closed) / closed < 1e-6
+
+
+def test_law_calls_stay_within_chunk():
+    # Memory per call is bounded by the chunk, not by nodes x grid points.
+    p = params(m=2, sigma=4.0)
+    inner = make_success_fn(p, DiversityScheme.mrc(4))
+    sizes = []
+
+    def recording(y):
+        sizes.append(np.size(y))
+        return inner(y)
+
+    for order in (64, 200):
+        expected_r2_numeric_fading_shadow(recording, p, QuadratureSpec(hermite_order=order))
+    assert 0 < max(sizes) <= quadrature._CHUNK
+
+
+def test_zero_law_gives_zero_and_subnormal_values_survive():
+    assert expected_r2_numeric_fading(lambda y: np.zeros_like(y), params(m=1)) == 0.0
+    # E[R^2] = 2e-320 m^2: the tail test must not underflow into a refusal.
+    p = ChannelParams(**{**BASE, "psi": 1e163}, alpha=1.0, m=1)
+    numeric = expected_r2_numeric_fading(make_success_fn(p, DiversityScheme.no_diversity()), p)
+    assert numeric == pytest.approx(expected_r2_nakagami(p), rel=1e-3)
 
 
 # ============================================================================
@@ -255,3 +301,20 @@ def test_shadow_averaged_success_limits():
     brute = float(np.mean([fn(20.0 * g) for g in np.exp(1.0 * z[:200_000])]))
     smooth = shadow_averaged_success(fn, 20.0, 1.0)
     assert smooth == pytest.approx(brute, abs=4 * 0.5 / math.sqrt(200_000))
+
+
+def test_shadow_averaged_success_is_one_array_call():
+    p = params(m=2, sigma=1.0)
+    fn = make_success_fn(p, DiversityScheme.sc(3))
+    calls = []
+
+    def recording(y):
+        calls.append(np.shape(y))
+        return fn(y)
+
+    value = shadow_averaged_success(recording, 20.0, 1.0)
+    assert calls == [(64,)]
+    assert isinstance(value, float)
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
+    loop = sum(w * fn(20.0 * math.exp(math.sqrt(2.0) * x)) for x, w in zip(nodes, weights))
+    assert value == pytest.approx(loop / math.sqrt(math.pi), rel=1e-14)

@@ -1,4 +1,5 @@
 import math
+import re
 from concurrent.futures import Future
 
 import numpy as np
@@ -59,6 +60,16 @@ def test_topology_positions_in_range():
     assert topo.positions.shape[1] == 2
     assert np.all(topo.positions >= 0.0)
     assert np.all(topo.positions < cfg.area_side)
+
+
+def test_expected_node_count_above_poisson_limit_names_area():
+    # Only counts above the sampler's limit: one just below it would try to
+    # allocate the positions.
+    for lam, side in ((1.0, 1e10), (1e6, 4e6), (1e-280, 1e150)):
+        message = re.escape(f"area side {side:g} m at node density {lam:g} gives")
+        with pytest.raises(ValueError, match=message + ".*Poisson sampler's limit"):
+            SimConfig(params=params(m=2), scheme=DiversityScheme.no_diversity(),
+                      node_density=lam, area_side=side)
 
 
 def test_topology_poisson_mean():

@@ -95,3 +95,20 @@ def test_series_long_sum_uses_compensation():
         assert truncated_exp_series(x, m) == pytest.approx(
             float(special.gammaincc(m, x)), rel=1e-12
         )
+
+
+def test_series_arrays_match_scalars():
+    # One recurrence for floats and arrays: every element matches the scalar
+    # call to rounding, on both sides of the log-space cutover, at 0 and inf.
+    xs = np.concatenate([[0.0, 1e-300, 699.9, 700.0, 700.1, 1e6, math.inf],
+                         np.logspace(-3, 3, 50)])
+    for m in (1, 2, 5, 40):
+        values = truncated_exp_series(xs.reshape(3, 19), m).ravel()
+        scalars = [truncated_exp_series(float(x), m) for x in xs]
+        np.testing.assert_allclose(values, scalars, rtol=4 * np.finfo(float).eps, atol=0)
+    assert truncated_exp_series(math.inf, 3) == 0.0
+    assert truncated_exp_series(np.zeros((2, 0)), 3).shape == (2, 0)
+    with pytest.raises(ValueError):
+        truncated_exp_series(np.array([1.0, -0.5]), 2)
+    with pytest.raises(ValueError):
+        truncated_exp_series(np.array([math.nan]), 2)
