@@ -11,8 +11,6 @@ from .analytic import (
     IsolationQuery,
     expected_r2,
     expected_r2_mrc,
-    expected_r2_nakagami,
-    expected_r2_nakagami_shadow,
     expected_r2_sc,
     expected_r2_shadow_only,
     isolation_probability,
@@ -26,7 +24,6 @@ from .channel import (
     db_to_linear,
     sigma_from_db,
     success_prob_mrc,
-    success_prob_nakagami,
     success_prob_sc,
 )
 from .quadrature import (

@@ -7,9 +7,10 @@ structure the isolation probability is
     P_I = exp(-node_density * pi * E[R^2])
 
 with E[R^2] the mean squared communication range of the corresponding
-channel/diversity combination. All E[R^2] variants share the lognormal
-shadowing factor exp(2 sigma^2 / alpha^2); sigma = 0 reduces each form to
-its unshadowed counterpart exactly.
+channel/diversity combination. Single-branch reception is MRC with one
+branch, so there are two fading forms: MRC (an Erlang series) and SC (an
+alternating sum over branch subsets). Both carry the lognormal shadowing
+factor exp(2 sigma^2 / alpha^2), which is exactly 1 at sigma = 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-from .channel import BetaTable, ChannelParams, DiversityScheme, build_beta_table
+from .channel import ChannelParams, DiversityScheme, build_beta_table
 
 __all__ = [
     "CancellationError",
@@ -27,8 +28,6 @@ __all__ = [
     "check_node_density",
     "expected_r2",
     "expected_r2_mrc",
-    "expected_r2_nakagami",
-    "expected_r2_nakagami_shadow",
     "expected_r2_sc",
     "expected_r2_shadow_only",
     "isolation_from_er2",
@@ -62,7 +61,14 @@ class IsolationQuery:
 
 
 def _shadow_factor(params: ChannelParams) -> float:
-    return math.exp(2.0 * params.sigma**2 / params.alpha**2)
+    """exp(2 sigma^2 / alpha^2); beyond the float range the error names both."""
+    try:
+        return math.exp(2.0 * params.sigma**2 / params.alpha**2)
+    except OverflowError:
+        raise OverflowError(
+            f"E[R^2] is outside the float range at alpha = {params.alpha:g}, "
+            f"sigma = {params.sigma:g}: the shadowing factor exp(2 sigma^2/alpha^2) overflows"
+        ) from None
 
 
 def _gamma_at(x0: float) -> float:
@@ -125,20 +131,13 @@ def expected_r2_shadow_only(params: ChannelParams) -> float:
     return budget ** (2.0 / params.alpha) * _shadow_factor(params)
 
 
-def expected_r2_nakagami(params: ChannelParams) -> float:
-    """Mean squared range under Nakagami-m fading, no shadowing."""
-    x0 = 2.0 / params.alpha
-    series = math.fsum(_gamma_over_factorial_ladder(x0, params.m))
-    return _theta_scaled(params, x0, series)
-
-
-def expected_r2_nakagami_shadow(params: ChannelParams) -> float:
-    """Nakagami fading with superimposed lognormal shadowing."""
-    return expected_r2_nakagami(params) * _shadow_factor(params)
-
-
 def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
-    """Mean squared range with maximal-ratio combining over M branches."""
+    """Mean squared range with maximal-ratio combining over M branches.
+
+    The combiner output is Gamma(m*M, y/m), so this is the single-branch
+    Nakagami form with the series run to m*M terms; M = 1 is single-branch
+    reception.
+    """
     M = int(diversity_order)
     if M != diversity_order or M < 1:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
@@ -147,11 +146,12 @@ def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
     return _theta_scaled(params, x0, series, _shadow_factor(params))
 
 
-def expected_r2_sc(params: ChannelParams, diversity_order: int, beta: BetaTable) -> float:
+def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
     """Mean squared range with selection combining over M branches.
 
-    Alternating sum over branch subsets; evaluated with exact compensated
-    summation and guarded against catastrophic cancellation.
+    Alternating sum over branch subsets with the coefficient table for
+    (m, M); evaluated with exact compensated summation and guarded against
+    catastrophic cancellation.
     """
     M = int(diversity_order)
     if M != diversity_order or M < 1:
@@ -161,11 +161,7 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int, beta: BetaTable)
             f"selection-combining order {M} exceeds the supported maximum "
             f"{SC_MAX_ORDER}; the alternating sum loses too much precision beyond it"
         )
-    if beta.m != params.m or beta.diversity_order < M:
-        raise ValueError(
-            f"coefficient table built for (m={beta.m}, M={beta.diversity_order}) "
-            f"does not cover (m={params.m}, M={M})"
-        )
+    beta = build_beta_table(params.m, M)
     m = params.m
     x0 = 2.0 / params.alpha
     top = M * (m - 1)
@@ -207,14 +203,11 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int, beta: BetaTable)
 def expected_r2(params: ChannelParams, scheme: DiversityScheme) -> float:
     """Single dispatch point for E[R^2] over receiver structures.
 
-    MRC and SC with M = 1 arrive as the single-branch scheme, because
-    :class:`DiversityScheme` folds them, and take the single-branch form.
+    Single-branch reception is MRC with its one branch.
     """
-    if scheme.kind == "mrc":
-        return expected_r2_mrc(params, scheme.branches)
     if scheme.kind == "sc":
-        return expected_r2_sc(params, scheme.branches, build_beta_table(params.m, scheme.branches))
-    return expected_r2_nakagami_shadow(params)
+        return expected_r2_sc(params, scheme.branches)
+    return expected_r2_mrc(params, scheme.branches)
 
 
 # ============================================================================

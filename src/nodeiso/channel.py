@@ -7,8 +7,8 @@ standard deviation of the *natural* logarithm of path loss; use
 
 Provides:
   - ChannelParams / DiversityScheme / BetaTable value types
-  - single-branch, maximal-ratio and selection-combining success
-    probabilities for integer Nakagami severity
+  - maximal-ratio and selection-combining success probabilities for
+    integer Nakagami severity; single-branch reception is MRC with M = 1
   - the multinomial coefficient table behind the selection-combining form
 """
 
@@ -32,7 +32,6 @@ __all__ = [
     "make_success_fn",
     "sigma_from_db",
     "success_prob_mrc",
-    "success_prob_nakagami",
     "success_prob_sc",
 ]
 
@@ -90,7 +89,8 @@ class DiversityScheme:
     """Receiver structure: single branch, MRC or SC over M branches.
 
     MRC and SC with one branch are the single-branch channel and are stored
-    as ``kind="none"``, so no dispatch needs an M = 1 case.
+    as ``kind="none"``. Every dispatch has two arms: SC, and MRC over
+    ``branches``, which for ``kind="none"`` is the one branch.
     """
 
     kind: str            # 'none' | 'mrc' | 'sc'
@@ -180,20 +180,13 @@ def _positive_snr(y):
     return y
 
 
-def success_prob_nakagami(y, params: ChannelParams):
-    """P(instantaneous SNR >= psi) on one Nakagami-m branch of mean SNR y.
-
-    ``y`` is a float or a numpy array; so is the result.
-    """
-    return truncated_exp_series(params.m * params.psi / _positive_snr(y), params.m)
-
-
 def success_prob_mrc(y, diversity_order: int, params: ChannelParams):
     """Success probability after maximal-ratio combining of M branches.
 
     Branches are independent with identical mean SNR y; the combiner output
-    is Gamma(m*M, y/m), so the single-branch series simply runs to m*M - 1.
-    ``y`` is a float or a numpy array; so is the result.
+    is Gamma(m*M, y/m), so this is Q(m*M, m*psi/y). M = 1 is P(SNR >= psi)
+    on one Nakagami-m branch. ``y`` is a float or a numpy array; so is the
+    result.
     """
     if int(diversity_order) != diversity_order or diversity_order < 1:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
@@ -213,7 +206,7 @@ def success_prob_sc(
     binomially with the coefficient table:
         -sum_{n=1}^{M} (-1)^n C(M,n) e^{-n x} sum_k beta_kn x^k,  x = m psi / y,
     the expansion the closed form integrates. Identically equal to
-    1 - (1 - single_branch)^M, the form :func:`make_success_fn` evaluates.
+    1 - (1 - Q(m, x))^M, the form :func:`make_success_fn` evaluates.
     """
     if not y > 0:
         raise ValueError(f"average SNR must be positive, got {y}")
@@ -258,18 +251,17 @@ def make_success_fn(params: ChannelParams, scheme: DiversityScheme) -> Callable:
 
     The law maps a float or a numpy array of mean SNRs to the same shape.
     SC is 1 - (1 - Q(m, x))^M as -expm1(M log1p(-Q)): full relative
-    precision in the tail, and no coefficient table.
+    precision in the tail, and no coefficient table. Every other structure
+    is MRC over ``scheme.branches``, one branch for single-branch reception.
     """
     M = scheme.branches
-    if scheme.kind == "mrc":
-        return lambda y: success_prob_mrc(y, M, params)
     if scheme.kind == "sc":
 
         def success_sc(y):
-            q = np.asarray(success_prob_nakagami(y, params))
+            q = np.asarray(success_prob_mrc(y, 1, params))
             with np.errstate(divide="ignore"):
                 p = -np.expm1(M * np.log1p(-q))
             return float(p) if p.ndim == 0 else p
 
         return success_sc
-    return lambda y: success_prob_nakagami(y, params)
+    return lambda y: success_prob_mrc(y, M, params)

@@ -262,18 +262,13 @@ def success_prob_real_m(y, m: float, psi: float):
     return float(p) if p.ndim == 0 else p
 
 
-def shadow_averaged_success(
-    success_prob: Callable,
-    mean_snr: float,
-    sigma: float,
-    hermite_order: int = 64,
-) -> float:
+def shadow_averaged_success(success_prob: Callable, mean_snr: float, sigma: float) -> float:
     """Average the success probability over the lognormal shadowing gain.
 
-    One call of the law over all Hermite nodes.
+    One call of the law over the default spec's Hermite nodes.
     """
     if sigma == 0.0:
         return success_prob(mean_snr)
-    nodes, weights = _hermite_rule(hermite_order)
+    nodes, weights = _hermite_rule(_DEFAULT_SPEC.hermite_order)
     p = success_prob(mean_snr * np.exp(sigma * math.sqrt(2.0) * nodes))
     return float(weights @ p) / math.sqrt(math.pi)

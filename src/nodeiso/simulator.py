@@ -304,9 +304,9 @@ def _links_up(
     One shadowing multiplier per link is shared across all diversity
     branches; branch fading gains are independent. The MRC combiner output
     is drawn as a single Gamma(m*M, y/m) variate (the exact law of the
-    branch sum); SC draws all M branches and keeps the maximum. All
-    shadowing normals are drawn before any fading gamma. Distances must be
-    positive.
+    branch sum), which for single-branch reception is Gamma(m, y/m); SC
+    draws all M branches and keeps the maximum. All shadowing normals are
+    drawn before any fading gamma. Distances must be positive.
 
     Gammas are drawn with a scalar shape and scaled afterwards (for SC after
     the maximum). numpy's ``gamma(k, s)`` is ``s * standard_gamma(k)`` from
@@ -318,21 +318,15 @@ def _links_up(
     if params.sigma > 0:
         y = y * np.exp(params.sigma * rng.standard_normal(len(dist)))
     m = params.m
-    if scheme.kind == "mrc":
-        gain = rng.standard_gamma(m * scheme.branches, len(dist))
-    elif scheme.kind == "sc":
+    if scheme.kind == "sc":
         gain = rng.standard_gamma(m, (len(dist), scheme.branches)).max(axis=1)
     else:
-        gain = rng.standard_gamma(m, len(dist))
+        gain = rng.standard_gamma(m * scheme.branches, len(dist))
     return gain * (y / m) >= params.psi
 
 
-def effective_range_cutoff(
-    params: ChannelParams,
-    scheme: DiversityScheme,
-    tail: float = _CUTOFF_TAIL,
-) -> float:
-    """Radius beyond which the shadow-averaged link probability < tail."""
+def effective_range_cutoff(params: ChannelParams, scheme: DiversityScheme) -> float:
+    """Radius beyond which the shadow-averaged link probability < _CUTOFF_TAIL."""
     success = make_success_fn(params, scheme)
 
     def averaged(rho: float) -> float:
@@ -342,21 +336,21 @@ def effective_range_cutoff(
         return shadow_averaged_success(success, y, params.sigma)
 
     hi = 1.0
-    if averaged(hi) < tail:
-        while hi > 1e-12 and averaged(hi / 2.0) < tail:
+    if averaged(hi) < _CUTOFF_TAIL:
+        while hi > 1e-12 and averaged(hi / 2.0) < _CUTOFF_TAIL:
             hi /= 2.0
         lo = hi / 2.0
     else:
         for _ in range(400):
             hi *= 2.0
-            if averaged(hi) < tail:
+            if averaged(hi) < _CUTOFF_TAIL:
                 break
         else:
             return math.inf
         lo = hi / 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if averaged(mid) < tail:
+        if averaged(mid) < _CUTOFF_TAIL:
             hi = mid
         else:
             lo = mid

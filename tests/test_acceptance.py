@@ -15,10 +15,9 @@ import pytest
 
 from nodeiso.analytic import (
     IsolationQuery,
+    _shadow_factor,
     expected_r2,
     expected_r2_mrc,
-    expected_r2_nakagami,
-    expected_r2_nakagami_shadow,
     expected_r2_sc,
     expected_r2_shadow_only,
     isolation_probability,
@@ -29,7 +28,7 @@ from nodeiso.channel import (
     DiversityScheme,
     build_beta_table,
     make_success_fn,
-    success_prob_nakagami,
+    success_prob_mrc,
     success_prob_sc,
 )
 from nodeiso.quadrature import (
@@ -67,14 +66,6 @@ def _scheme_combos():
     return combos
 
 
-def _closed_er2(p: ChannelParams, kind: str, M: int) -> float:
-    if kind == "none" or M == 1:
-        return expected_r2_nakagami_shadow(p)
-    if kind == "mrc":
-        return expected_r2_mrc(p, M)
-    return expected_r2_sc(p, M, build_beta_table(p.m, M))
-
-
 def test_criterion_1_closed_forms_match_quadrature():
     start = time.monotonic()
     worst = 0.0
@@ -84,8 +75,9 @@ def test_criterion_1_closed_forms_match_quadrature():
             for sigma in SIGMA_GRID:
                 p = params(m=m, sigma=sigma, alpha=alpha)
                 for kind, M in _scheme_combos():
-                    closed = _closed_er2(p, kind, M)
-                    fn = make_success_fn(p, DiversityScheme(kind, M))
+                    scheme = DiversityScheme(kind, M)
+                    closed = expected_r2(p, scheme)
+                    fn = make_success_fn(p, scheme)
                     if sigma == 0.0:
                         numeric = expected_r2_numeric_fading(fn, p)
                     else:
@@ -118,19 +110,20 @@ def test_criterion_2_reduction_identities():
             for sigma in SIGMA_GRID:
                 p = params(m=m, sigma=sigma, alpha=alpha)
                 lam = 1e-4
-                p_none = math.exp(-lam * math.pi * expected_r2_nakagami_shadow(p))
+                p_none = math.exp(-lam * math.pi * expected_r2(p, DiversityScheme.no_diversity()))
                 p_mrc1 = math.exp(-lam * math.pi * expected_r2_mrc(p, 1))
-                p_sc1 = math.exp(-lam * math.pi * expected_r2_sc(p, 1, build_beta_table(m, 1)))
+                p_sc1 = math.exp(-lam * math.pi * expected_r2_sc(p, 1))
                 if abs(p_mrc1 - p_none) > 1e-12 or abs(p_sc1 - p_none) > 1e-12:
                     ok, detail = False, f"M=1 reductions differ at m={m} a={alpha} s={sigma}"
             p0 = params(m=m, sigma=0.0, alpha=alpha)
-            if expected_r2_nakagami_shadow(p0) != expected_r2_nakagami(p0):
+            if _shadow_factor(p0) != 1.0:
                 ok, detail = False, f"sigma=0 shadow form differs at m={m} a={alpha}"
             for sigma in (1.0, 2.0):
                 psh = params(m=m, sigma=sigma, alpha=alpha)
                 factor = math.exp(2 * sigma**2 / alpha**2)
                 for kind, M in _scheme_combos():
-                    ratio = _closed_er2(psh, kind, M) / _closed_er2(p0, kind, M)
+                    scheme = DiversityScheme(kind, M)
+                    ratio = expected_r2(psh, scheme) / expected_r2(p0, scheme)
                     if abs(ratio - factor) > 1e-12 * factor:
                         ok, detail = False, f"shadow factor off for {kind}{M} m={m} a={alpha}"
     _report(2, "reduction identities", ok, detail)
@@ -163,7 +156,7 @@ def test_criterion_3_beta_table_and_sc_identity():
         for M in range(1, 7):
             table = build_beta_table(m, M)
             for y in y_grid:
-                single = success_prob_nakagami(y, p)
+                single = success_prob_mrc(y, 1, p)
                 direct = success_prob_sc(y, M, p, table)
                 worst_sc = max(worst_sc, abs(direct - (1 - (1 - single) ** M)))
     _report(
@@ -256,7 +249,7 @@ def test_criterion_5_trend_reproduction():
 
 def test_criterion_6_reference_point_three_way():
     p = params(m=2)
-    closed = expected_r2_nakagami(p)
+    closed = expected_r2_mrc(p, 1)
     numeric = expected_r2_numeric_fading(make_success_fn(p, DiversityScheme.no_diversity()), p)
 
     # Monte Carlo expectation of the squared communication range: the range

@@ -4,20 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nodeiso.analytic as analytic
 from nodeiso.analytic import (
     SC_MAX_ORDER,
     IsolationQuery,
     expected_r2,
     expected_r2_mrc,
-    expected_r2_nakagami,
-    expected_r2_nakagami_shadow,
     expected_r2_sc,
     expected_r2_shadow_only,
     isolation_from_er2,
     isolation_probability,
     min_density_for_isolation,
 )
-from nodeiso.channel import ChannelParams, DiversityScheme, build_beta_table
+from nodeiso.channel import ChannelParams, DiversityScheme
 
 BASE = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0)
 
@@ -55,21 +54,20 @@ def test_shadow_only_spread_factor(sigma, expected):
 
 def test_nakagami_m1_alpha2_is_inverse_theta():
     p = params(m=1, alpha=2.0)
-    assert expected_r2_nakagami(p) == pytest.approx(1.0 / p.theta, rel=1e-14)
+    assert expected_r2_mrc(p, 1) == pytest.approx(1.0 / p.theta, rel=1e-14)
 
 
 def test_nakagami_reference_values():
-    assert expected_r2_nakagami(params(m=2)) == pytest.approx(9.399856029866251, rel=1e-12)
-    assert expected_r2_nakagami(params(m=1)) == pytest.approx(8.862269254527579, rel=1e-12)
+    assert expected_r2_mrc(params(m=2), 1) == pytest.approx(9.399856029866251, rel=1e-12)
+    assert expected_r2_mrc(params(m=1), 1) == pytest.approx(8.862269254527579, rel=1e-12)
 
 
 def test_nakagami_shadow_reduction_and_values():
-    p0 = params(m=2, sigma=0.0)
-    assert expected_r2_nakagami_shadow(p0) == expected_r2_nakagami(p0)
-    assert expected_r2_nakagami_shadow(params(m=2, sigma=2.0)) == pytest.approx(
+    assert analytic._shadow_factor(params(m=2, sigma=0.0)) == 1.0
+    assert expected_r2_mrc(params(m=2, sigma=2.0), 1) == pytest.approx(
         15.497742577959349, rel=1e-12
     )
-    assert expected_r2_nakagami_shadow(params(m=2, sigma=4.0)) == pytest.approx(
+    assert expected_r2_mrc(params(m=2, sigma=4.0), 1) == pytest.approx(
         69.45606352655328, rel=1e-12
     )
 
@@ -80,10 +78,15 @@ def test_nakagami_shadow_reduction_and_values():
 
 
 def test_mrc_single_branch_reduction_exact():
+    # One branch: x0 theta^-x0 sum_{l<m} Gamma(x0+l)/l! times the shadow factor.
     for m in (1, 2, 4):
         for sigma in (0.0, 2.0):
             p = params(m=m, sigma=sigma)
-            assert expected_r2_mrc(p, 1) == expected_r2_nakagami_shadow(p)
+            x0 = 2.0 / p.alpha
+            series = math.fsum(math.gamma(x0 + l) / math.factorial(l) for l in range(m))
+            direct = x0 * p.theta**-x0 * series * math.exp(2.0 * sigma**2 / p.alpha**2)
+            assert expected_r2_mrc(p, 1) == pytest.approx(direct, rel=1e-14)
+            assert expected_r2(p, DiversityScheme.no_diversity()) == expected_r2_mrc(p, 1)
 
 
 def test_mrc_reference_values():
@@ -94,35 +97,32 @@ def test_mrc_reference_values():
 def test_sc_single_branch_reduction():
     for m in (1, 2, 4):
         p = params(m=m)
-        got = expected_r2_sc(p, 1, build_beta_table(m, 1))
-        assert got == pytest.approx(expected_r2_nakagami_shadow(p), rel=1e-12)
+        got = expected_r2_sc(p, 1)
+        assert got == pytest.approx(expected_r2_mrc(p, 1), rel=1e-12)
 
 
 def test_sc_reference_value():
     p = params(m=1)
-    assert expected_r2_sc(p, 2, build_beta_table(1, 2)) == pytest.approx(
-        11.457967822477658, rel=1e-12
-    )
+    assert expected_r2_sc(p, 2) == pytest.approx(11.457967822477658, rel=1e-12)
 
 
 def test_sc_below_mrc():
     for m in (1, 2, 4):
         p = params(m=m)
         for M in (2, 3, 4, 8):
-            sc = expected_r2_sc(p, M, build_beta_table(m, M))
+            sc = expected_r2_sc(p, M)
             assert 0.0 < sc <= expected_r2_mrc(p, M)
 
 
-def test_sc_order_cap():
-    p = params(m=2)
-    with pytest.raises(ValueError):
-        expected_r2_sc(p, SC_MAX_ORDER + 1, build_beta_table(2, SC_MAX_ORDER + 1))
+def test_sc_order_cap(monkeypatch):
+    # The cap fires before any coefficient table is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coefficient table was built above the order cap")
 
-
-def test_sc_table_mismatch():
+    monkeypatch.setattr(analytic, "build_beta_table", refuse)
     p = params(m=2)
-    with pytest.raises(ValueError):
-        expected_r2_sc(p, 2, build_beta_table(3, 2))
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        expected_r2_sc(p, SC_MAX_ORDER + 1)
 
 
 def test_dispatch_reductions():
@@ -131,7 +131,7 @@ def test_dispatch_reductions():
     assert expected_r2(p, DiversityScheme.mrc(1)) == base
     assert expected_r2(p, DiversityScheme.sc(1)) == base
     assert expected_r2(p, DiversityScheme.mrc(2)) == expected_r2_mrc(p, 2)
-    assert expected_r2(p, DiversityScheme.sc(2)) == expected_r2_sc(p, 2, build_beta_table(2, 2))
+    assert expected_r2(p, DiversityScheme.sc(2)) == expected_r2_sc(p, 2)
 
 
 # ============================================================================

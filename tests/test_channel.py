@@ -14,7 +14,6 @@ from nodeiso.channel import (
     make_success_fn,
     sigma_from_db,
     success_prob_mrc,
-    success_prob_nakagami,
     success_prob_sc,
 )
 from nodeiso.specialfn import truncated_exp_series
@@ -84,12 +83,12 @@ def test_db_helpers():
 
 
 def test_success_nakagami_threshold_equals_mean():
-    assert success_prob_nakagami(10.0, params(m=1)) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert success_prob_mrc(10.0, 1, params(m=1)) == pytest.approx(math.exp(-1), rel=1e-12)
 
 
 def test_success_nakagami_high_snr_limit():
     for m in (1, 2, 4):
-        assert success_prob_nakagami(1e30, params(m=m)) == pytest.approx(1.0, abs=1e-12)
+        assert success_prob_mrc(1e30, 1, params(m=m)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_success_nakagami_derived_m2():
@@ -97,7 +96,7 @@ def test_success_nakagami_derived_m2():
     # integration of the Gamma SNR density above the threshold.
     p = params(m=2)
     y = 2 * p.psi
-    value = success_prob_nakagami(y, p)
+    value = success_prob_mrc(y, 1, p)
     assert value == pytest.approx(0.7357588823428847, rel=1e-12)
     assert abs(value - truncated_exp_series(1.0, 2)) <= 1e-14
 
@@ -114,13 +113,13 @@ def test_success_nakagami_equals_gamma_ratio_everywhere():
         p = params(m=m)
         for y in np.logspace(-2, 4, 25):
             assert abs(
-                success_prob_nakagami(y, p) - truncated_exp_series(m * p.psi / y, m)
+                success_prob_mrc(y, 1, p) - truncated_exp_series(m * p.psi / y, m)
             ) <= 1e-14
 
 
 def test_success_domain_errors():
     with pytest.raises(ValueError):
-        success_prob_nakagami(0.0, params())
+        success_prob_mrc(0.0, 1, params())
     with pytest.raises(ValueError):
         success_prob_mrc(-1.0, 2, params())
     with pytest.raises(ValueError):
@@ -134,8 +133,10 @@ def test_success_domain_errors():
 
 def test_mrc_single_branch_reduction():
     p = params(m=3)
+    single = make_success_fn(p, DiversityScheme.no_diversity())
     for y in (0.5, 5.0, 50.0):
-        assert success_prob_mrc(y, 1, p) == success_prob_nakagami(y, p)
+        assert success_prob_mrc(y, 1, p) == truncated_exp_series(3 * p.psi / y, 3)
+        assert single(y) == success_prob_mrc(y, 1, p)
 
 
 def test_mrc_two_branch_rayleigh_monte_carlo():
@@ -246,7 +247,7 @@ def test_sc_single_branch_reduction():
     table = build_beta_table(3, 1)
     for y in (0.5, 5.0, 50.0):
         assert success_prob_sc(y, 1, p, table) == pytest.approx(
-            success_prob_nakagami(y, p), rel=1e-13
+            success_prob_mrc(y, 1, p), rel=1e-13
         )
 
 
@@ -265,7 +266,7 @@ def test_sc_complement_power_identity():
             table = build_beta_table(m, M)
             for y in np.logspace(-1, 3, 40) * p.psi:
                 direct = success_prob_sc(y, M, p, table)
-                single = success_prob_nakagami(y, p)
+                single = success_prob_mrc(y, 1, p)
                 assert abs(direct - (1 - (1 - single) ** M)) <= 1e-10
 
 
@@ -273,7 +274,7 @@ def test_sc_three_branch_example():
     p = params(m=2)
     y = 2 * p.psi
     value = success_prob_sc(y, 3, p, build_beta_table(2, 3))
-    single = success_prob_nakagami(y, p)
+    single = success_prob_mrc(y, 1, p)
     assert value == pytest.approx(1 - (1 - single) ** 3, rel=1e-10)
 
 
@@ -373,7 +374,7 @@ def test_success_monotone_in_y_and_bounded():
         p = params(m=m)
         table = build_beta_table(m, 3)
         for fn in (
-            lambda y: success_prob_nakagami(y, p),
+            lambda y: success_prob_mrc(y, 1, p),
             lambda y: success_prob_mrc(y, 3, p),
             lambda y: success_prob_sc(y, 3, p, table),
         ):

@@ -167,14 +167,20 @@ def test_out_of_domain_channel_exits_with_message(capsys, argv, code, message):
     assert message in captured.err
 
 
+_SCHEMES = pytest.mark.parametrize("scheme", [[], ["--scheme", "mrc", "--M", "2"],
+                                               ["--scheme", "sc", "--M", "2"]],
+                                   ids=["none", "mrc2", "sc2"])
+_COMMANDS = pytest.mark.parametrize("command", [["eval", "--lambda", "1e-4"],
+                                                ["invert", "--target-pi", "0.5"]],
+                                    ids=["eval", "invert"])
+
+
 @pytest.mark.parametrize("alpha, cause", [
     ("0.012", "theta^(-2/alpha) = 0.01^(-166.667) overflows"),
     ("0.02", "the Gamma series times theta^(-2/alpha) overflows"),
 ])
-@pytest.mark.parametrize("scheme", [[], ["--scheme", "mrc", "--M", "2"],
-                                    ["--scheme", "sc", "--M", "2"]], ids=["none", "mrc2", "sc2"])
-@pytest.mark.parametrize("command", [["eval", "--lambda", "1e-4"],
-                                     ["invert", "--target-pi", "0.5"]], ids=["eval", "invert"])
+@_SCHEMES
+@_COMMANDS
 def test_er2_beyond_float_range_names_alpha(capsys, alpha, cause, scheme, command):
     # Just above the Gamma overflow E[R^2] itself leaves the float range:
     # neither an inf nor a bare errno message may come out.
@@ -185,6 +191,52 @@ def test_er2_beyond_float_range_names_alpha(capsys, alpha, cause, scheme, comman
         f"nodeiso: numerical failure: E[R^2] is outside the float range at alpha = {alpha}: "
         f"{cause}\n"
     )
+
+
+@pytest.mark.parametrize("alpha, sigma", [("4", "100"), ("0.05", "2")])
+@_SCHEMES
+@_COMMANDS
+def test_shadow_factor_beyond_float_range_names_sigma_and_alpha(
+    capsys, alpha, sigma, scheme, command
+):
+    argv = [command[0], "--alpha", alpha, "--sigma", sigma, *scheme, *command[1:]]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"nodeiso: numerical failure: E[R^2] is outside the float range at alpha = {alpha}, "
+        f"sigma = {sigma}: the shadowing factor exp(2 sigma^2/alpha^2) overflows\n"
+    )
+
+
+_ALPHA_0_1_CAUSE = (
+    "E[R^2] is outside the float range at alpha = 0.1: "
+    "the Gamma series times theta^(-2/alpha) overflows"
+)
+
+
+@_SCHEMES
+@_COMMANDS
+def test_shadowed_er2_beyond_float_range_names_alpha(capsys, scheme, command):
+    # A finite shadow factor (e^612.5) times a finite unshadowed E[R^2]
+    # leaves the float range: no inf, zero density or nan may come out.
+    argv = [command[0], "--alpha", "0.1", "--sigma", "1.75", *scheme, *command[1:]]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nodeiso: numerical failure: {_ALPHA_0_1_CAUSE}\n"
+
+
+@_SCHEMES
+def test_sigma_sweep_fails_points_whose_er2_leaves_float_range(capsys, scheme):
+    argv = ["sweep", "--variable", "sigma", "--grid", "1,1.75", "--alpha", "0.1",
+            "--lambda", "1e-4", "--format", "json", *scheme]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
+    assert 0.0 <= rows[0]["p_i_analytic"] <= 1.0 and rows[0]["er2_analytic"] > 0.0
+    assert rows[1]["p_i_analytic"] is None and rows[1]["er2_analytic"] is None
+    assert captured.err == f"nodeiso: sweep point sigma=1.75 failed: {_ALPHA_0_1_CAUSE}\n"
 
 
 def test_cli_import_leaves_out_scipy_integrate():
@@ -358,7 +410,10 @@ def test_sweep_overflowing_point_fails_alone(capsys):
     captured = capsys.readouterr()
     rows = json.loads(captured.out)
     assert rows[0]["p_i_analytic"] > 0 and rows[1]["p_i_analytic"] is None
-    assert captured.err == "nodeiso: sweep point sigma=100 failed: math range error\n"
+    assert captured.err == (
+        "nodeiso: sweep point sigma=100 failed: E[R^2] is outside the float range at "
+        "alpha = 4, sigma = 100: the shadowing factor exp(2 sigma^2/alpha^2) overflows\n"
+    )
 
 
 def test_sweep_computes_each_channel_once_per_invocation(monkeypatch, capsys):

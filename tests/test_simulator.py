@@ -241,9 +241,9 @@ def test_link_trial_sc_rate():
     p = params(m=2)
     scheme = DiversityScheme.sc(3)
     rho = 3.5
-    from nodeiso.channel import success_prob_nakagami
+    from nodeiso.channel import success_prob_mrc
 
-    single = success_prob_nakagami(p.mean_snr(rho), p)
+    single = success_prob_mrc(p.mean_snr(rho), 1, p)
     expected = 1 - (1 - single) ** 3
     rng = np.random.default_rng(4)
     n = 200_000
@@ -324,9 +324,9 @@ def test_isolation_count_two_nodes_matches_link_law():
     p = params(m=2)
     scheme = DiversityScheme.no_diversity()
     d = 3.0
-    from nodeiso.channel import success_prob_nakagami
+    from nodeiso.channel import success_prob_mrc
 
-    success = success_prob_nakagami(p.mean_snr(d), p)
+    success = success_prob_mrc(p.mean_snr(d), 1, p)
     topo = Topology(np.array([[10.0, 10.0], [10.0 + d, 10.0]]), 100.0, "toroidal")
     rng = np.random.default_rng(6)
     repeats = 30_000
