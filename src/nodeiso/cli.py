@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,7 +40,14 @@ from .quadrature import (
     expected_r2_numeric_fading_shadow,
     success_prob_real_m,
 )
-from .simulator import SimConfig, format_topology_export, run_monte_carlo, sample_topology
+from .simulator import (
+    MonteCarloEstimate,
+    SimConfig,
+    format_topology_export,
+    run_monte_carlo,
+    sample_topology,
+    torus_cell_mass,
+)
 
 __all__ = ["SweepSpec", "build_parser", "main"]
 
@@ -436,6 +444,36 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _simulate(config: SimConfig, jobs: int, p_plane: float, where: str = "") -> MonteCarloEstimate:
+    """run_monte_carlo, reporting its warnings and the torus cell on stderr.
+
+    Each warning becomes one ``nodeiso: warning:`` line. On the torus the
+    sampler's own target is exp(-lambda * cell mass), not the plane's P_I;
+    when the two differ by more than half a standard error, one more line
+    gives the share of the link mass the cell holds and the cell's P_I.
+    ``where`` prefixes the lines, naming a sweep point.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate = run_monte_carlo(config, n_jobs=jobs)
+    for caught_warning in caught:
+        print(f"nodeiso: warning: {where}{caught_warning.message}", file=sys.stderr)
+    se = estimate.std_error
+    if config.boundary == "toroidal" and 0.0 < se < math.inf:
+        masses = torus_cell_mass(config.params, config.scheme, config.area_side)
+        if masses is not None:
+            cell, plane = masses
+            p_cell = math.exp(-config.node_density * cell)
+            if abs(p_cell - p_plane) > 0.5 * se:
+                print(
+                    f"nodeiso: warning: {where}the {config.area_side:g} m torus cell holds "
+                    f"{100.0 * cell / plane:.1f}% of the link mass; the simulation estimates "
+                    f"its P_I = {p_cell:.4f}, not the plane's {p_plane:.4f}",
+                    file=sys.stderr,
+                )
+    return estimate
+
+
 def _sweep_point(
     spec: SweepSpec,
     value: float,
@@ -485,7 +523,8 @@ def _sweep_point(
             runs=args.runs,
             master_seed=args.master_seed,
         )
-        estimate = run_monte_carlo(config, n_jobs=args.jobs)
+        where = f"sweep point {spec.variable}={value:g}: "
+        estimate = _simulate(config, args.jobs, result["p_i_analytic"], where)
         result["p_i_sim"] = estimate.p_isolated
         result["sim_stderr"] = estimate.std_error
         result["sim_ci_low"] = estimate.ci95[0]
@@ -602,9 +641,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         runs=args.runs,
         master_seed=args.master_seed,
     )
-    estimate = run_monte_carlo(config, n_jobs=args.jobs)
-    er2_a = expected_r2(params, scheme)
-    p_analytic = isolation_from_er2(args.node_density, er2_a)
+    p_analytic = isolation_from_er2(args.node_density, expected_r2(params, scheme))
+    estimate = _simulate(config, args.jobs, p_analytic)
     z = math.nan
     if estimate.std_error and not math.isnan(estimate.std_error) and estimate.std_error > 0:
         z = (estimate.p_isolated - p_analytic) / estimate.std_error

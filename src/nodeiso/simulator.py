@@ -20,7 +20,7 @@ import numpy as np
 
 from .analytic import check_node_density
 from .channel import ChannelParams, DiversityScheme, make_success_fn
-from .quadrature import shadow_averaged_success
+from .quadrature import _DEFAULT_SPEC, _LN_LIMIT, _hermite_rule
 
 __all__ = [
     "MonteCarloEstimate",
@@ -31,11 +31,29 @@ __all__ = [
     "isolation_count",
     "run_monte_carlo",
     "sample_topology",
+    "torus_cell_mass",
 ]
 
-# Pairs farther apart than the cutoff radius have a shadow-averaged link
-# probability below this and are skipped without consuming randomness.
-_CUTOFF_TAIL = 1e-12
+# Pairs farther apart than the cutoff radius r_eps are skipped without
+# consuming randomness. Together they carry at most this share of the link
+# mass pi * E[R^2], so skipping them raises P_I = exp(-lambda * mass) by a
+# relative amount of at most about _CUTOFF_MASS * lambda * pi * E[R^2].
+_CUTOFF_MASS = 1e-6
+
+# The link mass is summed on the grid t = ln(rho) = t_psi + k * _MASS_STEP,
+# anchored where the mean SNR equals psi. The cutoff is a grid radius, so it
+# lies at most a factor e^_MASS_STEP beyond r_eps. The grid grows by
+# _MASS_BLOCK points at a time until each tail left out holds at most
+# _MASS_TAIL_SHARE * _CUTOFF_MASS of the mass.
+_MASS_STEP = 1.0 / 32.0
+_MASS_BLOCK = 256
+_MASS_TAIL_SHARE = 1e-3
+
+# Grid points times Hermite nodes per call of the success law, half of
+# quadrature's chunk: with 2^14 (128 KiB float64 arrays) the peak RSS of the
+# 12 acceptance cells rose by 0.5-0.8 MB over the pointwise search; with
+# 2^13 it stayed at its level.
+_MASS_CHUNK = 1 << 13
 
 # Pair enumeration works on blocks of about this many candidate pairs, so
 # its scratch memory does not grow with the square of the node count.
@@ -160,23 +178,25 @@ def _pairs_within(
 
     Returns index arrays ``i`` and ``j`` and the distances, in exactly the
     order of ``np.triu_indices(n, k=1)`` restricted to the kept pairs.
-    Distances use per-axis wraparound in toroidal mode. Short links
-    (``4 * cutoff < area_side``) are searched in x-sorted strips, everything
-    else (including an infinite cutoff) in row blocks. Both paths decide a
-    pair by the same elementwise operations as an all-pairs enumeration
-    (``abs``, the torus ``minimum``, ``hypot``, ``<= cutoff``), so the pair
-    set, the order and every distance are identical whichever path runs.
+    Distances use per-axis wraparound in toroidal mode. Short links (below
+    a crossover that falls with n, and below a quarter side) are searched
+    in x-sorted strips, everything else (including an infinite cutoff) in
+    row blocks. Both paths decide a pair by the same elementwise operations
+    as an all-pairs enumeration (``abs``, the torus ``minimum``, ``hypot``,
+    ``<= cutoff``), so the pair set, the order and every distance are
+    identical whichever path runs.
     """
-    # Crossover, measured on the helpers alone (toroidal, single thread):
-    # at n = 186 on 100 m with cutoff 6.3 m, strips took 0.15-0.23 ms
-    # against 0.27-0.37 ms for row blocks, and they stay ahead up to about
-    # cutoff = side/4. At n = 3200 they lose from about side/7 on: with
-    # cutoff 119 m on 400 m they took 320-340 ms against 124-146 ms,
-    # spent on gathering scattered candidates and on the final argsort of
-    # 1.4M kept keys (95 ms alone). The rule puts the short-link cells of
-    # the acceptance campaign on strips and the dense 3200-node cells
-    # (4 * 119 m > 400 m) on row blocks.
-    if 4.0 * cutoff < area_side:
+    # Crossover, measured on the helpers alone (uniform nodes on the torus,
+    # single thread, median of 7 each): strips are faster below a cutoff of
+    # about 0.22 side at n = 150, 0.19 at 300, 0.15 at 600 and 1200 and 0.12
+    # at 3200, close to 0.22 * (n / 150)^-0.2, that is n * (cutoff/side)^5
+    # < 0.08. Beyond it the strips lose on gathering scattered candidates
+    # and on the final argsort of the kept keys. At 3200 nodes on 400 m,
+    # strips took 99-108 ms against 89-103 ms for row blocks with cutoff
+    # 52.7 m, and 119-126 ms against 102-112 ms with 57.8 m. The 4 * cutoff
+    # < side cap holds the rule to the range measured.
+    n = len(positions)
+    if 4.0 * cutoff < area_side and n * (cutoff / area_side) ** 5 < 0.08:
         return _strip_pairs(positions, area_side, boundary, cutoff)
     return _row_block_pairs(positions, area_side, boundary, cutoff)
 
@@ -325,36 +345,114 @@ def _links_up(
     return gain * (y / m) >= params.psi
 
 
-def effective_range_cutoff(params: ChannelParams, scheme: DiversityScheme) -> float:
-    """Radius beyond which the shadow-averaged link probability < _CUTOFF_TAIL."""
+def _link_mass_grid(
+    params: ChannelParams, scheme: DiversityScheme
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Grid radii rho and the link mass h * 2 rho^2 * pbar(rho) at each.
+
+    pbar is the Gauss-Hermite shadow average of the link law, so the masses
+    sum to a trapezoid value of E[R^2] = integral 2 rho^2 pbar(rho) d(ln rho),
+    computed without the closed form. Radii ascend. The law is called once
+    per chunk of at most ``_MASS_CHUNK`` grid points times Hermite nodes.
+    None when the integrand does not decay before e^{2t} leaves the
+    float range.
+    """
     success = make_success_fn(params, scheme)
-
-    def averaged(rho: float) -> float:
-        y = params.mean_snr(rho)
-        if y <= 0.0:
-            return 0.0
-        return shadow_averaged_success(success, y, params.sigma)
-
-    hi = 1.0
-    if averaged(hi) < _CUTOFF_TAIL:
-        while hi > 1e-12 and averaged(hi / 2.0) < _CUTOFF_TAIL:
-            hi /= 2.0
-        lo = hi / 2.0
+    if params.sigma > 0:
+        nodes, weights = _hermite_rule(_DEFAULT_SPEC.hermite_order)
+        ln_gains = params.sigma * math.sqrt(2.0) * nodes
+        weights = weights / math.sqrt(math.pi)
     else:
-        for _ in range(400):
-            hi *= 2.0
-            if averaged(hi) < _CUTOFF_TAIL:
-                break
-        else:
-            return math.inf
-        lo = hi / 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if averaged(mid) < _CUTOFF_TAIL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        ln_gains, weights = np.zeros(1), np.ones(1)
+    ln_budget = math.log(params.k * params.ptx / params.w)
+    t_psi = (ln_budget - math.log(params.psi)) / params.alpha
+    h = _MASS_STEP
+    points = max(1, _MASS_CHUNK // len(ln_gains))
+
+    def block(k: int) -> np.ndarray:
+        # Grid points k .. k + _MASS_BLOCK - 1.
+        t = t_psi + np.arange(k, k + _MASS_BLOCK) * h
+        pbar = np.empty(_MASS_BLOCK)
+        for a in range(0, _MASS_BLOCK, points):
+            ln_y = ln_budget - params.alpha * t[a : a + points, None] + ln_gains
+            y = np.exp(np.clip(ln_y, -_LN_LIMIT, _LN_LIMIT))
+            pbar[a : a + points] = success(y) @ weights
+        return 2.0 * h * np.exp(2.0 * t) * pbar
+
+    tail = _MASS_TAIL_SHARE * _CUTOFF_MASS
+    blocks: list[np.ndarray] = []
+    total, previous, hi = 0.0, math.inf, 0
+    while True:
+        # rho^2 = e^{2t} must stay a finite float.
+        if t_psi + (hi + _MASS_BLOCK) * h > 0.5 * _LN_LIMIT:
+            return None
+        blocks.append(block(hi))
+        hi += _MASS_BLOCK
+        current = float(blocks[-1].sum())
+        total += current
+        if current <= tail * total and current <= previous:
+            break
+        previous = current
+    # Below t_lo the mass is at most e^{2 t_lo}, because pbar <= 1.
+    lo = 0
+    while math.exp(2.0 * (t_psi + lo * h)) > tail * total:
+        lo -= _MASS_BLOCK
+        blocks.insert(0, block(lo))
+        total += float(blocks[0].sum())
+    rho = np.exp(t_psi + np.arange(lo, hi) * h)
+    return rho, np.concatenate(blocks)
+
+
+def _cutoff_index(mass: np.ndarray) -> int:
+    """Smallest grid index whose outer tail holds at most _CUTOFF_MASS of the mass.
+
+    The tail from grid point k outward is the trapezoid sum mass[k]/2 +
+    sum(mass[k+1:]); on the convex far tail that overstates the integral,
+    so the index rounds outward.
+    """
+    outer = np.cumsum(mass[::-1])[::-1] - 0.5 * mass
+    return int(np.argmax(outer <= _CUTOFF_MASS * float(mass.sum())))
+
+
+def effective_range_cutoff(params: ChannelParams, scheme: DiversityScheme) -> float:
+    """Radius r_eps outside which pairs carry at most _CUTOFF_MASS of the link mass.
+
+    The mass is summed on the grid of :func:`_link_mass_grid`, and the
+    radius is the smallest grid radius whose outer tail holds at most
+    _CUTOFF_MASS of the grid's own total. inf when the integrand does not
+    decay inside the float range.
+    """
+    grid = _link_mass_grid(params, scheme)
+    if grid is None:
+        return math.inf
+    rho, mass = grid
+    return float(rho[_cutoff_index(mass)])
+
+
+def torus_cell_mass(
+    params: ChannelParams, scheme: DiversityScheme, area_side: float
+) -> tuple[float, float] | None:
+    """Link mass a toroidal replication represents, and the plane's pi * E[R^2].
+
+    On the torus a node's neighbours are Poisson on the side x side cell
+    centred on it, so the sampler's own P_I is exp(-lambda * cell mass).
+    The cell mass is the integral of pbar(rho) times the length of the
+    circle of radius rho inside the cell, over rho up to the cutoff; both
+    masses are sums on the grid of :func:`effective_range_cutoff`. None
+    when the cutoff is infinite.
+    """
+    grid = _link_mass_grid(params, scheme)
+    if grid is None:
+        return None
+    rho, mass = grid
+    kept = slice(0, _cutoff_index(mass) + 1)
+    rho, cell = rho[kept], mass[kept]
+    # The circle leaves the cell through four arcs of 2 rho arccos(half / rho)
+    # each once rho > half. in_cell is its length inside over rho, so
+    # mass * in_cell / 2 = h * rho * pbar * length, the cell integrand in t.
+    arc_outside = 8.0 * np.arccos(np.minimum(0.5 * area_side / rho, 1.0))
+    in_cell = np.maximum(2.0 * math.pi - arc_outside, 0.0)
+    return 0.5 * float(cell @ in_cell), math.pi * float(mass.sum())
 
 
 # ============================================================================
@@ -376,8 +474,8 @@ def isolation_count(
     consuming randomness. The kept pairs come in ``np.triu_indices`` order
     (row-major over i < j) and all draws are made after enumeration, so the
     result is deterministic in the generator state and bit-identical to an
-    all-pairs enumeration. Pairs are enumerated in x-sorted strips when
-    ``4 * range_cutoff < area_side`` and in row blocks otherwise, both in
+    all-pairs enumeration. Pairs are enumerated in x-sorted strips for
+    short links and in row blocks otherwise (see ``_pairs_within``), both in
     chunks of about ``_BLOCK_PAIRS`` candidates, so memory grows with the
     number of pairs kept, not with the square of n.
     """

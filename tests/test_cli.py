@@ -521,23 +521,23 @@ def test_invert_bad_target_exit_2():
 SIM_ARGS = ["simulate", "--m", "2", "--lambda", "1e-3", "--runs", "150", "--seed", "42"]
 
 
-# Golden outputs recorded before pair enumeration moved to row blocks (the
-# short-link cell: before it moved to x-sorted strips). Equal text means equal
-# floats, so the pair order and the random stream are unchanged.
+# Golden outputs recorded with the link-mass cutoff r_eps (eps = 1e-6), which
+# decides which pairs get channel draws. Equal text means equal floats, so
+# the pair order and the random stream are unchanged.
 GOLDEN_SIMULATE = [
     (
         ["--m", "2", "--sigma", "2", "--scheme", "sc", "--M", "4", "--lambda", "5e-3",
          "--boundary", "bounded", "--runs", "200", "--seed", "7"],
         """{
-  "p_i_sim": 0.7277132761231702,
-  "sim_stderr": 0.006066692416690829,
-  "sim_ci_low": 0.7158225589864562,
-  "sim_ci_high": 0.7396039932598841,
+  "p_i_sim": 0.727208480565371,
+  "sim_stderr": 0.006560262828835055,
+  "sim_ci_low": 0.7143503654208543,
+  "sim_ci_high": 0.7400665957098878,
   "p_i_any_isolated": 1.0,
   "p_i_analytic": 0.7134651879967382,
-  "z_score": 2.348575986353336,
+  "z_score": 2.094930176916906,
   "total_nodes": 9905,
-  "total_isolated": 7208,
+  "total_isolated": 7203,
   "runs_executed": 200,
   "runs_empty": 0
 }
@@ -546,33 +546,33 @@ GOLDEN_SIMULATE = [
     (
         ["--m", "2", "--lambda", "1e-2", "--runs", "100", "--seed", "7"],
         """{
-  "p_i_sim": 0.7511124595469255,
-  "sim_stderr": 0.0058673421257558755,
-  "sim_ci_low": 0.739612468980444,
-  "sim_ci_high": 0.7626124501134071,
+  "p_i_sim": 0.7427184466019418,
+  "sim_stderr": 0.0062524773065520435,
+  "sim_ci_low": 0.7304635910810997,
+  "sim_ci_high": 0.7549733021227838,
   "p_i_any_isolated": 1.0,
   "p_i_analytic": 0.7443044011586312,
-  "z_score": 1.1603309032226037,
+  "z_score": -0.2536521891934701,
   "total_nodes": 9888,
-  "total_isolated": 7427,
+  "total_isolated": 7344,
   "runs_executed": 100,
   "runs_empty": 0
 }
 """,
     ),
     (
-        # About 180 nodes with a 7.25 m cutoff on the 100 m square: strips.
+        # About 180 nodes with a 5.9 m cutoff on the 100 m square: strips.
         ["--m", "1", "--lambda", "0.018", "--boundary", "bounded", "--runs", "100", "--seed", "5"],
         """{
-  "p_i_sim": 0.6148012841802281,
-  "sim_stderr": 0.004615321901192753,
-  "sim_ci_low": 0.6057552532538902,
-  "sim_ci_high": 0.6238473151065659,
+  "p_i_sim": 0.6088232038082586,
+  "sim_stderr": 0.005217843978829449,
+  "sim_ci_low": 0.5985962296097529,
+  "sim_ci_high": 0.6190501780067643,
   "p_i_any_isolated": 1.0,
   "p_i_analytic": 0.6058338413415892,
-  "z_score": 1.942972349625566,
+  "z_score": 0.5729114321543948,
   "total_nodes": 18066,
-  "total_isolated": 11107,
+  "total_isolated": 10999,
   "runs_executed": 100,
   "runs_empty": 0
 }
@@ -585,7 +585,10 @@ GOLDEN_SIMULATE = [
                          ids=["sigma2-sc4-bounded", "sigma0-toroidal", "sigma0-short-link-bounded"])
 def test_simulate_json_matches_golden(capsys, args, expected):
     assert cli.main(["simulate", *args, "--format", "json"]) == 0
-    assert capsys.readouterr().out == expected
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    # Bounded squares, and a torus cell that holds the disc of radius r_eps.
+    assert captured.err == ""
 
 
 def test_simulate_fixed_seed_reproducible():
@@ -615,6 +618,30 @@ def test_simulate_degenerate_exit_3():
     proc = run_cli("simulate", "--m", "2", "--lambda", "1e-5", "--runs", "20",
                    "--seed", "1", check=False)
     assert proc.returncode == 3
+    # One line per warning, without Python's location and source echo.
+    assert "cli.py" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "nodeiso: warning: only 2 node samples across 20 runs; the standard error is unreliable",
+        "nodeiso: degenerate estimate (fewer than 100 node samples)",
+    ]
+
+
+def test_simulate_warns_when_the_torus_cell_truncates_the_link_mass(capsys):
+    # sigma = 4: the 100 m cell holds 89% of the link mass, so the simulation
+    # estimates the cell's P_I, 0.3788, not the plane's 0.3359.
+    args = ["--m", "2", "--sigma", "4", "--lambda", "5e-3", "--runs", "200", "--seed", "3"]
+    assert cli.main(["simulate", *args]) == 0
+    assert capsys.readouterr().err == (
+        "nodeiso: warning: the 100 m torus cell holds 89.0% of the link mass; the simulation "
+        "estimates its P_I = 0.3788, not the plane's 0.3359\n"
+    )
+    sweep = ["sweep", "--variable", "lambda", "--grid", "5e-3", "--outputs", "simulation"]
+    assert cli.main([*sweep, *args[:4], "--runs", "200", "--seed", "3"]) == 0
+    assert capsys.readouterr().err.startswith(
+        "nodeiso: warning: sweep point lambda=0.005: the 100 m torus cell holds 89.0%"
+    )
+    assert cli.main(["simulate", *args, "--boundary", "bounded"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_topology_export(tmp_path):

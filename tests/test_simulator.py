@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nodeiso.simulator as simulator
-from nodeiso.analytic import min_density_for_isolation
+from nodeiso.analytic import expected_r2, min_density_for_isolation
 from nodeiso.channel import ChannelParams, DiversityScheme, make_success_fn
 from nodeiso.quadrature import shadow_averaged_success
 from nodeiso.simulator import (
@@ -19,6 +19,7 @@ from nodeiso.simulator import (
     isolation_count,
     run_monte_carlo,
     sample_topology,
+    torus_cell_mass,
 )
 
 BASE = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0)
@@ -125,7 +126,7 @@ def _positions(n):
     return pos
 
 
-# Cutoffs below side/4 take the x-sorted strip path, the others row blocks.
+# Cutoffs below side/4, where the x-sorted strip path can run.
 SHORT_CUTOFFS = [0.0, 3.0, 6.3, 24.9]
 
 
@@ -142,11 +143,13 @@ def _with_seam_nodes(pos):
 
 
 def _assert_matches_reference(pos, boundary, cutoffs):
+    # Both paths give the same result at any cutoff; the rule only picks one.
     for cutoff in cutoffs:
-        got = _pairs_within(pos, 100.0, boundary, cutoff)
         want = _triu_reference(pos, 100.0, boundary, cutoff)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        for path in (_pairs_within, simulator._strip_pairs, simulator._row_block_pairs):
+            got = path(pos, 100.0, boundary, cutoff)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
@@ -190,6 +193,12 @@ def test_pairs_within_takes_strips_below_a_quarter_side(monkeypatch):
     for cutoff in (24.9, 25.0, math.inf):
         _pairs_within(pos, 100.0, "toroidal", cutoff)
     assert taken == ["_strip_pairs", "_row_block_pairs", "_row_block_pairs"]
+    # With more nodes strips lose earlier: at 3200 nodes from about 0.12 side.
+    taken.clear()
+    pos = np.random.default_rng(3).random((3200, 2)) * 100.0
+    for cutoff in (11.5, 12.5):
+        _pairs_within(pos, 100.0, "toroidal", cutoff)
+    assert taken == ["_strip_pairs", "_row_block_pairs"]
 
 
 def test_pairs_within_keeps_pairs_at_tiny_scales():
@@ -349,17 +358,64 @@ def test_isolation_count_respects_cutoff():
     assert (iso, tot) == (2, 2)
 
 
-def test_effective_range_cutoff_brackets_tail():
-    for m, sigma, scheme in [
-        (2, 0.0, DiversityScheme.no_diversity()),
-        (2, 2.0, DiversityScheme.mrc(2)),
-        (1, 1.0, DiversityScheme.sc(2)),
-    ]:
-        p = params(m=m, sigma=sigma)
-        cutoff = effective_range_cutoff(p, scheme)
-        fn = make_success_fn(p, scheme)
-        assert shadow_averaged_success(fn, p.mean_snr(cutoff * 1.001), p.sigma) < 1e-12
-        assert shadow_averaged_success(fn, p.mean_snr(cutoff * 0.95), p.sigma) >= 1e-12
+def _fine_tail_masses(p, scheme, t):
+    """Trapezoid link mass from each point of the fine grid t outward, summed
+    with quadrature's shadow average, one point at a time."""
+    fn = make_success_fn(p, scheme)
+    f = np.array([2.0 * math.exp(2.0 * u)
+                  * shadow_averaged_success(fn, p.mean_snr(math.exp(u)), p.sigma) for u in t])
+    pieces = 0.5 * (f[1:] + f[:-1]) * np.diff(t)
+    return np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
+
+
+@pytest.mark.parametrize("m, sigma, scheme", [
+    (2, 0.0, DiversityScheme.no_diversity()),
+    (2, 2.0, DiversityScheme.mrc(2)),
+    (1, 1.0, DiversityScheme.sc(2)),
+    (2, 4.0, DiversityScheme.no_diversity()),
+], ids=["m2-sigma0-none", "m2-sigma2-mrc2", "m1-sigma1-sc2", "m2-sigma4-none"])
+def test_effective_range_cutoff_holds_all_but_eps_of_link_mass(m, sigma, scheme):
+    p = params(m=m, sigma=sigma)
+    cutoff = effective_range_cutoff(p, scheme)
+    step = simulator._MASS_STEP
+    budget = simulator._CUTOFF_MASS * expected_r2(p, scheme)
+    # A grid 8x finer than the cutoff's, from two steps inside it to far out.
+    t = math.log(cutoff) + np.arange(-16, 4 * 8 / step + 1) * (step / 8)
+    tail = _fine_tail_masses(p, scheme, t)
+    assert tail[-2] < 1e-3 * budget                 # the fine grid reaches far enough
+    assert tail[16] <= budget                       # the mass outside the cutoff
+    assert tail[0] > budget                         # r_eps lies within the fine grid
+    # Exact r_eps, interpolating ln(tail) between fine points.
+    k = int(np.argmax(tail <= budget))
+    lo, hi = math.log(tail[k - 1]), math.log(tail[k])
+    t_eps = t[k - 1] + (t[k] - t[k - 1]) * (lo - math.log(budget)) / (lo - hi)
+    assert t_eps <= math.log(cutoff) <= t_eps + step
+    if sigma == 4.0:
+        assert 2200.0 < cutoff < 2350.0
+
+
+def test_effective_range_cutoff_infinite_without_decay():
+    # With alpha = 0.02 the mean SNR falls by e^-1 over a factor e^50 in
+    # distance; the link mass does not decay before rho^2 overflows.
+    assert effective_range_cutoff(params(m=2, alpha=0.02), DiversityScheme.no_diversity()) == math.inf
+
+
+def test_torus_cell_mass_approaches_plane():
+    # sigma = 4: r_eps is about 2.3 km, so the cell alone limits the mass.
+    p, scheme = params(m=2, sigma=4.0), DiversityScheme.no_diversity()
+    plane = math.pi * expected_r2(p, scheme)
+    fractions = []
+    for side in (100.0, 400.0, 1000.0):
+        cell, grid_plane = torus_cell_mass(p, scheme, side)
+        assert grid_plane == pytest.approx(plane, rel=1e-9)
+        fractions.append(cell / plane)
+    # A 2000-8000 point trapezoid in ln(rho) of the mass outside the cell
+    # gave 0.88986, 0.99427 and 0.99967.
+    assert fractions == pytest.approx([0.88986, 0.99427, 0.99967], abs=1e-4)
+    # Without shadowing the 100 m cell holds all but the mass beyond r_eps.
+    p0 = params(m=2)
+    cell, grid_plane = torus_cell_mass(p0, scheme, 100.0)
+    assert 1.0 - simulator._CUTOFF_MASS <= cell / grid_plane < 1.0
 
 
 # ============================================================================
