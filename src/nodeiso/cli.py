@@ -7,8 +7,9 @@ Subcommands:
   invert    minimum node density for a target isolation probability
 
 Exit codes: 0 success, 2 usage or parameter error, 3 numerical or
-statistical failure. Output formats: human text (default), csv, json;
-CSV uses a fixed column order, always emits a header row and '.' decimals.
+statistical failure; simulator warnings become ``nodeiso: warning:``
+lines on stderr. Output formats: human text (default), csv, json; CSV
+uses a fixed column order, always emits a header row and '.' decimals.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ from .simulator import (
     format_topology_export,
     run_monte_carlo,
     sample_topology,
-    torus_cell_mass,
 )
 
 __all__ = ["SweepSpec", "build_parser", "main"]
 
 _OUTPUT_CHOICES = ("analytic", "quadrature", "simulation")
+_FORMAT_CHOICES = ("text", "csv", "json")
 
 
 class UsageError(ValueError):
@@ -137,6 +138,14 @@ _FIGURE_PRESETS: dict[int, dict] = {
 #  Argument handling
 # ============================================================================
 
+
+def _format_choice(value: str) -> str:
+    """A config-file ``format`` value, checked as ``--format`` checks its own."""
+    if value not in _FORMAT_CHOICES:
+        raise ValueError(value)
+    return value
+
+
 # config-file key -> (argparse dest, converter); keys mirror the long flags.
 _CONFIG_OPTIONS: dict[str, tuple[str, Callable]] = {
     "ptx": ("ptx", float),
@@ -159,7 +168,7 @@ _CONFIG_OPTIONS: dict[str, tuple[str, Callable]] = {
     "seed": ("master_seed", int),
     "jobs": ("jobs", int),
     "target-pi": ("target_pi", float),
-    "format": ("out_format", str),
+    "format": ("out_format", _format_choice),
     "outputs": ("outputs", str),
 }
 
@@ -203,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--config", help="key=value file mirroring the long flags; flags override it")
 
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", dest="out_format", choices=("text", "csv", "json"))
+    output.add_argument("--format", dest="out_format", choices=_FORMAT_CHOICES)
     output.add_argument("--out", help="write the report to this path instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -345,11 +354,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(text: str, args: argparse.Namespace) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(out, text)
     else:
         sys.stdout.write(text)
 
@@ -444,33 +460,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate(config: SimConfig, jobs: int, p_plane: float, where: str = "") -> MonteCarloEstimate:
-    """run_monte_carlo, reporting its warnings and the torus cell on stderr.
+def _sim_config(
+    args: argparse.Namespace, params: ChannelParams, scheme: DiversityScheme, node_density: float
+) -> SimConfig:
+    """The campaign that the square, replication and seed flags describe."""
+    return SimConfig(params=params, scheme=scheme, node_density=node_density,
+                     area_side=args.area_side, boundary=args.boundary, runs=args.runs,
+                     master_seed=args.master_seed)
 
-    Each warning becomes one ``nodeiso: warning:`` line. On the torus the
-    sampler's own target is exp(-lambda * cell mass), not the plane's P_I;
-    when the two differ by more than half a standard error, one more line
-    gives the share of the link mass the cell holds and the cell's P_I.
-    ``where`` prefixes the lines, naming a sweep point.
-    """
+
+def _simulate(config: SimConfig, jobs: int, where: str = "") -> MonteCarloEstimate:
+    """run_monte_carlo, printing each warning as one ``nodeiso: warning: <where>`` line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         estimate = run_monte_carlo(config, n_jobs=jobs)
     for caught_warning in caught:
         print(f"nodeiso: warning: {where}{caught_warning.message}", file=sys.stderr)
-    se = estimate.std_error
-    if config.boundary == "toroidal" and 0.0 < se < math.inf:
-        masses = torus_cell_mass(config.params, config.scheme, config.area_side)
-        if masses is not None:
-            cell, plane = masses
-            p_cell = math.exp(-config.node_density * cell)
-            if abs(p_cell - p_plane) > 0.5 * se:
-                print(
-                    f"nodeiso: warning: {where}the {config.area_side:g} m torus cell holds "
-                    f"{100.0 * cell / plane:.1f}% of the link mass; the simulation estimates "
-                    f"its P_I = {p_cell:.4f}, not the plane's {p_plane:.4f}",
-                    file=sys.stderr,
-                )
     return estimate
 
 
@@ -514,17 +519,8 @@ def _sweep_point(
             er2["quadrature"] = _numeric_er2(params, scheme, None)
         result["p_i_quadrature"] = isolation_from_er2(node_density, er2["quadrature"])
     if "simulation" in spec.outputs:
-        config = SimConfig(
-            params=params,
-            scheme=scheme,
-            node_density=node_density,
-            area_side=args.area_side,
-            boundary=args.boundary,
-            runs=args.runs,
-            master_seed=args.master_seed,
-        )
         where = f"sweep point {spec.variable}={value:g}: "
-        estimate = _simulate(config, args.jobs, result["p_i_analytic"], where)
+        estimate = _simulate(_sim_config(args, params, scheme, node_density), args.jobs, where)
         result["p_i_sim"] = estimate.p_isolated
         result["sim_stderr"] = estimate.std_error
         result["sim_ci_low"] = estimate.ci95[0]
@@ -632,23 +628,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("simulate requires --lambda")
     scheme = _build_scheme(args.scheme, args.diversity_order)
     params = _build_params(args)
-    config = SimConfig(
-        params=params,
-        scheme=scheme,
-        node_density=args.node_density,
-        area_side=args.area_side,
-        boundary=args.boundary,
-        runs=args.runs,
-        master_seed=args.master_seed,
-    )
+    config = _sim_config(args, params, scheme, args.node_density)
     p_analytic = isolation_from_er2(args.node_density, expected_r2(params, scheme))
-    estimate = _simulate(config, args.jobs, p_analytic)
-    z = math.nan
-    if estimate.std_error and not math.isnan(estimate.std_error) and estimate.std_error > 0:
-        z = (estimate.p_isolated - p_analytic) / estimate.std_error
+    estimate = _simulate(config, args.jobs)
+    se = estimate.std_error
+    z = (estimate.p_isolated - p_analytic) / se if 0.0 < se < math.inf else math.nan
     fields = [
         ("p_i_sim", estimate.p_isolated),
-        ("sim_stderr", estimate.std_error),
+        ("sim_stderr", se),
         ("sim_ci_low", estimate.ci95[0]),
         ("sim_ci_high", estimate.ci95[1]),
         ("p_i_any_isolated", estimate.p_any_isolated),
@@ -661,8 +648,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ]
     if args.export_topology:
         topology = sample_topology(config, 0)
-        with open(args.export_topology, "w", encoding="utf-8") as fh:
-            fh.write(format_topology_export(topology, config.master_seed, 0))
+        _write_file(args.export_topology, format_topology_export(topology, config.master_seed, 0))
     _emit(_render_record(fields, args.out_format), args)
     if estimate.total_nodes < 100:
         print("nodeiso: degenerate estimate (fewer than 100 node samples)", file=sys.stderr)

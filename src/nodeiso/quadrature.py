@@ -11,8 +11,9 @@ geometrically in the step (Trefethen & Weideman, SIAM Review 56(3), 2014).
 The range grows until both tails are negligible, then the step halves,
 reusing every point, until two sums agree to ``rel_tol``; a law with a jump,
 or one that does not decay, raises :class:`QuadratureError`. Shadowing is
-a Gauss-Hermite average whose nodes all share one absolute t grid. Success
-laws are called with numpy arrays of mean SNRs, in chunks of bounded size.
+a Gauss-Hermite average whose nodes all share one absolute t grid; the
+simulator's link-mass grid uses the same average. Success laws are called
+with numpy arrays of mean SNRs, in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -153,29 +154,42 @@ def _log_trapezoid(
     )
 
 
+def _shadowed_law(
+    success_prob: Callable, ln_budget: float, sigma: float, spec: QuadratureSpec = _DEFAULT_SPEC
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """t -> Gauss-Hermite mean over shadowing gains e^g of P_S(e^{ln_budget + g - t}).
+
+    Also returns the logs ln_budget + g (ln_budget alone when sigma is 0).
+    The law sees mean SNRs clipped to e^(+-700), always finite and positive;
+    above e^700 every law is 1.
+    """
+    if sigma > 0:
+        nodes, weights = _hermite_rule(spec.hermite_order)
+        weights = weights / math.sqrt(math.pi)
+    else:
+        nodes, weights = np.zeros(1), np.ones(1)
+    ln_scales = ln_budget + sigma * math.sqrt(2.0) * nodes
+
+    def law(t: np.ndarray) -> np.ndarray:
+        y = np.exp(np.clip(ln_scales - t[:, None], -_LN_LIMIT, _LN_LIMIT))
+        return np.broadcast_to(np.asarray(success_prob(y), dtype=float), y.shape) @ weights
+
+    return law, ln_scales
+
+
 def _radial_integral(
     success_prob: Callable,
     params: ChannelParams,
-    ln_gains: np.ndarray,
-    weights: np.ndarray,
+    sigma: float,
     spec: QuadratureSpec,
 ) -> float:
-    """E[R^2] averaged over shadowing gains e^{ln_gains} with the given weights.
-
-    Mean SNRs above e^700, far into the region where every law is 1, are
-    passed to the law as e^700, so it only ever sees finite positive values.
-    """
+    """E[R^2] for the law averaged over shadowing of spread sigma."""
     ln_budget = math.log(params.k * params.ptx / params.w)
-    ln_scales = ln_budget + ln_gains
+    law, ln_scales = _shadowed_law(success_prob, ln_budget, sigma, spec)
     rate = 2.0 / params.alpha
-
-    def success_of_t(t: np.ndarray) -> np.ndarray:
-        y = np.exp(np.minimum(ln_scales - t[:, None], _LN_LIMIT))
-        return np.broadcast_to(np.asarray(success_prob(y), dtype=float), y.shape) @ weights
-
     t_max = min(float(ln_scales.min()) + _LN_LIMIT, _LN_LIMIT / rate)
     points = max(1, _CHUNK // len(ln_scales))
-    return _log_trapezoid(success_of_t, rate, ln_budget, t_max, _FIRST_STEP, points, spec)
+    return _log_trapezoid(law, rate, ln_budget, t_max, _FIRST_STEP, points, spec)
 
 
 # ============================================================================
@@ -194,7 +208,7 @@ def expected_r2_numeric_fading(
     probabilities; it must be smooth and nondecreasing in the mean SNR, with
     eventual decay as the mean SNR falls.
     """
-    return _radial_integral(success_prob, params, np.zeros(1), np.ones(1), spec)
+    return _radial_integral(success_prob, params, 0.0, spec)
 
 
 def expected_r2_numeric_fading_shadow(
@@ -210,9 +224,7 @@ def expected_r2_numeric_fading_shadow(
     """
     if not params.sigma > 0:
         raise ValueError("shadowed integral requires sigma > 0; use the fading-only form")
-    nodes, weights = _hermite_rule(spec.hermite_order)
-    ln_gains = params.sigma * math.sqrt(2.0) * nodes
-    return _radial_integral(success_prob, params, ln_gains, weights / math.sqrt(math.pi), spec)
+    return _radial_integral(success_prob, params, params.sigma, spec)
 
 
 def expected_r2_numeric_nofade(

@@ -5,7 +5,9 @@ draws one reciprocal channel per node pair (common shadowing across
 diversity branches, independent fading per branch) and counts degree-zero
 nodes. Replications are deterministic given (master_seed, run_index) and
 independently executable in parallel; the reduction is over integer
-counters, so serial and parallel execution agree bit for bit.
+counters, so serial and parallel execution agree bit for bit. One
+link-mass grid per campaign gives the pair cutoff r_eps and the torus
+cell's own P_I, with a warning when the cell cannot hold the link law.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import check_node_density
+from .analytic import check_node_density, isolation_from_er2
 from .channel import ChannelParams, DiversityScheme, make_success_fn
-from .quadrature import _DEFAULT_SPEC, _LN_LIMIT, _hermite_rule
+from .quadrature import _LN_LIMIT, _shadowed_law
 
 __all__ = [
     "MonteCarloEstimate",
@@ -31,7 +33,6 @@ __all__ = [
     "isolation_count",
     "run_monte_carlo",
     "sample_topology",
-    "torus_cell_mass",
 ]
 
 # Pairs farther apart than the cutoff radius r_eps are skipped without
@@ -334,7 +335,7 @@ def _links_up(
     monotone, so the outcomes equal those of ``rng.gamma(m, y / m)`` bit for
     bit while skipping its per-element broadcasting.
     """
-    y = params.k * params.ptx * dist ** -params.alpha / params.w
+    y = params.mean_snr(dist)
     if params.sigma > 0:
         y = y * np.exp(params.sigma * rng.standard_normal(len(dist)))
     m = params.m
@@ -350,33 +351,25 @@ def _link_mass_grid(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Grid radii rho and the link mass h * 2 rho^2 * pbar(rho) at each.
 
-    pbar is the Gauss-Hermite shadow average of the link law, so the masses
-    sum to a trapezoid value of E[R^2] = integral 2 rho^2 pbar(rho) d(ln rho),
+    pbar is quadrature's shadow average of the link law, so the masses sum
+    to a trapezoid value of E[R^2] = integral 2 rho^2 pbar(rho) d(ln rho),
     computed without the closed form. Radii ascend. The law is called once
     per chunk of at most ``_MASS_CHUNK`` grid points times Hermite nodes.
     None when the integrand does not decay before e^{2t} leaves the
     float range.
     """
-    success = make_success_fn(params, scheme)
-    if params.sigma > 0:
-        nodes, weights = _hermite_rule(_DEFAULT_SPEC.hermite_order)
-        ln_gains = params.sigma * math.sqrt(2.0) * nodes
-        weights = weights / math.sqrt(math.pi)
-    else:
-        ln_gains, weights = np.zeros(1), np.ones(1)
     ln_budget = math.log(params.k * params.ptx / params.w)
+    pbar_of, ln_scales = _shadowed_law(make_success_fn(params, scheme), ln_budget, params.sigma)
     t_psi = (ln_budget - math.log(params.psi)) / params.alpha
     h = _MASS_STEP
-    points = max(1, _MASS_CHUNK // len(ln_gains))
+    points = max(1, _MASS_CHUNK // len(ln_scales))
 
     def block(k: int) -> np.ndarray:
-        # Grid points k .. k + _MASS_BLOCK - 1.
+        # Grid points k .. k + _MASS_BLOCK - 1; the law's t is ln rho^alpha.
         t = t_psi + np.arange(k, k + _MASS_BLOCK) * h
         pbar = np.empty(_MASS_BLOCK)
         for a in range(0, _MASS_BLOCK, points):
-            ln_y = ln_budget - params.alpha * t[a : a + points, None] + ln_gains
-            y = np.exp(np.clip(ln_y, -_LN_LIMIT, _LN_LIMIT))
-            pbar[a : a + points] = success(y) @ weights
+            pbar[a : a + points] = pbar_of(params.alpha * t[a : a + points])
         return 2.0 * h * np.exp(2.0 * t) * pbar
 
     tail = _MASS_TAIL_SHARE * _CUTOFF_MASS
@@ -403,56 +396,45 @@ def _link_mass_grid(
     return rho, np.concatenate(blocks)
 
 
-def _cutoff_index(mass: np.ndarray) -> int:
-    """Smallest grid index whose outer tail holds at most _CUTOFF_MASS of the mass.
+def _grid_cutoff(grid: tuple[np.ndarray, np.ndarray] | None) -> float:
+    """Smallest grid radius whose outer tail holds at most _CUTOFF_MASS of the mass.
 
     The tail from grid point k outward is the trapezoid sum mass[k]/2 +
     sum(mass[k+1:]); on the convex far tail that overstates the integral,
-    so the index rounds outward.
+    so the radius rounds outward. inf without a grid.
     """
+    if grid is None:
+        return math.inf
+    rho, mass = grid
     outer = np.cumsum(mass[::-1])[::-1] - 0.5 * mass
-    return int(np.argmax(outer <= _CUTOFF_MASS * float(mass.sum())))
+    return float(rho[np.argmax(outer <= _CUTOFF_MASS * float(mass.sum()))])
 
 
 def effective_range_cutoff(params: ChannelParams, scheme: DiversityScheme) -> float:
     """Radius r_eps outside which pairs carry at most _CUTOFF_MASS of the link mass.
 
-    The mass is summed on the grid of :func:`_link_mass_grid`, and the
-    radius is the smallest grid radius whose outer tail holds at most
-    _CUTOFF_MASS of the grid's own total. inf when the integrand does not
+    :func:`_grid_cutoff` on the grid of :func:`_link_mass_grid`, which
+    sums the mass without the closed form. inf when the integrand does not
     decay inside the float range.
     """
-    grid = _link_mass_grid(params, scheme)
-    if grid is None:
-        return math.inf
-    rho, mass = grid
-    return float(rho[_cutoff_index(mass)])
+    return _grid_cutoff(_link_mass_grid(params, scheme))
 
 
-def torus_cell_mass(
-    params: ChannelParams, scheme: DiversityScheme, area_side: float
-) -> tuple[float, float] | None:
-    """Link mass a toroidal replication represents, and the plane's pi * E[R^2].
+def _torus_cell_er2(grid: tuple[np.ndarray, np.ndarray], area_side: float) -> float:
+    """The counterpart of E[R^2] that a toroidal replication represents.
 
     On the torus a node's neighbours are Poisson on the side x side cell
-    centred on it, so the sampler's own P_I is exp(-lambda * cell mass).
-    The cell mass is the integral of pbar(rho) times the length of the
-    circle of radius rho inside the cell, over rho up to the cutoff; both
-    masses are sums on the grid of :func:`effective_range_cutoff`. None
-    when the cutoff is infinite.
+    centred on it, so the sampler's own P_I is exp(-lambda * pi * this).
+    Each grid radius up to r_eps counts with the share of its circle that
+    lies inside the cell; the grid's mass sums to the plane's E[R^2].
     """
-    grid = _link_mass_grid(params, scheme)
-    if grid is None:
-        return None
     rho, mass = grid
-    kept = slice(0, _cutoff_index(mass) + 1)
-    rho, cell = rho[kept], mass[kept]
+    kept = rho <= _grid_cutoff(grid)
     # The circle leaves the cell through four arcs of 2 rho arccos(half / rho)
-    # each once rho > half. in_cell is its length inside over rho, so
-    # mass * in_cell / 2 = h * rho * pbar * length, the cell integrand in t.
-    arc_outside = 8.0 * np.arccos(np.minimum(0.5 * area_side / rho, 1.0))
+    # each once rho > half; in_cell is its length inside over rho.
+    arc_outside = 8.0 * np.arccos(np.minimum(0.5 * area_side / rho[kept], 1.0))
     in_cell = np.maximum(2.0 * math.pi - arc_outside, 0.0)
-    return 0.5 * float(cell @ in_cell), math.pi * float(mass.sum())
+    return float(mass[kept] @ in_cell) / (2.0 * math.pi)
 
 
 # ============================================================================
@@ -527,8 +509,14 @@ def run_monte_carlo(config: SimConfig, n_jobs: int = 1) -> MonteCarloEstimate:
     for the correlation of isolation events within a topology. Results are
     bit-identical for any n_jobs. Workers are capped at the number of
     replications and at the CPUs this process may run on.
+
+    One link-mass grid gives the range cutoff r_eps and, on the torus, the
+    cell's P_I. RuntimeWarnings report fewer than 100 node samples, and a
+    torus cell whose P_I, the estimate's target, differs from the plane's
+    by more than half a standard error.
     """
-    cutoff = effective_range_cutoff(config.params, config.scheme)
+    grid = _link_mass_grid(config.params, config.scheme)
+    cutoff = _grid_cutoff(grid)
     runs = config.runs
     isolated = np.empty(runs, dtype=np.int64)
     totals = np.empty(runs, dtype=np.int64)
@@ -571,6 +559,18 @@ def run_monte_carlo(config: SimConfig, n_jobs: int = 1) -> MonteCarloEstimate:
             RuntimeWarning,
             stacklevel=2,
         )
+    if config.boundary == "toroidal" and grid is not None and 0.0 < se < math.inf:
+        cell, plane = _torus_cell_er2(grid, config.area_side), float(grid[1].sum())
+        p_cell = isolation_from_er2(config.node_density, cell)
+        p_plane = isolation_from_er2(config.node_density, plane)
+        if abs(p_cell - p_plane) > 0.5 * se:
+            warnings.warn(
+                f"the {config.area_side:g} m torus cell holds {100.0 * cell / plane:.1f}% of "
+                f"the link mass; the simulation estimates its P_I = {p_cell:.4f}, not the "
+                f"plane's {p_plane:.4f}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     return MonteCarloEstimate(
         p_isolated=p,
         std_error=se,

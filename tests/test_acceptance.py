@@ -20,6 +20,7 @@ from nodeiso.analytic import (
     expected_r2_mrc,
     expected_r2_sc,
     expected_r2_shadow_only,
+    isolation_from_er2,
     isolation_probability,
     min_density_for_isolation,
 )
@@ -36,6 +37,7 @@ from nodeiso.quadrature import (
     expected_r2_numeric_fading_shadow,
     expected_r2_numeric_nofade,
 )
+from nodeiso import simulator
 from nodeiso.simulator import SimConfig, run_monte_carlo
 
 # System parameters used throughout: K = 10, psi = 10 (both linear, i.e.
@@ -201,6 +203,32 @@ def test_criterion_4_monte_carlo_matches_analytic():
         "Monte Carlo vs analytic",
         hits >= 11 and elapsed < 600.0,
         f"{hits}/12 within 3*stderr, max |z| {max(abs(z) for z in z_scores):.2f}, {elapsed:.0f}s",
+    )
+
+
+def test_criterion_4_shadowed_torus_matches_its_cell():
+    # At sigma = 4 the 100 m torus cell holds 89% of the link mass, so the
+    # sampler's exact target is the cell's P_I, not the plane's.
+    p, scheme, lam = params(m=2, sigma=4.0), DiversityScheme.no_diversity(), 5e-3
+    cfg = SimConfig(
+        params=p,
+        scheme=scheme,
+        node_density=lam,
+        area_side=100.0,
+        boundary="toroidal",
+        runs=2000,
+        master_seed=MC_SEED,
+    )
+    with pytest.warns(RuntimeWarning, match="torus cell holds"):
+        est = run_monte_carlo(cfg)
+    grid = simulator._link_mass_grid(p, scheme)
+    target = isolation_from_er2(lam, simulator._torus_cell_er2(grid, cfg.area_side))
+    z = (est.p_isolated - target) / est.std_error
+    _report(
+        4,
+        "Monte Carlo vs the sigma=4 torus cell",
+        abs(z) <= 3.0,
+        f"{est.p_isolated:.4f} +- {est.std_error:.4f} against the cell's {target:.4f}, z {z:.2f}",
     )
 
 

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import nodeiso.simulator as simulator
 from nodeiso import cli
 from nodeiso.channel import sigma_from_db
 
@@ -263,6 +264,14 @@ def test_eval_out_file(tmp_path):
     assert "p_i_analytic" in target.read_text()
 
 
+def test_eval_unwritable_out_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    assert cli.main([*EVAL_ARGS, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nodeiso: error: cannot write {target}: No such file or directory\n"
+
+
 # ============================================================================
 #  config file
 # ============================================================================
@@ -288,6 +297,15 @@ def test_config_file_bad_key_exit_2(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nonsense=1\n")
     assert run_cli("eval", "--config", str(cfg), "--lambda", "1e-4", check=False).returncode == 2
+
+
+def test_config_file_bad_format_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=2\nformat=xml\n")
+    assert cli.main(["eval", "--config", str(cfg), "--lambda", "1e-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nodeiso: error: {cfg}:2: bad value for 'format': 'xml'\n"
 
 
 # ============================================================================
@@ -642,6 +660,30 @@ def test_simulate_warns_when_the_torus_cell_truncates_the_link_mass(capsys):
     )
     assert cli.main(["simulate", *args, "--boundary", "bounded"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_simulate_builds_one_link_mass_grid(monkeypatch, capsys):
+    builds = []
+    build = simulator._link_mass_grid
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(simulator, "_link_mass_grid", counting)
+    args = ["--m", "2", "--sigma", "4", "--lambda", "5e-3", "--runs", "20", "--seed", "3"]
+    assert cli.main(["simulate", *args]) == 0
+    assert "torus cell" in capsys.readouterr().err
+    assert len(builds) == 1
+
+
+def test_simulate_unwritable_topology_export_exit_2(tmp_path):
+    target = tmp_path / "missing" / "t.csv"
+    proc = run_cli("simulate", "--m", "2", "--lambda", "5e-3", "--runs", "5",
+                   "--export-topology", str(target), check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"nodeiso: error: cannot write {target}: No such file or directory\n"
 
 
 def test_simulate_topology_export(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -19,7 +20,6 @@ from nodeiso.simulator import (
     isolation_count,
     run_monte_carlo,
     sample_topology,
-    torus_cell_mass,
 )
 
 BASE = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0)
@@ -400,22 +400,21 @@ def test_effective_range_cutoff_infinite_without_decay():
     assert effective_range_cutoff(params(m=2, alpha=0.02), DiversityScheme.no_diversity()) == math.inf
 
 
-def test_torus_cell_mass_approaches_plane():
+def test_torus_cell_er2_approaches_plane():
     # sigma = 4: r_eps is about 2.3 km, so the cell alone limits the mass.
     p, scheme = params(m=2, sigma=4.0), DiversityScheme.no_diversity()
-    plane = math.pi * expected_r2(p, scheme)
-    fractions = []
-    for side in (100.0, 400.0, 1000.0):
-        cell, grid_plane = torus_cell_mass(p, scheme, side)
-        assert grid_plane == pytest.approx(plane, rel=1e-9)
-        fractions.append(cell / plane)
+    plane = expected_r2(p, scheme)
+    grid = simulator._link_mass_grid(p, scheme)
+    assert float(grid[1].sum()) == pytest.approx(plane, rel=1e-9)
+    fractions = [simulator._torus_cell_er2(grid, side) / plane
+                 for side in (100.0, 400.0, 1000.0)]
     # A 2000-8000 point trapezoid in ln(rho) of the mass outside the cell
     # gave 0.88986, 0.99427 and 0.99967.
     assert fractions == pytest.approx([0.88986, 0.99427, 0.99967], abs=1e-4)
     # Without shadowing the 100 m cell holds all but the mass beyond r_eps.
-    p0 = params(m=2)
-    cell, grid_plane = torus_cell_mass(p0, scheme, 100.0)
-    assert 1.0 - simulator._CUTOFF_MASS <= cell / grid_plane < 1.0
+    grid = simulator._link_mass_grid(params(m=2), scheme)
+    cell = simulator._torus_cell_er2(grid, 100.0)
+    assert 1.0 - simulator._CUTOFF_MASS <= cell / float(grid[1].sum()) < 1.0
 
 
 # ============================================================================
@@ -507,6 +506,30 @@ def test_degenerate_sample_warns():
     with pytest.warns(RuntimeWarning):
         est = run_monte_carlo(cfg)
     assert est.total_nodes < 100
+
+
+def test_run_monte_carlo_warns_when_the_torus_cell_truncates_the_link_mass(monkeypatch):
+    builds = []
+    build = simulator._link_mass_grid
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(simulator, "_link_mass_grid", counting)
+    with pytest.warns(RuntimeWarning) as caught:
+        run_monte_carlo(config(sigma=4.0, lam=5e-3, runs=50, seed=3))
+    assert [str(w.message) for w in caught] == [
+        "the 100 m torus cell holds 89.0% of the link mass; the simulation estimates its "
+        "P_I = 0.3788, not the plane's 0.3359"
+    ]
+    assert len(builds) == 1
+    # A bounded square has no single cell value; without shadowing the
+    # 100 m cell holds the disc of radius r_eps.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_monte_carlo(config(sigma=4.0, lam=5e-3, runs=50, seed=3, boundary="bounded"))
+        run_monte_carlo(config(lam=5e-3, runs=50, seed=3))
 
 
 def test_estimate_counters_consistent():
