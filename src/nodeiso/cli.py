@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -282,12 +283,12 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         dest, conv = _CONFIG_OPTIONS[key]
         if not hasattr(args, dest):
             continue  # key not applicable to this subcommand
-        if getattr(args, dest) is not None:
-            continue  # explicit flag wins
         try:
-            setattr(args, dest, conv(value))
+            converted = conv(value)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
+        if getattr(args, dest) is None:  # an explicit flag wins
+            setattr(args, dest, converted)
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:
@@ -354,12 +355,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Fail as _write_file would, before a long run rather than after it.
+
+    Opening to append leaves an existing file as it is; a file that the
+    check itself created is removed again.
+    """
+    for path in paths:
+        if path:
+            existed = os.path.lexists(path)
+            _write_file(path, "", mode="a")
+            if not existed:
+                os.remove(path)
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -599,6 +614,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if "simulation" in outputs:
             columns += ["p_i_sim", "sim_stderr", "sim_ci_low", "sim_ci_high"]
 
+    _check_writable(args.out)
     rows: list[list] = []
     er2_by_channel: dict = {}
     failures = 0
@@ -630,6 +646,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _build_params(args)
     config = _sim_config(args, params, scheme, args.node_density)
     p_analytic = isolation_from_er2(args.node_density, expected_r2(params, scheme))
+    _check_writable(args.export_topology, args.out)
     estimate = _simulate(config, args.jobs)
     se = estimate.std_error
     z = (estimate.p_isolated - p_analytic) / se if 0.0 < se < math.inf else math.nan

@@ -13,7 +13,9 @@ reusing every point, until two sums agree to ``rel_tol``; a law with a jump,
 or one that does not decay, raises :class:`QuadratureError`. Shadowing is
 a Gauss-Hermite average whose nodes all share one absolute t grid; the
 simulator's link-mass grid uses the same average. Success laws are called
-with numpy arrays of mean SNRs, in chunks of bounded size.
+with numpy arrays of mean SNRs, in chunks of bounded size. scipy.special is
+imported inside the two routines that call it, the shadowing-only oracle
+and the real-severity law, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .channel import ChannelParams, _positive_snr
 
@@ -239,11 +240,13 @@ def expected_r2_numeric_nofade(
     """
     if not params.sigma > 0:
         raise ValueError("the shadowing-only integral requires sigma > 0")
+    from scipy.special import erfc
+
     ln_margin = math.log(params.k * params.ptx / (params.psi * params.w))
     scale = 1.0 / (params.sigma * math.sqrt(2.0))
 
     def tail_mass(t: np.ndarray) -> np.ndarray:
-        return 0.5 * special.erfc((0.5 * params.alpha * t - ln_margin) * scale)
+        return 0.5 * erfc((0.5 * params.alpha * t - ln_margin) * scale)
 
     # The tail falls from 1 to 0 over a few widths 2 sigma/alpha around the
     # disk edge; the first step resolves that width.
@@ -270,7 +273,9 @@ def success_prob_real_m(y, m: float, psi: float):
         raise ValueError(f"Nakagami severity must be >= 0.5, got {m}")
     if not psi > 0:
         raise ValueError(f"threshold must be positive, got {psi}")
-    p = special.gammaincc(m, m * psi / y)
+    from scipy.special import gammaincc
+
+    p = gammaincc(m, m * psi / y)
     return float(p) if p.ndim == 0 else p
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -524,6 +523,8 @@ def run_monte_carlo(config: SimConfig, n_jobs: int = 1) -> MonteCarloEstimate:
     if n_jobs <= 1:
         _, isolated, totals = _simulate_block(config, cutoff, 0, runs)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, runs, n_jobs + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             futures = [

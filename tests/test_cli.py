@@ -240,10 +240,40 @@ def test_sigma_sweep_fails_points_whose_er2_leaves_float_range(capsys, scheme):
     assert captured.err == f"nodeiso: sweep point sigma=1.75 failed: {_ALPHA_0_1_CAUSE}\n"
 
 
+def scipy_modules_after(code):
+    """The scipy modules that a fresh interpreter holds after running code."""
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_cli_import_leaves_out_scipy_integrate():
-    code = "import sys, nodeiso.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert scipy_modules_after("import nodeiso.cli") == []
+    assert scipy_modules_after("import nodeiso") == []
+
+
+def test_closed_form_quadrature_and_simulation_routes_leave_out_scipy():
+    code = "\n".join([
+        "from nodeiso import cli",
+        "assert cli.main(['eval', '--m', '2', '--lambda', '1e-4']) == 0",
+        "assert cli.main(['invert', '--m', '2', '--target-pi', '0.5']) == 0",
+        "assert cli.main(['sweep', '--figure', '2', '--outputs', 'analytic,quadrature']) == 0",
+        "assert cli.main(['simulate', '--m', '2', '--sigma', '2', '--lambda', '5e-3',"
+        " '--runs', '5']) == 0",
+    ])
+    assert scipy_modules_after(code) == []
+
+
+def test_real_severity_eval_loads_scipy_special():
+    code = "\n".join([
+        "from nodeiso import cli",
+        "assert cli.main(['eval', '--m-real', '1.5', '--lambda', '1e-4',"
+        " '--outputs', 'analytic,quadrature']) == 0",
+    ])
+    assert "scipy.special" in scipy_modules_after(code)
 
 
 def test_eval_json_format():
@@ -297,6 +327,19 @@ def test_config_file_bad_key_exit_2(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nonsense=1\n")
     assert run_cli("eval", "--config", str(cfg), "--lambda", "1e-4", check=False).returncode == 2
+
+
+def test_config_file_values_checked_when_flags_win(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=xml\nm=abc\n")
+    argv = ["eval", "--config", str(cfg), "--format", "csv", "--m", "2", "--lambda", "1e-4"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nodeiso: error: {cfg}:1: bad value for 'format': 'xml'\n"
+    # Keys that eval has no flag for are still skipped unread.
+    cfg.write_text("runs=abc\ntarget-pi=x\n")
+    assert cli.main(["eval", "--config", str(cfg), "--m", "2", "--lambda", "1e-4"]) == 0
 
 
 def test_config_file_bad_format_exit_2(tmp_path, capsys):
@@ -684,6 +727,36 @@ def test_simulate_unwritable_topology_export_exit_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"nodeiso: error: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--m", "2", "--lambda", "5e-3", "--runs", "5", "--out", "BAD"],
+    ["simulate", "--m", "2", "--lambda", "5e-3", "--runs", "5", "--export-topology", "BAD"],
+    ["sweep", "--variable", "lambda", "--grid", "5e-3", "--outputs", "simulation", "--out", "BAD"],
+], ids=["simulate-out", "simulate-export", "sweep-out"])
+def test_unwritable_path_fails_before_any_replication(tmp_path, monkeypatch, capsys, argv):
+    target = tmp_path / "missing" / "x.txt"
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("replications ran before the path was checked")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+    assert cli.main([str(target) if a == "BAD" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nodeiso: error: cannot write {target}: No such file or directory\n"
+
+
+def test_path_check_leaves_files_as_they_were(tmp_path, capsys):
+    # The export path passes the check, then the --out path fails it.
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("old\n")
+    bad = tmp_path / "missing" / "x.txt"
+    for export in (kept, fresh):
+        argv = [*SIM_ARGS, "--export-topology", str(export), "--out", str(bad)]
+        assert cli.main(argv) == 2
+    assert kept.read_text() == "old\n"
+    assert not fresh.exists()
 
 
 def test_simulate_topology_export(tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 import warnings
@@ -458,7 +459,7 @@ class _RecordingPool:
 ])
 def test_run_monte_carlo_caps_workers(monkeypatch, cpus, jobs, runs, workers):
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
     cfg = config(runs=runs, lam=1e-2, seed=99)
     assert run_monte_carlo(cfg, n_jobs=jobs) == run_monte_carlo(cfg)
