@@ -452,6 +452,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.m_real is not None:
         if scheme.kind != "none":
             raise UsageError("--m-real supports the no-diversity scheme only")
+        _parse_outputs(args.outputs, ("analytic", "quadrature"))
         params = _build_params(args, m=1)
         er2_q = _numeric_er2(params, scheme, args.m_real)
         fields = [

@@ -8,6 +8,8 @@ independently executable in parallel; the reduction is over integer
 counters, so serial and parallel execution agree bit for bit. One
 link-mass grid per campaign gives the pair cutoff r_eps and the torus
 cell's own P_I, with a warning when the cell cannot hold the link law.
+Pairs within r_eps come from one search over x-sorted strips
+(``_pairs_within``) that returns them in all-pairs order.
 """
 
 from __future__ import annotations
@@ -55,14 +57,14 @@ _MASS_TAIL_SHARE = 1e-3
 # 2^13 it stayed at its level.
 _MASS_CHUNK = 1 << 13
 
-# Pair enumeration works on blocks of about this many candidate pairs, so
+# The pair search expands candidates in chunks of about this many pairs, so
 # its scratch memory does not grow with the square of the node count.
 # 2**14 float64 pairs (128 KiB per array) measured faster than 2**17 (1 MiB):
-# at 2**17 a row-block pass on the 100 m torus jumped from 0.23-0.26 ms at
-# n = 145 to 0.67-0.85 ms at n = 170, most likely because arrays that large
-# are handed back to the OS and faulted in again on every call; 2**14 took
-# 0.20-0.26 and 0.23-0.33 ms, and a 3200-node topology (400 m, cutoff
-# 119 m) 124-146 ms against 180-183 ms.
+# at 2**17 a pass over all pairs on the 100 m torus jumped from 0.23-0.26 ms
+# at n = 145 to 0.67-0.85 ms at n = 170, most likely because arrays that
+# large are handed back to the OS and faulted in again on every call; 2**14
+# took 0.20-0.26 and 0.23-0.33 ms. 2**12 chunks made the 3200-node mc-dense
+# topologies 10-20% slower.
 _BLOCK_PAIRS = 1 << 14
 
 # numpy's Poisson sampler refuses a mean above this: the int64 maximum less
@@ -178,139 +180,95 @@ def _pairs_within(
 
     Returns index arrays ``i`` and ``j`` and the distances, in exactly the
     order of ``np.triu_indices(n, k=1)`` restricted to the kept pairs.
-    Distances use per-axis wraparound in toroidal mode. Short links (below
-    a crossover that falls with n, and below a quarter side) are searched
-    in x-sorted strips, everything else (including an infinite cutoff) in
-    row blocks. Both paths decide a pair by the same elementwise operations
-    as an all-pairs enumeration (``abs``, the torus ``minimum``, ``hypot``,
-    ``<= cutoff``), so the pair set, the order and every distance are
-    identical whichever path runs.
-    """
-    # Crossover, measured on the helpers alone (uniform nodes on the torus,
-    # single thread, median of 7 each): strips are faster below a cutoff of
-    # about 0.22 side at n = 150, 0.19 at 300, 0.15 at 600 and 1200 and 0.12
-    # at 3200, close to 0.22 * (n / 150)^-0.2, that is n * (cutoff/side)^5
-    # < 0.08. Beyond it the strips lose on gathering scattered candidates
-    # and on the final argsort of the kept keys. At 3200 nodes on 400 m,
-    # strips took 99-108 ms against 89-103 ms for row blocks with cutoff
-    # 52.7 m, and 119-126 ms against 102-112 ms with 57.8 m. The 4 * cutoff
-    # < side cap holds the rule to the range measured.
-    n = len(positions)
-    if 4.0 * cutoff < area_side and n * (cutoff / area_side) ** 5 < 0.08:
-        return _strip_pairs(positions, area_side, boundary, cutoff)
-    return _row_block_pairs(positions, area_side, boundary, cutoff)
+    Distances use per-axis wraparound in toroidal mode.
 
-
-def _row_block_pairs(
-    positions: np.ndarray,
-    area_side: float,
-    boundary: str,
-    cutoff: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_pairs_within`` by rows: blocks of about ``_BLOCK_PAIRS`` candidates.
-
-    A squared-distance prefilter with a little slack discards far pairs
-    cheaply, and the exact ``hypot`` test decides the survivors.
+    Nodes are sorted by x; each node's candidates are the later nodes whose
+    x lies within the cutoff (plus slack) and, on the torus, those across
+    the x seam. When that window spans the square (an infinite cutoff
+    included), every later node in the original order is a candidate and
+    the sort is skipped. Candidates are expanded in chunks of at most about
+    ``_BLOCK_PAIRS``; a squared-distance prefilter with a little slack
+    discards far ones cheaply, and the survivors are decided by the same
+    elementwise operations as an all-pairs enumeration (``abs``, the torus
+    ``minimum``, ``hypot``, ``<= cutoff``), so the pair set and every
+    distance equal that enumeration's. After a sort, one argsort of the
+    kept keys ``i * n + j`` restores its order.
     """
     n = len(positions)
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
     x = np.ascontiguousarray(positions[:, 0])
-    y = np.ascontiguousarray(positions[:, 1])
-    # The slack keeps every pair the exact test keeps, including squares that
-    # round up or underflow; the exact test then drops the extras.
+    # The slack covers rounding in hypot (relative to the cutoff) and in the
+    # window bounds (relative to the coordinates), so the windows hold every
+    # pair the exact test keeps; the exact test then drops the extras.
+    reach = cutoff * (1.0 + 1e-9) + 8.0 * np.finfo(float).eps * max(area_side, np.abs(x).max())
+    # Segments of candidate positions (in sorted order) for each node p:
+    # p+1 .. near[p]-1 in x, and on the torus seam[p] .. n-1 across the seam.
+    first = np.arange(1, n + 1)
+    if reach >= (0.5 if boundary == "toroidal" else 1.0) * area_side:
+        # The window spans the square: every later node is a candidate, so
+        # the pairs come out in triu_indices order without a sort.
+        order = None
+        xs, ys = x, np.ascontiguousarray(positions[:, 1])
+        starts, lengths, segments = first, n - first, 1
+    else:
+        order = np.argsort(x, kind="stable")
+        xs, ys = x[order], positions[order, 1]
+        near = np.searchsorted(xs, xs + reach, side="right")
+        if boundary == "toroidal":
+            seam = np.maximum(np.searchsorted(xs, xs + (area_side - reach), side="left"), near)
+            starts = np.stack((first, seam), axis=1).ravel()
+            lengths = np.stack((near - first, n - seam), axis=1).ravel()
+            segments = 2
+        else:
+            starts, lengths, segments = first, near - first, 1
+    per_node = lengths.reshape(n, segments).sum(axis=1)
+    ends = np.cumsum(per_node)
+    # Candidate t of segment s sits at position t + shift[s].
+    shift = starts - (np.cumsum(lengths) - lengths)
+    # The prefilter's slack keeps every pair the exact test keeps, including
+    # squares that round up or underflow.
     limit = cutoff * cutoff * (1.0 + 1e-9) + np.finfo(float).tiny
-    out_i, out_j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    out_d = [np.empty(0)]
-    a = 0
-    while a < n - 1:
-        width = n - 1 - a                          # columns a+1 .. n-1
-        b = min(n - 1, a + max(1, _BLOCK_PAIRS // width))
-        rows = b - a
-        dx = x[a:b, None] - x[None, a + 1 :]
-        dy = y[a:b, None] - y[None, a + 1 :]
+    out_i, out_j, out_d = [], [], []
+    p0 = 0
+    while p0 < n:
+        base = int(ends[p0 - 1]) if p0 else 0
+        p1 = max(p0 + 1, int(np.searchsorted(ends, base + _BLOCK_PAIRS, side="right")))
+        seg = slice(segments * p0, segments * p1)
+        counts = per_node[p0:p1]
+        q = np.arange(base, int(ends[p1 - 1])) + np.repeat(shift[seg], lengths[seg])
+        dx = np.repeat(xs[p0:p1], counts)
+        dx -= xs[q]
         np.abs(dx, out=dx)
+        dy = np.repeat(ys[p0:p1], counts)
+        dy -= ys[q]
         np.abs(dy, out=dy)
         if boundary == "toroidal":
             np.minimum(dx, area_side - dx, out=dx)
             np.minimum(dy, area_side - dy, out=dy)
         d2 = dx * dx
         d2 += dy * dy
-        near = d2 <= limit
-        # Row r holds i = a + r; column c holds j = a + 1 + c; keep c >= r.
-        near[:, :rows] &= np.arange(rows)[None, :] >= np.arange(rows)[:, None]
-        flat = np.flatnonzero(near)
-        dist = np.hypot(dx.ravel()[flat], dy.ravel()[flat])
+        cand = np.flatnonzero(d2 <= limit)
+        dist = np.hypot(dx[cand], dy[cand])
         exact = dist <= cutoff
-        flat = flat[exact]
-        out_i.append(flat // width + a)
-        out_j.append(flat % width + (a + 1))
+        keep = cand[exact]
+        i, j = np.repeat(np.arange(p0, p1), counts)[keep], q[keep]
+        if order is not None:
+            i, j = order[i], order[j]
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        out_i.append(i)
+        out_j.append(j)
         out_d.append(dist[exact])
-        a = b
-    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d)
-
-
-def _strip_pairs(
-    positions: np.ndarray,
-    area_side: float,
-    boundary: str,
-    cutoff: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_pairs_within`` for short links: candidates from x-sorted strips.
-
-    Nodes are sorted by x; each node's candidates are the later nodes whose
-    x lies within the cutoff (plus slack) and, on the torus, those across
-    the x seam. The candidates are expanded in chunks of at most about
-    ``_BLOCK_PAIRS`` and decided by the exact test; one argsort of the kept
-    keys ``i * n + j`` restores ``triu_indices`` order.
-    """
-    n = len(positions)
-    if n < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
-    order = np.argsort(positions[:, 0], kind="stable")
-    xs = positions[order, 0]
-    ys = positions[order, 1]
-    # The slack covers rounding in hypot (relative to the cutoff) and in the
-    # window bounds (relative to the coordinates), so the windows hold every
-    # pair the exact test keeps; the exact test then drops the extras.
-    scale = max(area_side, abs(xs[0]), abs(xs[-1]))
-    reach = cutoff * (1.0 + 1e-9) + 8.0 * np.finfo(float).eps * scale
-    # Segments of candidate positions (in sorted order) for each node p:
-    # p+1 .. near[p]-1 in x, and on the torus seam[p] .. n-1 across the seam.
-    first = np.arange(1, n + 1)
-    near = np.searchsorted(xs, xs + reach, side="right")
-    if boundary == "toroidal":
-        seam = np.maximum(np.searchsorted(xs, xs + (area_side - reach), side="left"), near)
-        starts = np.stack((first, seam), axis=1).ravel()
-        lengths = np.stack((near - first, n - seam), axis=1).ravel()
-        segments = 2
-    else:
-        starts, lengths, segments = first, near - first, 1
-    per_node = lengths.reshape(n, segments).sum(axis=1)
-    ends = np.cumsum(per_node)
-    # Candidate t of segment s sits at sorted position t + shift[s].
-    shift = starts - (np.cumsum(lengths) - lengths)
-    out_lo, out_hi, out_d = [], [], []
-    p0 = 0
-    while p0 < n:
-        base = int(ends[p0 - 1]) if p0 else 0
-        p1 = max(p0 + 1, int(np.searchsorted(ends, base + _BLOCK_PAIRS, side="right")))
-        seg = slice(segments * p0, segments * p1)
-        p = np.repeat(np.arange(p0, p1), per_node[p0:p1])
-        q = np.arange(base, int(ends[p1 - 1])) + np.repeat(shift[seg], lengths[seg])
-        dx = np.abs(xs[p] - xs[q])
-        dy = np.abs(ys[p] - ys[q])
-        if boundary == "toroidal":
-            np.minimum(dx, area_side - dx, out=dx)
-            np.minimum(dy, area_side - dy, out=dy)
-        dist = np.hypot(dx, dy)
-        keep = np.flatnonzero(dist <= cutoff)
-        i, j = order[p[keep]], order[q[keep]]
-        out_lo.append(np.minimum(i, j))
-        out_hi.append(np.maximum(i, j))
-        out_d.append(dist[keep])
         p0 = p1
-    lo, hi = np.concatenate(out_lo), np.concatenate(out_hi)
-    rank = np.argsort(lo * n + hi)
-    return lo[rank], hi[rank], np.concatenate(out_d)[rank]
+    # The chunk lists and the sort keys are freed before the final gathers.
+    i, j, dist = np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d)
+    del out_i, out_j, out_d
+    if order is None:
+        return i, j, dist
+    rank = np.argsort(i * n + j)
+    i = i[rank]
+    j = j[rank]
+    return i, j, dist[rank]
 
 
 def _links_up(
@@ -455,10 +413,9 @@ def isolation_count(
     consuming randomness. The kept pairs come in ``np.triu_indices`` order
     (row-major over i < j) and all draws are made after enumeration, so the
     result is deterministic in the generator state and bit-identical to an
-    all-pairs enumeration. Pairs are enumerated in x-sorted strips for
-    short links and in row blocks otherwise (see ``_pairs_within``), both in
-    chunks of about ``_BLOCK_PAIRS`` candidates, so memory grows with the
-    number of pairs kept, not with the square of n.
+    all-pairs enumeration. Pairs are found in x-sorted strips (see
+    ``_pairs_within``), in chunks of about ``_BLOCK_PAIRS`` candidates, so
+    memory grows with the number of pairs kept, not with the square of n.
     """
     n = len(topology)
     i_idx, j_idx, dist = _pairs_within(

@@ -109,6 +109,11 @@ def test_eval_real_m_rejects_diversity():
     assert proc.returncode == 2
 
 
+def test_eval_real_m_checks_outputs(capsys):
+    assert cli.main(["eval", "--m-real", "1.5", "--lambda", "1e-4", "--outputs", "bogus"]) == 2
+    assert "unknown output kind 'bogus'" in capsys.readouterr().err
+
+
 def test_eval_missing_lambda_exit_2():
     assert run_cli("eval", "--m", "2", check=False).returncode == 2
 

@@ -94,7 +94,7 @@ def test_topology_mean_one_node():
 
 
 def _triu_reference(positions, side, boundary, cutoff):
-    """The all-pairs enumeration the simulator used before row blocks."""
+    """All pairs at once in ``triu_indices`` order: what ``_pairs_within`` must equal."""
     i, j = np.triu_indices(len(positions), k=1)
     delta = np.abs(positions[i] - positions[j])
     if boundary == "toroidal":
@@ -127,7 +127,7 @@ def _positions(n):
     return pos
 
 
-# Cutoffs below side/4, where the x-sorted strip path can run.
+# Short cutoffs, whose x-windows cover part of the square.
 SHORT_CUTOFFS = [0.0, 3.0, 6.3, 24.9]
 
 
@@ -144,25 +144,25 @@ def _with_seam_nodes(pos):
 
 
 def _assert_matches_reference(pos, boundary, cutoffs):
-    # Both paths give the same result at any cutoff; the rule only picks one.
     for cutoff in cutoffs:
         want = _triu_reference(pos, 100.0, boundary, cutoff)
-        for path in (_pairs_within, simulator._strip_pairs, simulator._row_block_pairs):
-            got = path(pos, 100.0, boundary, cutoff)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+        got = _pairs_within(pos, 100.0, boundary, cutoff)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17, 18, 33, 100])
 def test_pairs_within_matches_all_pairs_enumeration(monkeypatch, boundary, n):
-    # Blocks of 16 candidate pairs: n = 17 fills each one-row block exactly,
-    # and every n >= 17 runs through dozens of blocks of varying height, or
-    # of strip chunks for the short cutoffs.
+    # Chunks of 16 candidate pairs: n = 17 fills the first node's chunk
+    # exactly, and every n >= 17 runs through dozens of chunks. The cutoffs
+    # around side/2 (torus) and side (bounded) straddle the switch to a
+    # window that spans the square, where the x-sort is skipped.
     monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
     pos = _positions(n)
     _, _, all_dist = _triu_reference(pos, 100.0, boundary, math.inf)
-    cutoffs = SHORT_CUTOFFS + [30.0, math.inf]
+    spanning = [49.9, 50.0, 50.1] if boundary == "toroidal" else [99.9, 100.0]
+    cutoffs = SHORT_CUTOFFS + [30.0] + spanning + [math.inf]
     if len(all_dist):
         cutoffs.append(float(np.sort(all_dist)[len(all_dist) // 2]))  # one pair's distance
         cutoffs.append(float(np.sort(all_dist)[len(all_dist) // 50]))  # a short one
@@ -182,24 +182,6 @@ def test_pairs_within_default_blocks_match_all_pairs_enumeration():
     for boundary in ("toroidal", "bounded"):
         _assert_matches_reference(pos, boundary, SHORT_CUTOFFS + [40.0])
         _assert_matches_reference(_with_seam_nodes(pos), boundary, SHORT_CUTOFFS + [40.0])
-
-
-def test_pairs_within_takes_strips_below_a_quarter_side(monkeypatch):
-    pos = _positions(50)
-    taken = []
-    for name in ("_strip_pairs", "_row_block_pairs"):
-        helper = getattr(simulator, name)
-        monkeypatch.setattr(simulator, name,
-                            lambda *args, helper=helper, name=name: taken.append(name) or helper(*args))
-    for cutoff in (24.9, 25.0, math.inf):
-        _pairs_within(pos, 100.0, "toroidal", cutoff)
-    assert taken == ["_strip_pairs", "_row_block_pairs", "_row_block_pairs"]
-    # With more nodes strips lose earlier: at 3200 nodes from about 0.12 side.
-    taken.clear()
-    pos = np.random.default_rng(3).random((3200, 2)) * 100.0
-    for cutoff in (11.5, 12.5):
-        _pairs_within(pos, 100.0, "toroidal", cutoff)
-    assert taken == ["_strip_pairs", "_row_block_pairs"]
 
 
 def test_pairs_within_keeps_pairs_at_tiny_scales():
