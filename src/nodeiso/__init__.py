@@ -28,7 +28,6 @@ from .channel import (
 )
 from .quadrature import (
     QuadratureError,
-    QuadratureSpec,
     expected_r2_numeric_fading,
     expected_r2_numeric_fading_shadow,
     expected_r2_numeric_nofade,

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-from .channel import ChannelParams, DiversityScheme, build_beta_table
+from .channel import ChannelParams, DiversityScheme, _check_series_length, build_beta_table
 
 __all__ = [
     "CancellationError",
@@ -205,6 +205,7 @@ def expected_r2(params: ChannelParams, scheme: DiversityScheme) -> float:
 
     Single-branch reception is MRC with its one branch.
     """
+    _check_series_length(params, scheme)
     if scheme.kind == "sc":
         return expected_r2_sc(params, scheme.branches)
     return expected_r2_mrc(params, scheme.branches)

@@ -46,6 +46,21 @@ def sigma_from_db(sigma_db: float) -> float:
     return sigma_db * math.log(10.0) / 10.0
 
 
+# Every route sums an Erlang series one term at a time in Python (m*M terms
+# for MRC, m for the SC law, M*(m-1) for the SC table); longer ones are
+# refused. At m = 4096 the slowest route, the shadowed quadrature, took 31 s
+# on a 2-vCPU Xeon, and 72 s at 10^4; every other route took under 4 s.
+_MAX_SERIES_TERMS = 1 << 12
+
+
+def _check_series_length(params: ChannelParams, scheme: DiversityScheme) -> None:
+    terms = params.m * scheme.branches
+    if terms > _MAX_SERIES_TERMS:
+        raise ValueError(
+            f"m*M = {terms} series terms exceed the supported maximum {_MAX_SERIES_TERMS}"
+        )
+
+
 # ============================================================================
 #  Value types
 # ============================================================================
@@ -254,6 +269,7 @@ def make_success_fn(params: ChannelParams, scheme: DiversityScheme) -> Callable:
     precision in the tail, and no coefficient table. Every other structure
     is MRC over ``scheme.branches``, one branch for single-branch reception.
     """
+    _check_series_length(params, scheme)
     M = scheme.branches
     if scheme.kind == "sc":
 

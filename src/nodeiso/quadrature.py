@@ -8,20 +8,21 @@ integral (2/alpha) e^{2t/alpha} P_S(budget e^{-t}) dt over the real line,
 whose analytic integrand decays exponentially to the left and doubly
 exponentially to the right; the trapezoid rule in t then converges
 geometrically in the step (Trefethen & Weideman, SIAM Review 56(3), 2014).
-The range grows until both tails are negligible, then the step halves,
-reusing every point, until two sums agree to ``rel_tol``; a law with a jump,
-or one that does not decay, raises :class:`QuadratureError`. Shadowing is
-a Gauss-Hermite average whose nodes all share one absolute t grid; the
-simulator's link-mass grid uses the same average. Success laws are called
-with numpy arrays of mean SNRs, in chunks of bounded size. scipy.special is
-imported inside the two routines that call it, the shadowing-only oracle
-and the real-severity law, so importing this module loads no scipy.
+The range grows until both tails are negligible (``_log_grid``), then the
+step halves, reusing every point, until two sums agree to ``_REL_TOL``; a
+law with a jump, or one that does not decay, raises
+:class:`QuadratureError`. Shadowing is a Gauss-Hermite average whose nodes
+all share one absolute t grid. The simulator's link-mass grid is a
+``_log_grid`` range of the same average, in t = ln rho. Success laws are
+called with numpy arrays of mean SNRs, in chunks of bounded size.
+scipy.special is imported inside the two routines that call it, the
+shadowing-only oracle and the real-severity law, so importing this module
+loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -31,7 +32,6 @@ from .channel import ChannelParams, _positive_snr
 
 __all__ = [
     "QuadratureError",
-    "QuadratureSpec",
     "expected_r2_numeric_fading",
     "expected_r2_numeric_fading_shadow",
     "expected_r2_numeric_nofade",
@@ -51,7 +51,7 @@ _MAX_HALVINGS = 6
 _MAX_POINTS = 1 << 22
 
 # The range grows by _BLOCK_WIDTH in t at a time, and each tail left out
-# holds at most _TAIL_SHARE * rel_tol of the integral.
+# holds at most _TAIL_SHARE * tol of the integral.
 _BLOCK_WIDTH = 8.0
 _TAIL_SHARE = 1e-3
 
@@ -64,21 +64,10 @@ class QuadratureError(RuntimeError):
     """The integral could not be brought to the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and Hermite order for the numeric range integrals."""
-
-    rel_tol: float = 1e-9
-    hermite_order: int = 64
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.hermite_order < 8:
-            raise ValueError(f"hermite_order must be >= 8, got {self.hermite_order}")
-
-
-_DEFAULT_SPEC = QuadratureSpec()
+# The oracle's sums agree to _REL_TOL, and shadowing is averaged over
+# _HERMITE_ORDER Gauss-Hermite nodes. Both are read at call time.
+_REL_TOL = 1e-9
+_HERMITE_ORDER = 64
 
 
 @lru_cache(maxsize=8)
@@ -91,72 +80,89 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 # ============================================================================
 
 
-def _log_trapezoid(
-    success_of_t: Callable[[np.ndarray], np.ndarray],
-    rate: float,
-    t_start: float,
-    t_max: float,
-    first_step: float,
-    points_per_call: int,
-    spec: QuadratureSpec,
+def _grid_sum(
+    f: Callable, rate: float, origin: float, h: float, start: int, stop: int, points: int
 ) -> float:
-    """Integral over the real line of rate * e^{rate t} * S(t) dt.
+    """Sum of rate * e^{rate t} * f(t) over t = origin + k * h, k in [start, stop).
 
-    ``success_of_t`` maps an array of at most ``points_per_call`` values of t
-    to S(t) in [0, 1]. The grid is t = k * h for integers k, anchored at
-    zero, never at a feature of S. The left tail beyond a is at most
-    e^{rate a}, because S <= 1; the right tail is taken as negligible once a
-    block of width ``_BLOCK_WIDTH`` holds a negligible share of the sum and
-    no more than the block before it. No point lies beyond ``t_max``.
+    ``f`` sees ascending chunks of at most ``points`` values of t.
     """
+    if stop - start > _MAX_POINTS:
+        raise QuadratureError(f"the trapezoid grid would exceed {_MAX_POINTS} points")
+    acc = 0.0
+    for a in range(start, stop, points):
+        t = origin + np.arange(a, min(a + points, stop)) * h
+        acc += float(np.sum(rate * np.exp(rate * t) * f(t)))
+    return acc
 
-    def grid_sum(start: int, stop: int, offset: float) -> float:
-        # The integrand summed over t = (k + offset) * h, k in [start, stop).
-        if stop - start > _MAX_POINTS:
-            raise QuadratureError(f"the trapezoid grid would exceed {_MAX_POINTS} points")
-        acc = 0.0
-        for a in range(start, stop, points_per_call):
-            t = (np.arange(a, min(a + points_per_call, stop)) + offset) * h
-            acc += float(np.sum(rate * np.exp(rate * t) * success_of_t(t)))
-        return acc
 
-    tail = _TAIL_SHARE * spec.rel_tol
-    h = first_step
+def _log_grid(
+    f: Callable, rate: float, origin: float, t_start: float, t_max: float, h: float,
+    points: int, tol: float,
+) -> tuple[int, int, float]:
+    """Grid range [lo, hi) that holds integral rate * e^{rate t} * f(t) dt to within tol.
+
+    ``f`` maps t to [0, 1]. The grid is t = origin + k * h, grown in blocks
+    of width ``_BLOCK_WIDTH`` from the point at or below ``t_start``: to the
+    right until a block holds at most ``_TAIL_SHARE * tol`` of the sum and
+    no more than the block before it, then to the left until the bound
+    e^{rate t} on the left tail (f <= 1) is below the same share. Returns
+    (lo, hi, h * sum). A point beyond ``t_max`` raises QuadratureError.
+    """
+    tail = _TAIL_SHARE * tol
     block = max(1, round(_BLOCK_WIDTH / h))
-    lo = hi = math.floor(min(t_start, t_max) / h)   # points k in [lo, hi)
+    lo = hi = math.floor((min(t_start, t_max) - origin) / h)
     total, previous = 0.0, math.inf
     while True:
-        if (hi + block) * h > t_max:
+        if origin + (hi + block) * h > t_max:
             raise QuadratureError("the integrand does not decay inside the float range")
-        current = h * grid_sum(hi, hi + block, 0.0)
+        current = h * _grid_sum(f, rate, origin, h, hi, hi + block, points)
         hi += block
         total += current
         if current <= tail * total and current <= previous:
             break
         previous = current
     # Ends at the latest where e^{rate t} underflows, also for a zero law.
-    while math.exp(rate * lo * h) > tail * total:
+    while math.exp(rate * (origin + lo * h)) > tail * total:
         if hi - lo > _MAX_POINTS:
             raise QuadratureError(f"the left tail needs more than {_MAX_POINTS} points")
-        total += h * grid_sum(lo - block, lo, 0.0)
+        total += h * _grid_sum(f, rate, origin, h, lo - block, lo, points)
         lo -= block
+    return lo, hi, total
+
+
+def _log_trapezoid(
+    success_of_t: Callable, rate: float, t_start: float, t_max: float, first_step: float,
+    points: int,
+) -> float:
+    """Integral over the real line of rate * e^{rate t} * S(t) dt.
+
+    ``success_of_t`` maps an array of at most ``points`` values of t to S(t)
+    in [0, 1]. The range is :func:`_log_grid`'s on the grid t = k * h,
+    anchored at zero, never at a feature of S; then h halves, reusing every
+    point, until two sums agree to ``_REL_TOL``.
+    """
+    rel_tol = _REL_TOL
+    h = first_step
+    lo, hi, total = _log_grid(success_of_t, rate, 0.0, t_start, t_max, h, points, rel_tol)
     for _ in range(_MAX_HALVINGS):
-        refined = 0.5 * total + 0.5 * h * grid_sum(lo, hi - 1, 0.5)
+        midpoints = _grid_sum(success_of_t, rate, 0.5 * h, h, lo, hi - 1, points)
+        refined = 0.5 * total + 0.5 * h * midpoints
         h, lo, hi = 0.5 * h, 2 * lo, 2 * hi - 1
         if not math.isfinite(refined):
             raise QuadratureError(f"the trapezoid sum is not finite ({refined})")
         change = abs(refined - total)
-        if change <= spec.rel_tol * refined:
+        if change <= rel_tol * refined:
             return refined
         total = refined
     raise QuadratureError(
         f"trapezoid sums still differ by {change / refined:.1e} at step {h:g}, "
-        f"above rel_tol {spec.rel_tol:g}; the success law is not smooth"
+        f"above rel_tol {rel_tol:g}; the success law is not smooth"
     )
 
 
 def _shadowed_law(
-    success_prob: Callable, ln_budget: float, sigma: float, spec: QuadratureSpec = _DEFAULT_SPEC
+    success_prob: Callable, ln_budget: float, sigma: float
 ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
     """t -> Gauss-Hermite mean over shadowing gains e^g of P_S(e^{ln_budget + g - t}).
 
@@ -165,7 +171,7 @@ def _shadowed_law(
     above e^700 every law is 1.
     """
     if sigma > 0:
-        nodes, weights = _hermite_rule(spec.hermite_order)
+        nodes, weights = _hermite_rule(_HERMITE_ORDER)
         weights = weights / math.sqrt(math.pi)
     else:
         nodes, weights = np.zeros(1), np.ones(1)
@@ -178,19 +184,14 @@ def _shadowed_law(
     return law, ln_scales
 
 
-def _radial_integral(
-    success_prob: Callable,
-    params: ChannelParams,
-    sigma: float,
-    spec: QuadratureSpec,
-) -> float:
+def _radial_integral(success_prob: Callable, params: ChannelParams, sigma: float) -> float:
     """E[R^2] for the law averaged over shadowing of spread sigma."""
     ln_budget = math.log(params.k * params.ptx / params.w)
-    law, ln_scales = _shadowed_law(success_prob, ln_budget, sigma, spec)
+    law, ln_scales = _shadowed_law(success_prob, ln_budget, sigma)
     rate = 2.0 / params.alpha
     t_max = min(float(ln_scales.min()) + _LN_LIMIT, _LN_LIMIT / rate)
     points = max(1, _CHUNK // len(ln_scales))
-    return _log_trapezoid(law, rate, ln_budget, t_max, _FIRST_STEP, points, spec)
+    return _log_trapezoid(law, rate, ln_budget, t_max, _FIRST_STEP, points)
 
 
 # ============================================================================
@@ -198,25 +199,17 @@ def _radial_integral(
 # ============================================================================
 
 
-def expected_r2_numeric_fading(
-    success_prob: Callable,
-    params: ChannelParams,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-) -> float:
+def expected_r2_numeric_fading(success_prob: Callable, params: ChannelParams) -> float:
     """Mean squared range for an arbitrary success-probability law.
 
     ``success_prob`` maps an array of distance-law mean SNRs to link success
     probabilities; it must be smooth and nondecreasing in the mean SNR, with
     eventual decay as the mean SNR falls.
     """
-    return _radial_integral(success_prob, params, 0.0, spec)
+    return _radial_integral(success_prob, params, 0.0)
 
 
-def expected_r2_numeric_fading_shadow(
-    success_prob: Callable,
-    params: ChannelParams,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-) -> float:
+def expected_r2_numeric_fading_shadow(success_prob: Callable, params: ChannelParams) -> float:
     """Mean squared range with fading and lognormal shadowing.
 
     Outer Gauss-Hermite average over the standard normal shadowing
@@ -225,13 +218,10 @@ def expected_r2_numeric_fading_shadow(
     """
     if not params.sigma > 0:
         raise ValueError("shadowed integral requires sigma > 0; use the fading-only form")
-    return _radial_integral(success_prob, params, params.sigma, spec)
+    return _radial_integral(success_prob, params, params.sigma)
 
 
-def expected_r2_numeric_nofade(
-    params: ChannelParams,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-) -> float:
+def expected_r2_numeric_nofade(params: ChannelParams) -> float:
     """Mean squared range under path loss and shadowing only (no fading).
 
     The radial variable is u = rho^2 = e^t, the alpha = 2 form of the rule.
@@ -253,7 +243,7 @@ def expected_r2_numeric_nofade(
     t_disk = 2.0 * ln_margin / params.alpha
     width = 2.0 * params.sigma / params.alpha
     first_step = min(_FIRST_STEP, 2.0 ** math.floor(math.log2(width)))
-    return _log_trapezoid(tail_mass, 1.0, t_disk, _LN_LIMIT, first_step, _CHUNK, spec)
+    return _log_trapezoid(tail_mass, 1.0, t_disk, _LN_LIMIT, first_step, _CHUNK)
 
 
 # ============================================================================
@@ -282,10 +272,10 @@ def success_prob_real_m(y, m: float, psi: float):
 def shadow_averaged_success(success_prob: Callable, mean_snr: float, sigma: float) -> float:
     """Average the success probability over the lognormal shadowing gain.
 
-    One call of the law over the default spec's Hermite nodes.
+    One call of the law over the oracle's Hermite nodes.
     """
     if sigma == 0.0:
         return success_prob(mean_snr)
-    nodes, weights = _hermite_rule(_DEFAULT_SPEC.hermite_order)
+    nodes, weights = _hermite_rule(_HERMITE_ORDER)
     p = success_prob(mean_snr * np.exp(sigma * math.sqrt(2.0) * nodes))
     return float(weights @ p) / math.sqrt(math.pi)

@@ -6,8 +6,9 @@ diversity branches, independent fading per branch) and counts degree-zero
 nodes. Replications are deterministic given (master_seed, run_index) and
 independently executable in parallel; the reduction is over integer
 counters, so serial and parallel execution agree bit for bit. One
-link-mass grid per campaign gives the pair cutoff r_eps and the torus
-cell's own P_I, with a warning when the cell cannot hold the link law.
+link-mass grid per campaign, a range of quadrature's ``_log_grid``, gives
+the pair cutoff r_eps and the torus cell's own P_I, with a warning when
+the cell cannot hold the link law.
 Pairs within r_eps come from one search over x-sorted strips
 (``_pairs_within``) that returns them in all-pairs order.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .analytic import check_node_density, isolation_from_er2
 from .channel import ChannelParams, DiversityScheme, make_success_fn
-from .quadrature import _LN_LIMIT, _shadowed_law
+from .quadrature import _LN_LIMIT, QuadratureError, _log_grid, _shadowed_law
 
 __all__ = [
     "MonteCarloEstimate",
@@ -44,12 +45,10 @@ _CUTOFF_MASS = 1e-6
 
 # The link mass is summed on the grid t = ln(rho) = t_psi + k * _MASS_STEP,
 # anchored where the mean SNR equals psi. The cutoff is a grid radius, so it
-# lies at most a factor e^_MASS_STEP beyond r_eps. The grid grows by
-# _MASS_BLOCK points at a time until each tail left out holds at most
-# _MASS_TAIL_SHARE * _CUTOFF_MASS of the mass.
+# lies at most a factor e^_MASS_STEP beyond r_eps. The grid grows in
+# quadrature's blocks until each tail left out holds at most quadrature's
+# _TAIL_SHARE of _CUTOFF_MASS of the mass.
 _MASS_STEP = 1.0 / 32.0
-_MASS_BLOCK = 256
-_MASS_TAIL_SHARE = 1e-3
 
 # Grid points times Hermite nodes per call of the success law, half of
 # quadrature's chunk: with 2^14 (128 KiB float64 arrays) the peak RSS of the
@@ -310,47 +309,33 @@ def _link_mass_grid(
 
     pbar is quadrature's shadow average of the link law, so the masses sum
     to a trapezoid value of E[R^2] = integral 2 rho^2 pbar(rho) d(ln rho),
-    computed without the closed form. Radii ascend. The law is called once
-    per chunk of at most ``_MASS_CHUNK`` grid points times Hermite nodes.
-    None when the integrand does not decay before e^{2t} leaves the
-    float range.
+    computed without the closed form. The radii are quadrature's
+    ``_log_grid`` range in t = ln rho, to tolerance ``_CUTOFF_MASS``, and
+    ascend. The law is called once per chunk of at most ``_MASS_CHUNK``
+    grid points times Hermite nodes. None when the integrand does not decay
+    before e^{2t} leaves the float range.
     """
     ln_budget = math.log(params.k * params.ptx / params.w)
     pbar_of, ln_scales = _shadowed_law(make_success_fn(params, scheme), ln_budget, params.sigma)
     t_psi = (ln_budget - math.log(params.psi)) / params.alpha
-    h = _MASS_STEP
     points = max(1, _MASS_CHUNK // len(ln_scales))
+    chunks: dict[float, np.ndarray] = {}
 
-    def block(k: int) -> np.ndarray:
-        # Grid points k .. k + _MASS_BLOCK - 1; the law's t is ln rho^alpha.
-        t = t_psi + np.arange(k, k + _MASS_BLOCK) * h
-        pbar = np.empty(_MASS_BLOCK)
-        for a in range(0, _MASS_BLOCK, points):
-            pbar[a : a + points] = pbar_of(params.alpha * t[a : a + points])
-        return 2.0 * h * np.exp(2.0 * t) * pbar
+    def pbar(t: np.ndarray) -> np.ndarray:
+        # The law's t is ln rho^alpha; each chunk is kept under its first t.
+        chunks[float(t[0])] = p = pbar_of(params.alpha * t)
+        return p
 
-    tail = _MASS_TAIL_SHARE * _CUTOFF_MASS
-    blocks: list[np.ndarray] = []
-    total, previous, hi = 0.0, math.inf, 0
-    while True:
+    try:
         # rho^2 = e^{2t} must stay a finite float.
-        if t_psi + (hi + _MASS_BLOCK) * h > 0.5 * _LN_LIMIT:
-            return None
-        blocks.append(block(hi))
-        hi += _MASS_BLOCK
-        current = float(blocks[-1].sum())
-        total += current
-        if current <= tail * total and current <= previous:
-            break
-        previous = current
-    # Below t_lo the mass is at most e^{2 t_lo}, because pbar <= 1.
-    lo = 0
-    while math.exp(2.0 * (t_psi + lo * h)) > tail * total:
-        lo -= _MASS_BLOCK
-        blocks.insert(0, block(lo))
-        total += float(blocks[0].sum())
-    rho = np.exp(t_psi + np.arange(lo, hi) * h)
-    return rho, np.concatenate(blocks)
+        lo, hi, _ = _log_grid(
+            pbar, 2.0, t_psi, t_psi, 0.5 * _LN_LIMIT, _MASS_STEP, points, _CUTOFF_MASS
+        )
+    except QuadratureError:
+        return None
+    t = t_psi + np.arange(lo, hi) * _MASS_STEP
+    pbar_t = np.concatenate([chunks[k] for k in sorted(chunks)])
+    return np.exp(t), 2.0 * _MASS_STEP * np.exp(2.0 * t) * pbar_t
 
 
 def _grid_cutoff(grid: tuple[np.ndarray, np.ndarray] | None) -> float:

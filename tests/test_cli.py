@@ -9,9 +9,10 @@ import time
 
 import pytest
 
+import nodeiso.channel as channel
 import nodeiso.simulator as simulator
 from nodeiso import cli
-from nodeiso.channel import sigma_from_db
+from nodeiso.channel import ChannelParams, DiversityScheme, sigma_from_db
 
 
 def run_cli(*args, check=True):
@@ -171,6 +172,24 @@ def test_out_of_domain_channel_exits_with_message(capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_series_beyond_the_bound_exits_2_at_once(capsys):
+    # Every route sums the Erlang series term by term, so one large integer
+    # used to hang them all; the closed form and the laws share one check.
+    bound = channel._MAX_SERIES_TERMS
+    assert cli.main(["eval", "--m", str(bound + 1), "--lambda", "1e-4"]) == 2
+    assert f"m*M = {bound + 1} series terms exceed the supported maximum {bound}" in (
+        capsys.readouterr().err
+    )
+    start = time.perf_counter()
+    assert cli.main(["sweep", "--variable", "m", "--grid", "1e300", "--lambda", "1e-4"]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "series terms exceed" in capsys.readouterr().err
+    params = ChannelParams(ptx=1.0, w=0.01, k=10.0, psi=10.0, alpha=4.0, m=bound // 4)
+    channel.make_success_fn(params, DiversityScheme.mrc(4))
+    with pytest.raises(ValueError, match="series terms exceed"):
+        channel.make_success_fn(params, DiversityScheme.sc(5))
 
 
 _SCHEMES = pytest.mark.parametrize("scheme", [[], ["--scheme", "mrc", "--M", "2"],

@@ -10,7 +10,6 @@ from nodeiso.analytic import expected_r2_mrc, expected_r2_sc, expected_r2_shadow
 from nodeiso.channel import ChannelParams, DiversityScheme, make_success_fn
 from nodeiso.quadrature import (
     QuadratureError,
-    QuadratureSpec,
     expected_r2_numeric_fading,
     expected_r2_numeric_fading_shadow,
     expected_r2_numeric_nofade,
@@ -23,13 +22,6 @@ BASE = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0)
 
 def params(m=1, sigma=0.0, alpha=4.0):
     return ChannelParams(**BASE, alpha=alpha, sigma=sigma, m=m)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(hermite_order=4)
 
 
 # ============================================================================
@@ -158,19 +150,23 @@ def test_fading_shadow_requires_sigma():
         expected_r2_numeric_fading_shadow(make_success_fn(p, DiversityScheme.no_diversity()), p)
 
 
-def test_hermite_order_doubling_stable():
+def test_hermite_order_doubling_stable(monkeypatch):
     p = params(m=2, sigma=2.0)
     fn = make_success_fn(p, DiversityScheme.no_diversity())
-    lo = expected_r2_numeric_fading_shadow(fn, p, QuadratureSpec(hermite_order=64))
-    hi = expected_r2_numeric_fading_shadow(fn, p, QuadratureSpec(hermite_order=128))
+    monkeypatch.setattr(quadrature, "_HERMITE_ORDER", 64)
+    lo = expected_r2_numeric_fading_shadow(fn, p)
+    monkeypatch.setattr(quadrature, "_HERMITE_ORDER", 128)
+    hi = expected_r2_numeric_fading_shadow(fn, p)
     assert abs(hi - lo) / lo < 1e-9
 
 
-def test_rel_tol_halving_self_consistency():
+def test_rel_tol_halving_self_consistency(monkeypatch):
     p = params(m=2, sigma=1.0)
     fn = make_success_fn(p, DiversityScheme.no_diversity())
-    coarse = expected_r2_numeric_fading_shadow(fn, p, QuadratureSpec(rel_tol=1e-6))
-    fine = expected_r2_numeric_fading_shadow(fn, p, QuadratureSpec(rel_tol=5e-7))
+    monkeypatch.setattr(quadrature, "_REL_TOL", 1e-6)
+    coarse = expected_r2_numeric_fading_shadow(fn, p)
+    monkeypatch.setattr(quadrature, "_REL_TOL", 5e-7)
+    fine = expected_r2_numeric_fading_shadow(fn, p)
     assert abs(fine - coarse) / coarse < 1e-6
 
 
@@ -215,7 +211,7 @@ def test_sc_quadrature_needs_no_beta_table(monkeypatch, sigma):
     assert abs(numeric - closed) / closed < 1e-6
 
 
-def test_law_calls_stay_within_chunk():
+def test_law_calls_stay_within_chunk(monkeypatch):
     # Memory per call is bounded by the chunk, not by nodes x grid points.
     p = params(m=2, sigma=4.0)
     inner = make_success_fn(p, DiversityScheme.mrc(4))
@@ -226,7 +222,8 @@ def test_law_calls_stay_within_chunk():
         return inner(y)
 
     for order in (64, 200):
-        expected_r2_numeric_fading_shadow(recording, p, QuadratureSpec(hermite_order=order))
+        monkeypatch.setattr(quadrature, "_HERMITE_ORDER", order)
+        expected_r2_numeric_fading_shadow(recording, p)
     assert 0 < max(sizes) <= quadrature._CHUNK
 
 
