@@ -241,7 +241,11 @@ def min_density_for_isolation(
     """Node density at which the isolation probability equals the target."""
     if not 0.0 < target_p_i < 1.0:
         raise ValueError(f"target isolation probability must lie in (0, 1), got {target_p_i}")
-    er2 = expected_r2(params, scheme)
+    return _density_from_er2(target_p_i, expected_r2(params, scheme))
+
+
+def _density_from_er2(target_p_i: float, er2: float) -> float:
+    """The density whose P_I is target_p_i, a value in (0, 1), at this E[R^2]."""
     lam = -math.log(target_p_i) / (math.pi * er2) if er2 > 0 else math.inf
     if lam == math.inf:
         raise OverflowError(f"the minimum node density overflows: E[R^2] = {er2:.3e} m^2")

@@ -56,6 +56,10 @@ _MAX_SERIES_TERMS = 1 << 12
 def _check_series_length(params: ChannelParams, scheme: DiversityScheme) -> None:
     terms = params.m * scheme.branches
     if terms > _MAX_SERIES_TERMS:
+        if terms >= 2**53:  # a swept float can make it hundreds of digits long
+            from decimal import Decimal
+
+            terms = f"{Decimal(terms):.3e}"
         raise ValueError(
             f"m*M = {terms} series terms exceed the supported maximum {_MAX_SERIES_TERMS}"
         )

@@ -22,17 +22,15 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .analytic import (
     CancellationError,
-    IsolationQuery,
+    _density_from_er2,
     expected_r2,
     isolation_from_er2,
-    isolation_probability,
     min_density_for_isolation,
 )
 from .channel import ChannelParams, DiversityScheme, db_to_linear, make_success_fn, sigma_from_db
@@ -50,7 +48,7 @@ from .simulator import (
     sample_topology,
 )
 
-__all__ = ["SweepSpec", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 _OUTPUT_CHOICES = ("analytic", "quadrature", "simulation")
 _FORMAT_CHOICES = ("text", "csv", "json")
@@ -58,25 +56,6 @@ _FORMAT_CHOICES = ("text", "csv", "json")
 
 class UsageError(ValueError):
     """Bad parameters that argparse alone cannot catch."""
-
-
-def _knob_key(variable: str) -> str:
-    """Internal knob name for a sweep variable ('lambda' is the density)."""
-    return "node_density" if variable == "lambda" else variable
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: the swept variable, its grid, and everything held fixed."""
-
-    variable: str
-    grid: tuple[float, ...]
-    fixed: dict
-    outputs: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise UsageError("sweep grid must be strictly increasing")
 
 
 # ============================================================================
@@ -87,50 +66,45 @@ _LAMBDA_GRID = tuple(float(v) for v in np.logspace(-5, -3, 21))
 _SIGMA_GRID = tuple(float(v) for v in np.arange(0.0, 4.0 + 1e-9, 0.25))
 _ALPHA_GRID = tuple(float(v) for v in np.arange(2.0, 6.0 + 1e-9, 0.25))
 
-# Caption parameters for the built-in presets. Curve variables reproduce
-# the per-figure families; sigma is in natural-log units throughout.
+# Caption parameters for the built-in presets, named as the sweep variables
+# ('lambda' is the density). Curve variables reproduce the per-figure
+# families; sigma is in natural-log units throughout. A preset with a
+# target_pi inverts for the density there unless --target-pi names another.
 _FIGURE_PRESETS: dict[int, dict] = {
     2: dict(
         variable="lambda",
         grid=_LAMBDA_GRID,
-        fixed=dict(m=2, alpha=4.0, scheme="none", M=1),
+        fixed={"m": 2, "alpha": 4.0, "scheme": "none", "M": 1},
         curves=("sigma", (0.0, 2.0, 4.0)),
-        invert=False,
     ),
     3: dict(
         variable="lambda",
         grid=_LAMBDA_GRID,
-        fixed=dict(sigma=2.0, alpha=4.0, scheme="none", M=1),
+        fixed={"sigma": 2.0, "alpha": 4.0, "scheme": "none", "M": 1},
         curves=("m", (1, 2, 4)),
-        invert=False,
     ),
     4: dict(
         variable="sigma",
         grid=_SIGMA_GRID,
-        fixed=dict(m=4, alpha=4.0, scheme="none", M=1),
-        curves=None,
-        invert=True,
+        fixed={"m": 4, "alpha": 4.0, "scheme": "none", "M": 1},
+        target_pi=0.99,
     ),
     5: dict(
         variable="alpha",
         grid=_ALPHA_GRID,
-        fixed=dict(m=4, sigma=0.0, scheme="none", M=1, node_density=1e-5),
-        curves=None,
-        invert=False,
+        fixed={"m": 4, "sigma": 0.0, "scheme": "none", "M": 1, "lambda": 1e-5},
     ),
     6: dict(
         variable="sigma",
         grid=_SIGMA_GRID,
-        fixed=dict(m=2, alpha=4.0, scheme="mrc", node_density=1e-5),
+        fixed={"m": 2, "alpha": 4.0, "scheme": "mrc", "lambda": 1e-5},
         curves=("M", (1, 2, 4)),
-        invert=False,
     ),
     7: dict(
         variable="sigma",
         grid=_SIGMA_GRID,
-        fixed=dict(m=2, alpha=4.0, scheme="sc", node_density=1e-5),
+        fixed={"m": 2, "alpha": 4.0, "scheme": "sc", "lambda": 1e-5},
         curves=("M", (1, 2, 4)),
-        invert=False,
     ),
 }
 
@@ -138,40 +112,6 @@ _FIGURE_PRESETS: dict[int, dict] = {
 # ============================================================================
 #  Argument handling
 # ============================================================================
-
-
-def _format_choice(value: str) -> str:
-    """A config-file ``format`` value, checked as ``--format`` checks its own."""
-    if value not in _FORMAT_CHOICES:
-        raise ValueError(value)
-    return value
-
-
-# config-file key -> (argparse dest, converter); keys mirror the long flags.
-_CONFIG_OPTIONS: dict[str, tuple[str, Callable]] = {
-    "ptx": ("ptx", float),
-    "w": ("w", float),
-    "k": ("k", float),
-    "k-db": ("k_db", float),
-    "psi": ("psi", float),
-    "psi-db": ("psi_db", float),
-    "alpha": ("alpha", float),
-    "sigma": ("sigma", float),
-    "sigma-db": ("sigma_db", float),
-    "m": ("m", int),
-    "m-real": ("m_real", float),
-    "scheme": ("scheme", str),
-    "M": ("diversity_order", int),
-    "lambda": ("node_density", float),
-    "area": ("area_side", float),
-    "boundary": ("boundary", str),
-    "runs": ("runs", int),
-    "seed": ("master_seed", int),
-    "jobs": ("jobs", int),
-    "target-pi": ("target_pi", float),
-    "format": ("out_format", _format_choice),
-    "outputs": ("outputs", str),
-}
 
 _DEFAULTS = dict(
     ptx=1.0,
@@ -195,25 +135,33 @@ _DEFAULTS = dict(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Config-file key (the long flag without its dashes) -> the flag's action,
+    # so that a file value is converted and checked as the flag's own.
+    config_actions: dict[str, argparse.Action] = {}
+
+    def option(group, flag: str, **kwargs) -> None:
+        """Add a flag that a config file may also set."""
+        config_actions[flag[2:]] = group.add_argument(flag, **kwargs)
+
     channel = argparse.ArgumentParser(add_help=False)
     g = channel.add_argument_group("channel")
-    g.add_argument("--ptx", type=float, help="transmit power [mW] (default 1)")
-    g.add_argument("--w", type=float, help="noise power [mW] (default 0.01)")
-    g.add_argument("--k", type=float, help="path-loss constant, linear (default 10)")
-    g.add_argument("--k-db", type=float, help="path-loss constant in dB")
-    g.add_argument("--psi", type=float, help="SNR threshold, linear (default 10)")
-    g.add_argument("--psi-db", type=float, help="SNR threshold in dB")
-    g.add_argument("--alpha", type=float, help="path-loss exponent (default 4)")
-    g.add_argument("--sigma", type=float, help="shadowing spread, natural-log units (default 0)")
-    g.add_argument("--sigma-db", type=float, help="shadowing spread in dB")
-    g.add_argument("--m", type=int, help="Nakagami severity, positive integer (default 1)")
-    g.add_argument("--m-real", type=float, help="real Nakagami severity >= 0.5 (numerical path only)")
-    g.add_argument("--scheme", choices=("none", "mrc", "sc"), help="receive diversity scheme")
-    g.add_argument("--M", dest="diversity_order", type=int, help="number of diversity branches")
+    option(g, "--ptx", type=float, help="transmit power [mW] (default 1)")
+    option(g, "--w", type=float, help="noise power [mW] (default 0.01)")
+    option(g, "--k", type=float, help="path-loss constant, linear (default 10)")
+    option(g, "--k-db", type=float, help="path-loss constant in dB")
+    option(g, "--psi", type=float, help="SNR threshold, linear (default 10)")
+    option(g, "--psi-db", type=float, help="SNR threshold in dB")
+    option(g, "--alpha", type=float, help="path-loss exponent (default 4)")
+    option(g, "--sigma", type=float, help="shadowing spread, natural-log units (default 0)")
+    option(g, "--sigma-db", type=float, help="shadowing spread in dB")
+    option(g, "--m", type=int, help="Nakagami severity, positive integer (default 1)")
+    option(g, "--m-real", type=float, help="real Nakagami severity >= 0.5 (numerical path only)")
+    option(g, "--scheme", choices=("none", "mrc", "sc"), help="receive diversity scheme")
+    option(g, "--M", dest="diversity_order", type=int, help="number of diversity branches")
     g.add_argument("--config", help="key=value file mirroring the long flags; flags override it")
 
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", dest="out_format", choices=_FORMAT_CHOICES)
+    option(output, "--format", dest="out_format", choices=_FORMAT_CHOICES)
     output.add_argument("--out", help="write the report to this path instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -221,41 +169,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Node isolation probability of a Poisson ad hoc network "
         "under path loss, lognormal shadowing and Nakagami-m fading.",
     )
+    parser.set_defaults(config_actions=config_actions)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", parents=[channel, output], help="single-point evaluation")
-    p_eval.add_argument("--lambda", dest="node_density", type=float, help="node density [1/m^2]")
-    p_eval.add_argument("--outputs", help="comma list of analytic,quadrature (default analytic)")
+    option(p_eval, "--lambda", dest="node_density", type=float, help="node density [1/m^2]")
+    option(p_eval, "--outputs", help="comma list of analytic,quadrature (default analytic)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", parents=[channel, output], help="parameter sweep, CSV-friendly")
     p_sweep.add_argument("--figure", type=int, choices=sorted(_FIGURE_PRESETS), help="built-in preset")
     p_sweep.add_argument("--variable", choices=("lambda", "sigma", "alpha", "m", "M"))
     p_sweep.add_argument("--grid", help="comma-separated, strictly increasing grid values")
-    p_sweep.add_argument("--lambda", dest="node_density", type=float, help="fixed node density")
-    p_sweep.add_argument("--outputs", help="comma list of analytic,quadrature,simulation")
-    p_sweep.add_argument("--target-pi", dest="target_pi", type=float,
-                         help="invert for density at this isolation probability")
-    p_sweep.add_argument("--area", dest="area_side", type=float, help="simulation square side [m]")
-    p_sweep.add_argument("--boundary", choices=("bounded", "toroidal"))
-    p_sweep.add_argument("--runs", type=int, help="simulation replications per grid point")
-    p_sweep.add_argument("--seed", dest="master_seed", type=int, help="simulation master seed")
-    p_sweep.add_argument("--jobs", type=int, help="parallel workers for simulation")
+    option(p_sweep, "--lambda", dest="node_density", type=float, help="fixed node density")
+    option(p_sweep, "--outputs", help="comma list of analytic,quadrature,simulation")
+    option(p_sweep, "--target-pi", dest="target_pi", type=float,
+           help="invert for density at this isolation probability")
+    option(p_sweep, "--area", dest="area_side", type=float, help="simulation square side [m]")
+    option(p_sweep, "--boundary", choices=("bounded", "toroidal"))
+    option(p_sweep, "--runs", type=int, help="simulation replications per grid point")
+    option(p_sweep, "--seed", dest="master_seed", type=int, help="simulation master seed")
+    option(p_sweep, "--jobs", type=int, help="parallel workers for simulation")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", parents=[channel, output], help="Monte Carlo estimate")
-    p_sim.add_argument("--lambda", dest="node_density", type=float, help="node density [1/m^2]")
-    p_sim.add_argument("--area", dest="area_side", type=float, help="square side [m] (default 100)")
-    p_sim.add_argument("--boundary", choices=("bounded", "toroidal"))
-    p_sim.add_argument("--runs", type=int, help="replications (default 1000)")
-    p_sim.add_argument("--seed", dest="master_seed", type=int, help="master seed (default 0)")
-    p_sim.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+    option(p_sim, "--lambda", dest="node_density", type=float, help="node density [1/m^2]")
+    option(p_sim, "--area", dest="area_side", type=float, help="square side [m] (default 100)")
+    option(p_sim, "--boundary", choices=("bounded", "toroidal"))
+    option(p_sim, "--runs", type=int, help="replications (default 1000)")
+    option(p_sim, "--seed", dest="master_seed", type=int, help="master seed (default 0)")
+    option(p_sim, "--jobs", type=int, help="parallel workers (default 1)")
     p_sim.add_argument("--export-topology", dest="export_topology",
                        help="write the run-0 topology to this path")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_inv = sub.add_parser("invert", parents=[channel, output], help="minimum density for a target P_I")
-    p_inv.add_argument("--target-pi", dest="target_pi", type=float, help="target isolation probability")
+    option(p_inv, "--target-pi", dest="target_pi", type=float, help="target isolation probability")
     p_inv.set_defaults(func=cmd_invert)
 
     return parser
@@ -278,17 +227,19 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_OPTIONS:
+        action = args.config_actions.get(key)
+        if action is None:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        dest, conv = _CONFIG_OPTIONS[key]
-        if not hasattr(args, dest):
+        if not hasattr(args, action.dest):
             continue  # key not applicable to this subcommand
         try:
-            converted = conv(value)
+            converted = action.type(value) if action.type else value
+            if action.choices is not None and converted not in action.choices:
+                raise ValueError(value)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
-        if getattr(args, dest) is None:  # an explicit flag wins
-            setattr(args, dest, converted)
+        if getattr(args, action.dest) is None:  # an explicit flag wins
+            setattr(args, action.dest, converted)
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:
@@ -495,11 +446,19 @@ def _simulate(config: SimConfig, jobs: int, where: str = "") -> MonteCarloEstima
     return estimate
 
 
+def _grid_label(variable: str, value: float) -> float | int:
+    """A grid value as its row shows it: m and M as integers where that is exact."""
+    if variable in ("m", "M") and value.is_integer() and abs(value) < 2**53:
+        return int(value)
+    return value
+
+
 def _sweep_point(
-    spec: SweepSpec,
-    value: float,
     args: argparse.Namespace,
+    knobs: dict,
+    outputs: tuple[str, ...],
     target_pi: float | None,
+    point: str,
     er2_by_channel: dict,
 ) -> dict:
     """Evaluate one grid point; raises on invalid or failing configurations.
@@ -509,34 +468,27 @@ def _sweep_point(
     successful evaluations are kept; a failing one is recomputed, and fails
     the same way, at every point that needs it.
     """
-    knobs = dict(spec.fixed)
-    knobs[_knob_key(spec.variable)] = value
     for int_name in ("m", "M"):
-        if int_name in knobs and int(knobs[int_name]) != knobs[int_name]:
+        if int(knobs[int_name]) != knobs[int_name]:
             raise UsageError(f"{int_name} grid values must be integers, got {knobs[int_name]}")
     scheme = _build_scheme(knobs["scheme"], int(knobs["M"]))
     params = _build_params(args, m=int(knobs["m"]), sigma=knobs["sigma"], alpha=knobs["alpha"])
-    result: dict = {}
     er2 = er2_by_channel.setdefault((params, scheme), {})
     if "analytic" not in er2:
         er2["analytic"] = expected_r2(params, scheme)
-    er2_a = er2["analytic"]
+    result = {"er2_analytic": er2["analytic"]}
     if target_pi is not None:
         result["lambda_min"] = min_density_for_isolation(params, scheme, target_pi)
-        result["er2_analytic"] = er2_a
         return result
-    node_density = knobs.get("node_density")
-    if node_density is None:
-        raise UsageError("sweep requires --lambda when the density is not swept")
-    result["p_i_analytic"] = isolation_from_er2(node_density, er2_a)
-    result["er2_analytic"] = er2_a
-    if "quadrature" in spec.outputs:
+    node_density = knobs["lambda"]
+    result["p_i_analytic"] = isolation_from_er2(node_density, er2["analytic"])
+    if "quadrature" in outputs:
         if "quadrature" not in er2:
             er2["quadrature"] = _numeric_er2(params, scheme, None)
         result["p_i_quadrature"] = isolation_from_er2(node_density, er2["quadrature"])
-    if "simulation" in spec.outputs:
-        where = f"sweep point {spec.variable}={value:g}: "
-        estimate = _simulate(_sim_config(args, params, scheme, node_density), args.jobs, where)
+    if "simulation" in outputs:
+        estimate = _simulate(_sim_config(args, params, scheme, node_density), args.jobs,
+                             f"{point}: ")
         result["p_i_sim"] = estimate.p_isolated
         result["sim_stderr"] = estimate.std_error
         result["sim_ci_low"] = estimate.ci95[0]
@@ -554,27 +506,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if target_pi is not None and args.variable == "lambda":
         raise UsageError("--target-pi inverts for the density; sweep a different variable")
-    base_fixed = dict(
-        m=args.m,
-        sigma=args.sigma,
-        alpha=args.alpha,
-        scheme=args.scheme,
-        M=args.diversity_order,
-        node_density=args.node_density,
-    )
+    fixed = {"m": args.m, "sigma": args.sigma, "alpha": args.alpha, "scheme": args.scheme,
+             "M": args.diversity_order, "lambda": args.node_density}
+    curves: list[dict] = [{}]  # each curve overrides some of the fixed knobs
     if args.figure is not None:
         if args.variable is not None or args.grid is not None:
             raise UsageError("--figure and --variable/--grid are exclusive")
         preset = _FIGURE_PRESETS[args.figure]
-        variable = preset["variable"]
-        grid = preset["grid"]
-        fixed = dict(base_fixed)
-        for key, val in preset["fixed"].items():
-            fixed[key] = val
-        curves = preset["curves"]
-        if preset["invert"] and target_pi is None:
-            target_pi = 0.99  # documented preset default for the inversion figure
-        if not preset["invert"] and target_pi is not None:
+        variable, grid = preset["variable"], preset["grid"]
+        fixed.update(preset["fixed"])
+        if "curves" in preset:
+            name, values = preset["curves"]
+            curves = [{name: v} for v in values]
+        if "target_pi" in preset:
+            target_pi = preset["target_pi"] if target_pi is None else target_pi
+        elif target_pi is not None:
             raise UsageError(f"--target-pi does not apply to figure {args.figure}")
     else:
         if args.variable is None or args.grid is None:
@@ -584,28 +530,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             grid = tuple(float(v) for v in args.grid.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --grid value: {exc}") from exc
-        fixed = dict(base_fixed)
-        curves = None
 
-    fixed.pop(_knob_key(variable), None)
-    if variable == "M" and fixed.get("scheme") == "none":
+    if variable == "M" and fixed["scheme"] == "none":
         raise UsageError("sweeping M requires --scheme mrc or sc")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise UsageError("sweep grid must be strictly increasing")
+    if target_pi is None and variable != "lambda" and fixed["lambda"] is None:
+        raise UsageError("sweep requires --lambda when the density is not swept")
 
-    curve_list: list[tuple[float | int | None, SweepSpec]] = []
-    if curves is None:
-        curve_list.append((None, SweepSpec(variable, tuple(grid), fixed, outputs)))
-    else:
-        curve_name, curve_values = curves
-        for cv in curve_values:
-            cf = dict(fixed)
-            cf[_knob_key(curve_name)] = cv
-            cf.pop(_knob_key(variable), None)
-            curve_list.append((cv, SweepSpec(variable, tuple(grid), cf, outputs)))
-
-    columns: list[str] = []
-    if curves is not None:
-        columns.append(curves[0])
-    columns.append(variable)
+    columns = [*curves[0], variable]  # the curve's knob, if any, then the swept one
     if target_pi is not None:
         columns += ["lambda_min", "er2_analytic"]
     else:
@@ -619,23 +552,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[list] = []
     er2_by_channel: dict = {}
     failures = 0
-    total_points = 0
-    for curve_value, spec in curve_list:
-        for value in spec.grid:
-            total_points += 1
-            head: list = [] if curve_value is None else [curve_value]
-            point_value = int(value) if spec.variable in ("m", "M") else value
+    for curve in curves:
+        for value in grid:
+            point = f"sweep point {variable}={value:g}"
+            knobs = {**fixed, **curve, variable: value}
             try:
-                result = _sweep_point(spec, value, args, target_pi, er2_by_channel)
+                result = _sweep_point(args, knobs, outputs, target_pi, point, er2_by_channel)
             except (ValueError, OverflowError, CancellationError, QuadratureError) as exc:
                 failures += 1
-                print(f"nodeiso: sweep point {spec.variable}={value:g} failed: {exc}",
-                      file=sys.stderr)
-                rows.append(head + [point_value] + [None] * (len(columns) - len(head) - 1))
-                continue
-            rows.append(head + [point_value] + [result.get(c) for c in columns[len(head) + 1 :]])
+                print(f"nodeiso: {point} failed: {exc}", file=sys.stderr)
+                result = {}
+            head = [*curve.values(), _grid_label(variable, value)]
+            rows.append(head + [result.get(c) for c in columns[len(head):]])
     _emit(_render_table(columns, rows, args.out_format), args)
-    return 3 if failures == total_points else 0
+    return 3 if failures == len(rows) else 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -683,12 +613,12 @@ def cmd_invert(args: argparse.Namespace) -> int:
         raise UsageError("--m-real is eval-only")
     scheme = _build_scheme(args.scheme, args.diversity_order)
     params = _build_params(args)
-    lam = min_density_for_isolation(params, scheme, args.target_pi)
-    roundtrip = isolation_probability(IsolationQuery(params, scheme, lam))
+    er2 = expected_r2(params, scheme)
+    lam = _density_from_er2(args.target_pi, er2)
     fields = [
         ("lambda_min", lam),
-        ("p_i_roundtrip", roundtrip),
-        ("er2_analytic", expected_r2(params, scheme)),
+        ("p_i_roundtrip", isolation_from_er2(lam, er2)),
+        ("er2_analytic", er2),
     ]
     _emit(_render_record(fields, args.out_format), args)
     return 0

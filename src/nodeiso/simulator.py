@@ -183,15 +183,16 @@ def _pairs_within(
 
     Nodes are sorted by x; each node's candidates are the later nodes whose
     x lies within the cutoff (plus slack) and, on the torus, those across
-    the x seam. When that window spans the square (an infinite cutoff
-    included), every later node in the original order is a candidate and
-    the sort is skipped. Candidates are expanded in chunks of at most about
-    ``_BLOCK_PAIRS``; a squared-distance prefilter with a little slack
-    discards far ones cheaply, and the survivors are decided by the same
-    elementwise operations as an all-pairs enumeration (``abs``, the torus
-    ``minimum``, ``hypot``, ``<= cutoff``), so the pair set and every
-    distance equal that enumeration's. After a sort, one argsort of the
-    kept keys ``i * n + j`` restores its order.
+    the x seam. When the cutoff reaches half the side (an infinite one
+    included), that window spans the torus or holds about 3/4 of all pairs
+    of a bounded square, so every later node in the original order is a
+    candidate and the sort is skipped. Candidates are expanded in chunks of
+    at most about ``_BLOCK_PAIRS``; a squared-distance prefilter with a
+    little slack discards far ones cheaply, and the survivors are decided by
+    the same elementwise operations as an all-pairs enumeration (``abs``,
+    the torus ``minimum``, ``hypot``, ``<= cutoff``), so the pair set and
+    every distance equal that enumeration's. After a sort, one argsort of
+    the kept keys ``i * n + j`` restores its order.
     """
     n = len(positions)
     if n < 2:
@@ -204,9 +205,9 @@ def _pairs_within(
     # Segments of candidate positions (in sorted order) for each node p:
     # p+1 .. near[p]-1 in x, and on the torus seam[p] .. n-1 across the seam.
     first = np.arange(1, n + 1)
-    if reach >= (0.5 if boundary == "toroidal" else 1.0) * area_side:
-        # The window spans the square: every later node is a candidate, so
-        # the pairs come out in triu_indices order without a sort.
+    if reach >= 0.5 * area_side:
+        # Every later node is a candidate, so the pairs come out in
+        # triu_indices order without a sort.
         order = None
         xs, ys = x, np.ascontiguousarray(positions[:, 1])
         starts, lengths, segments = first, n - first, 1

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import nodeiso.analytic as analytic
 import nodeiso.channel as channel
 import nodeiso.simulator as simulator
 from nodeiso import cli
@@ -375,6 +376,36 @@ def test_config_file_bad_format_exit_2(tmp_path, capsys):
     assert captured.err == f"nodeiso: error: {cfg}:2: bad value for 'format': 'xml'\n"
 
 
+@pytest.mark.parametrize("command, key, value", [
+    (["eval"], "scheme", "bogus"),
+    (["simulate", "--boundary", "bounded"], "boundary", "weird"),
+], ids=["scheme", "boundary"])
+def test_config_file_choices_checked_as_the_flag_checks_them(tmp_path, capsys, command, key,
+                                                             value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert cli.main([*command, "--config", str(cfg), "--lambda", "1e-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nodeiso: error: {cfg}:1: bad value for {key!r}: {value!r}\n"
+
+
+CONFIG_KEYS = ("ptx", "w", "k", "k-db", "psi", "psi-db", "alpha", "sigma", "sigma-db", "m",
+               "m-real", "scheme", "M", "format", "lambda", "outputs", "target-pi", "area",
+               "boundary", "runs", "seed", "jobs")
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS + ("config", "out", "export-topology", "figure",
+                                               "variable", "grid"))
+def test_config_keys_are_the_long_flags_that_carry_values(tmp_path, capsys, key):
+    # sweep takes every config key; the other long flags are not keys.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=@\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--figure", "2"]) == 2
+    unknown = f"nodeiso: error: {cfg}:1: unknown key {key!r}\n"
+    assert (capsys.readouterr().err == unknown) == (key not in CONFIG_KEYS)
+
+
 # ============================================================================
 #  sweep
 # ============================================================================
@@ -457,6 +488,34 @@ def test_sweep_grid_must_increase():
     proc = run_cli("sweep", "--variable", "sigma", "--grid", "2,1", "--lambda", "1e-4",
                    check=False)
     assert proc.returncode == 2
+
+
+def test_sweep_without_density_is_a_usage_error(capsys):
+    assert cli.main(["sweep", "--variable", "sigma", "--grid", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "nodeiso: error: sweep requires --lambda when the density is not swept\n"
+    )
+
+
+def test_sweep_rows_show_the_grid_value_asked_for(capsys):
+    assert cli.main(["sweep", "--variable", "m", "--grid", "1,2.5,4", "--lambda", "1e-4",
+                     "--format", "csv"]) == 0
+    header, body = parse_csv(capsys.readouterr().out)
+    assert [row[0] for row in body] == ["1", "2.5", "4"]
+    argv = ["sweep", "--variable", "M", "--grid", "1.5,2", "--scheme", "mrc", "--lambda", "1e-4",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    assert [row["M"] for row in json.loads(capsys.readouterr().out)] == [1.5, 2]
+    assert cli.main(["sweep", "--variable", "m", "--grid", "1e300", "--lambda", "1e-4",
+                     "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)[0]["m"] == 1e300
+    assert captured.err == (
+        "nodeiso: sweep point m=1e+300 failed: m*M = 1.000e+300 series terms exceed the "
+        f"supported maximum {channel._MAX_SERIES_TERMS}\n"
+    )
 
 
 def test_sweep_all_points_failing_exits_3():
@@ -592,6 +651,23 @@ def test_invert_round_trip():
     record = parse_record(run_cli("invert", "--m", "2", "--target-pi", "0.01").stdout)
     assert float(record["lambda_min"]) == pytest.approx(0.15594613290898593, rel=1e-9)
     assert float(record["p_i_roundtrip"]) == pytest.approx(0.01, rel=1e-10)
+
+
+def test_invert_evaluates_the_closed_form_once(monkeypatch, capsys):
+    calls = []
+    closed_form = analytic.expected_r2
+
+    def counting(params, scheme):
+        calls.append((params, scheme))
+        return closed_form(params, scheme)
+
+    monkeypatch.setattr(analytic, "expected_r2", counting)
+    monkeypatch.setattr(cli, "expected_r2", counting)
+    assert cli.main(["invert", "--m", "2", "--target-pi", "0.01", "--format", "json"]) == 0
+    assert len(calls) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["er2_analytic"] == closed_form(*calls[0])
+    assert record["p_i_roundtrip"] == pytest.approx(0.01, rel=1e-12)
 
 
 def test_invert_bad_target_exit_2():

@@ -156,13 +156,13 @@ def _assert_matches_reference(pos, boundary, cutoffs):
 def test_pairs_within_matches_all_pairs_enumeration(monkeypatch, boundary, n):
     # Chunks of 16 candidate pairs: n = 17 fills the first node's chunk
     # exactly, and every n >= 17 runs through dozens of chunks. The cutoffs
-    # around side/2 (torus) and side (bounded) straddle the switch to a
-    # window that spans the square, where the x-sort is skipped.
+    # around side/2 straddle the switch to taking every later node as a
+    # candidate, where the x-sort is skipped; those around side span even a
+    # bounded square.
     monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
     pos = _positions(n)
     _, _, all_dist = _triu_reference(pos, 100.0, boundary, math.inf)
-    spanning = [49.9, 50.0, 50.1] if boundary == "toroidal" else [99.9, 100.0]
-    cutoffs = SHORT_CUTOFFS + [30.0] + spanning + [math.inf]
+    cutoffs = SHORT_CUTOFFS + [30.0, 49.9, 50.0, 50.1, 99.9, 100.0, math.inf]
     if len(all_dist):
         cutoffs.append(float(np.sort(all_dist)[len(all_dist) // 2]))  # one pair's distance
         cutoffs.append(float(np.sort(all_dist)[len(all_dist) // 50]))  # a short one
