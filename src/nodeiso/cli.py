@@ -66,10 +66,14 @@ _LAMBDA_GRID = tuple(float(v) for v in np.logspace(-5, -3, 21))
 _SIGMA_GRID = tuple(float(v) for v in np.arange(0.0, 4.0 + 1e-9, 0.25))
 _ALPHA_GRID = tuple(float(v) for v in np.arange(2.0, 6.0 + 1e-9, 0.25))
 
-# Caption parameters for the built-in presets, named as the sweep variables
-# ('lambda' is the density). Curve variables reproduce the per-figure
-# families; sigma is in natural-log units throughout. A preset with a
-# target_pi inverts for the density there unless --target-pi names another.
+# The sweep knobs by flag name ('lambda' is the density) and their dests.
+_KNOBS = {"m": "m", "sigma": "sigma", "alpha": "alpha", "scheme": "scheme",
+          "M": "diversity_order", "lambda": "node_density"}
+
+# Caption parameters for the built-in presets, named as the sweep knobs.
+# Curve variables reproduce the per-figure families; sigma is in natural-log
+# units throughout. A preset with a target_pi inverts for the density there
+# unless --target-pi names another.
 _FIGURE_PRESETS: dict[int, dict] = {
     2: dict(
         variable="lambda",
@@ -243,9 +247,15 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:
+    """Fill what neither a flag nor the config file set; ``args.given`` keeps
+    the names of the values they did set."""
+    args.given = set()
     for dest, value in _DEFAULTS.items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
+        if hasattr(args, dest):
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
+            else:
+                args.given.add(dest)
 
 
 def _resolve_db_alternates(args: argparse.Namespace) -> None:
@@ -436,11 +446,13 @@ def _sim_config(
                      master_seed=args.master_seed)
 
 
-def _simulate(config: SimConfig, jobs: int, where: str = "") -> MonteCarloEstimate:
+def _simulate(
+    config: SimConfig, jobs: int, where: str = "", grids: dict | None = None
+) -> MonteCarloEstimate:
     """run_monte_carlo, printing each warning as one ``nodeiso: warning: <where>`` line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        estimate = run_monte_carlo(config, n_jobs=jobs)
+        estimate = run_monte_carlo(config, n_jobs=jobs, grids=grids)
     for caught_warning in caught:
         print(f"nodeiso: warning: {where}{caught_warning.message}", file=sys.stderr)
     return estimate
@@ -460,13 +472,15 @@ def _sweep_point(
     target_pi: float | None,
     point: str,
     er2_by_channel: dict,
+    grids: dict,
 ) -> dict:
     """Evaluate one grid point; raises on invalid or failing configurations.
 
     E[R^2] does not depend on the density, so ``er2_by_channel`` keeps each
     route's value per (params, scheme) for the rest of the sweep. Only
     successful evaluations are kept; a failing one is recomputed, and fails
-    the same way, at every point that needs it.
+    the same way, at every point that needs it. ``grids`` keeps the
+    simulator's link-mass grids the same way.
     """
     for int_name in ("m", "M"):
         if int(knobs[int_name]) != knobs[int_name]:
@@ -488,7 +502,7 @@ def _sweep_point(
         result["p_i_quadrature"] = isolation_from_er2(node_density, er2["quadrature"])
     if "simulation" in outputs:
         estimate = _simulate(_sim_config(args, params, scheme, node_density), args.jobs,
-                             f"{point}: ")
+                             f"{point}: ", grids)
         result["p_i_sim"] = estimate.p_isolated
         result["sim_stderr"] = estimate.std_error
         result["sim_ci_low"] = estimate.ci95[0]
@@ -506,18 +520,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if target_pi is not None and args.variable == "lambda":
         raise UsageError("--target-pi inverts for the density; sweep a different variable")
-    fixed = {"m": args.m, "sigma": args.sigma, "alpha": args.alpha, "scheme": args.scheme,
-             "M": args.diversity_order, "lambda": args.node_density}
+    fixed = {knob: getattr(args, dest) for knob, dest in _KNOBS.items()}
     curves: list[dict] = [{}]  # each curve overrides some of the fixed knobs
     if args.figure is not None:
         if args.variable is not None or args.grid is not None:
             raise UsageError("--figure and --variable/--grid are exclusive")
         preset = _FIGURE_PRESETS[args.figure]
         variable, grid = preset["variable"], preset["grid"]
-        fixed.update(preset["fixed"])
         if "curves" in preset:
             name, values = preset["curves"]
             curves = [{name: v} for v in values]
+        # A flag or config value for a knob that the preset sets would be
+        # silently replaced.
+        own = {variable, *preset["fixed"], *curves[0]}
+        clashes = [
+            "--sigma-db" if knob == "sigma" and args.sigma_db is not None else f"--{knob}"
+            for knob, dest in _KNOBS.items()
+            if knob in own and dest in args.given
+        ]
+        if clashes:
+            raise UsageError(f"figure {args.figure} sets {', '.join(clashes)} itself")
+        fixed.update(preset["fixed"])
         if "target_pi" in preset:
             target_pi = preset["target_pi"] if target_pi is None else target_pi
         elif target_pi is not None:
@@ -531,6 +554,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(f"bad --grid value: {exc}") from exc
 
+    ignored = [out for out in outputs if out != "analytic"]
+    if target_pi is not None and ignored:
+        raise UsageError("the density inversion uses the closed form only; "
+                         f"--outputs {','.join(ignored)} does not apply")
     if variable == "M" and fixed["scheme"] == "none":
         raise UsageError("sweeping M requires --scheme mrc or sc")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -551,13 +578,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_writable(args.out)
     rows: list[list] = []
     er2_by_channel: dict = {}
+    grids: dict = {}
     failures = 0
     for curve in curves:
         for value in grid:
             point = f"sweep point {variable}={value:g}"
             knobs = {**fixed, **curve, variable: value}
             try:
-                result = _sweep_point(args, knobs, outputs, target_pi, point, er2_by_channel)
+                result = _sweep_point(args, knobs, outputs, target_pi, point, er2_by_channel,
+                                      grids)
             except (ValueError, OverflowError, CancellationError, QuadratureError) as exc:
                 failures += 1
                 print(f"nodeiso: {point} failed: {exc}", file=sys.stderr)

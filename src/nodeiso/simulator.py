@@ -9,8 +9,9 @@ counters, so serial and parallel execution agree bit for bit. One
 link-mass grid per campaign, a range of quadrature's ``_log_grid``, gives
 the pair cutoff r_eps and the torus cell's own P_I, with a warning when
 the cell cannot hold the link law.
-Pairs within r_eps come from one search over x-sorted strips
-(``_pairs_within``) that returns them in all-pairs order.
+Pairs within r_eps come from one cell-list search (``_pairs_within``)
+over each batch of consecutive replications; it returns them in all-pairs
+order, and each replication then draws its channels from its own stream.
 """
 
 from __future__ import annotations
@@ -57,14 +58,19 @@ _MASS_STEP = 1.0 / 32.0
 _MASS_CHUNK = 1 << 13
 
 # The pair search expands candidates in chunks of about this many pairs, so
-# its scratch memory does not grow with the square of the node count.
-# 2**14 float64 pairs (128 KiB per array) measured faster than 2**17 (1 MiB):
-# at 2**17 a pass over all pairs on the 100 m torus jumped from 0.23-0.26 ms
-# at n = 145 to 0.67-0.85 ms at n = 170, most likely because arrays that
-# large are handed back to the OS and faulted in again on every call; 2**14
-# took 0.20-0.26 and 0.23-0.33 ms. 2**12 chunks made the 3200-node mc-dense
-# topologies 10-20% slower.
+# its scratch memory does not grow with the square of the node count. 2**14
+# float64 pairs (128 KiB per array) measured faster than 2**17 (1 MiB),
+# whose arrays are most likely handed back to the OS and faulted in again on
+# every call, and than 2**12, which made the 3200-node mc-dense topologies
+# 10-20% slower. A batch of replications (``_BATCH_PAIRS``) mostly fits in one.
 _BLOCK_PAIRS = 1 << 14
+
+# One pair search covers consecutive replications up to about this many
+# estimated candidate pairs, which spreads numpy's per-call cost over the
+# batch. The budget counts candidates, not nodes: a budget of 4096 nodes
+# gathered about 39 of the sigma = 2 acceptance replications (about 4.7k
+# pairs each) and raised that workload's peak RSS from 41.5 to 55.9 MB.
+_BATCH_PAIRS = 1 << 13
 
 # numpy's Poisson sampler refuses a mean above this: the int64 maximum less
 # ten standard deviations.
@@ -169,63 +175,112 @@ def sample_topology(config: SimConfig, run_index: int) -> Topology:
     return Topology(positions=positions, area_side=config.area_side, boundary=config.boundary)
 
 
+def _reach(cutoff: float, extent: float) -> float:
+    """The cutoff plus a slack for rounding in hypot (relative to the cutoff)
+    and in cell or window bounds (relative to the largest coordinate,
+    ``extent``), so that a search by reach finds every pair the exact test
+    keeps; the exact test then drops the extras."""
+    return cutoff * (1.0 + 1e-9) + 8.0 * np.finfo(float).eps * extent
+
+
 def _pairs_within(
     positions: np.ndarray,
     area_side: float,
     boundary: str,
     cutoff: float,
+    offsets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unordered pairs (i < j) at distance <= cutoff, in row-major order.
 
-    Returns index arrays ``i`` and ``j`` and the distances, in exactly the
-    order of ``np.triu_indices(n, k=1)`` restricted to the kept pairs.
-    Distances use per-axis wraparound in toroidal mode.
+    ``positions`` holds the nodes of consecutive replications, those of
+    replication r at rows ``offsets[r]:offsets[r + 1]`` (one replication
+    when ``offsets`` is None); pairs never join two replications. Returns
+    index arrays ``i`` and ``j`` into ``positions`` and the distances, in
+    (replication, i, j) order: for each replication exactly the order of
+    ``np.triu_indices`` restricted to its kept pairs. Distances use per-axis
+    wraparound in toroidal mode.
 
-    Nodes are sorted by x; each node's candidates are the later nodes whose
-    x lies within the cutoff (plus slack) and, on the torus, those across
-    the x seam. When the cutoff reaches half the side (an infinite one
-    included), that window spans the torus or holds about 3/4 of all pairs
-    of a bounded square, so every later node in the original order is a
-    candidate and the sort is skipped. Candidates are expanded in chunks of
-    at most about ``_BLOCK_PAIRS``; a squared-distance prefilter with a
-    little slack discards far ones cheaply, and the survivors are decided by
-    the same elementwise operations as an all-pairs enumeration (``abs``,
-    the torus ``minimum``, ``hypot``, ``<= cutoff``), so the pair set and
-    every distance equal that enumeration's. After a sort, one argsort of
-    the kept keys ``i * n + j`` restores its order.
+    A cell list (Allen & Tildesley, Computer Simulation of Liquids, 2nd ed.,
+    sec. 5.3) finds the candidates. Each axis has nc = floor(side / reach)
+    cells, so a cell is at least the cutoff (plus slack) wide, but no more
+    than about four cells per node of a replication. A node's candidates
+    are the later nodes of its own cell and every node of the cells (0, 1),
+    (1, -1), (1, 0) and (1, 1) from it, a half stencil that meets each pair
+    of neighbouring cells once. On the torus the neighbours across an edge
+    are periodic images: column 0 is entered again as a margin column nc,
+    then rows 0 and nc - 1 as margin rows nc and -1; on a bounded square
+    the margin stays empty. With the cells in column-major order the
+    stencil is two runs of sorted entries per node. Below three cells per
+    axis (an infinite cutoff included) a torus cell would be its own
+    neighbour, so every later node of the same replication is a candidate
+    and no sort is needed.
+
+    Candidates are expanded in chunks of at most about ``_BLOCK_PAIRS``; a
+    squared-distance prefilter with a little slack discards far ones
+    cheaply, and the survivors are decided by the same elementwise
+    operations as an all-pairs enumeration (``abs``, the torus ``minimum``,
+    ``hypot``, ``<= cutoff``), so the pair set and every distance equal that
+    enumeration's. On the cell grid one argsort of the kept keys
+    ``i * n + j`` restores the order.
     """
     n = len(positions)
     if n < 2:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    if offsets is None:
+        offsets = np.array([0, n])
+    sizes = np.diff(offsets)
+    reps = len(sizes)
     x = np.ascontiguousarray(positions[:, 0])
-    # The slack covers rounding in hypot (relative to the cutoff) and in the
-    # window bounds (relative to the coordinates), so the windows hold every
-    # pair the exact test keeps; the exact test then drops the extras.
-    reach = cutoff * (1.0 + 1e-9) + 8.0 * np.finfo(float).eps * max(area_side, np.abs(x).max())
-    # Segments of candidate positions (in sorted order) for each node p:
-    # p+1 .. near[p]-1 in x, and on the torus seam[p] .. n-1 across the seam.
-    first = np.arange(1, n + 1)
-    if reach >= 0.5 * area_side:
-        # Every later node is a candidate, so the pairs come out in
-        # triu_indices order without a sort.
-        order = None
-        xs, ys = x, np.ascontiguousarray(positions[:, 1])
-        starts, lengths, segments = first, n - first, 1
+    y = np.ascontiguousarray(positions[:, 1])
+    reach = _reach(cutoff, max(area_side, float(np.abs(positions).max())))
+    # More cells than about four per node only add empty ones to visit.
+    nc = int(min(area_side / reach, 2 * math.isqrt(n // reps)))
+    if nc < 3:
+        node, xs, ys, segments = None, x, y, 1
+        starts = np.arange(1, n + 1)
+        lengths = np.repeat(offsets[1:], sizes) - starts
     else:
-        order = np.argsort(x, kind="stable")
-        xs, ys = x[order], positions[order, 1]
-        near = np.searchsorted(xs, xs + reach, side="right")
+        # Cell (cx, cy) of replication r has the key r * width * height +
+        # cx * height + cy + 1, which leaves room for the margin.
+        height, width = nc + 2, nc + 1
+        scale = nc / area_side
+        cx = np.minimum((x * scale).astype(np.intp), nc - 1)
+        cy = np.minimum((y * scale).astype(np.intp), nc - 1)
+        key = np.repeat(np.arange(1, reps * width * height, width * height), sizes)
+        key += cx * height + cy
+        node = np.arange(n)
         if boundary == "toroidal":
-            seam = np.maximum(np.searchsorted(xs, xs + (area_side - reach), side="left"), near)
-            starts = np.stack((first, seam), axis=1).ravel()
-            lengths = np.stack((near - first, n - seam), axis=1).ravel()
-            segments = 2
-        else:
-            starts, lengths, segments = first, near - first, 1
-    per_node = lengths.reshape(n, segments).sum(axis=1)
-    ends = np.cumsum(per_node)
+            wrap = np.flatnonzero(cx == 0)
+            node = np.concatenate((node, wrap))
+            key = np.concatenate((key, key[wrap] + nc * height))
+            cy = np.concatenate((cy, cy[wrap]))
+            low, high = np.flatnonzero(cy == 0), np.flatnonzero(cy == nc - 1)
+            node = np.concatenate((node, node[low], node[high]))
+            key = np.concatenate((key, key[low] + nc, key[high] - nc))
+        # Any order within a cell serves: the final argsort restores the
+        # pairs' order.
+        order = np.argsort(key)
+        slot = np.empty(len(key), dtype=np.intp)
+        slot[order] = np.arange(len(key))
+        node = node[order]
+        xs, ys = x[node], y[node]
+        cell_end = np.cumsum(np.bincount(key, minlength=reps * width * height))
+        own = key[:n]
+        # Run 0: the later entries of the node's cell, then the cell above.
+        # Run 1: the cells (cx + 1, cy - 1 .. cy + 1).
+        segments = 2
+        ranges = np.empty((n, 2, 2), dtype=np.intp)
+        ranges[:, 0, 0] = slot[:n] + 1
+        ranges[:, 0, 1] = cell_end[own + 1]
+        ranges[:, 1, 0] = cell_end[own + height - 2]
+        ranges[:, 1, 1] = cell_end[own + height + 1]
+        starts = ranges[:, :, 0].ravel()
+        lengths = ranges[:, :, 1].ravel() - starts
+    cum = np.cumsum(lengths)
+    ends = cum[segments - 1 :: segments]
+    per_node = np.diff(ends, prepend=0)
     # Candidate t of segment s sits at position t + shift[s].
-    shift = starts - (np.cumsum(lengths) - lengths)
+    shift = starts - (cum - lengths)
     # The prefilter's slack keeps every pair the exact test keeps, including
     # squares that round up or underflow.
     limit = cutoff * cutoff * (1.0 + 1e-9) + np.finfo(float).tiny
@@ -235,12 +290,12 @@ def _pairs_within(
         base = int(ends[p0 - 1]) if p0 else 0
         p1 = max(p0 + 1, int(np.searchsorted(ends, base + _BLOCK_PAIRS, side="right")))
         seg = slice(segments * p0, segments * p1)
-        counts = per_node[p0:p1]
         q = np.arange(base, int(ends[p1 - 1])) + np.repeat(shift[seg], lengths[seg])
-        dx = np.repeat(xs[p0:p1], counts)
+        counts = per_node[p0:p1]
+        dx = np.repeat(x[p0:p1], counts)
         dx -= xs[q]
         np.abs(dx, out=dx)
-        dy = np.repeat(ys[p0:p1], counts)
+        dy = np.repeat(y[p0:p1], counts)
         dy -= ys[q]
         np.abs(dy, out=dy)
         if boundary == "toroidal":
@@ -253,8 +308,8 @@ def _pairs_within(
         exact = dist <= cutoff
         keep = cand[exact]
         i, j = np.repeat(np.arange(p0, p1), counts)[keep], q[keep]
-        if order is not None:
-            i, j = order[i], order[j]
+        if node is not None:
+            j = node[j]
             i, j = np.minimum(i, j), np.maximum(i, j)
         out_i.append(i)
         out_j.append(j)
@@ -263,7 +318,7 @@ def _pairs_within(
     # The chunk lists and the sort keys are freed before the final gathers.
     i, j, dist = np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d)
     del out_i, out_j, out_d
-    if order is None:
+    if node is None:
         return i, j, dist
     rank = np.argsort(i * n + j)
     i = i[rank]
@@ -391,6 +446,8 @@ def isolation_count(
     scheme: DiversityScheme,
     rng: np.random.Generator,
     range_cutoff: float = math.inf,
+    *,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, int]:
     """Count degree-zero nodes after one channel realization per pair.
 
@@ -399,24 +456,53 @@ def isolation_count(
     consuming randomness. The kept pairs come in ``np.triu_indices`` order
     (row-major over i < j) and all draws are made after enumeration, so the
     result is deterministic in the generator state and bit-identical to an
-    all-pairs enumeration. Pairs are found in x-sorted strips (see
-    ``_pairs_within``), in chunks of about ``_BLOCK_PAIRS`` candidates, so
-    memory grows with the number of pairs kept, not with the square of n.
+    all-pairs enumeration. ``pairs`` is the topology's ``(i, j, dist)`` from
+    a search already made (``_simulate_block`` searches a batch of
+    replications at once); without it ``_pairs_within`` searches this
+    topology. The distances are clamped in place.
     """
     n = len(topology)
-    i_idx, j_idx, dist = _pairs_within(
-        topology.positions, topology.area_side, topology.boundary, range_cutoff
-    )
+    if pairs is None:
+        pairs = _pairs_within(
+            topology.positions, topology.area_side, topology.boundary, range_cutoff
+        )
+    i_idx, j_idx, dist = pairs
     connected = np.zeros(n, dtype=bool)
     if len(dist):
-        # Coincident nodes get a finite, huge mean SNR. Rebinding frees the
-        # unclamped array before the draws allocate theirs.
-        dist = np.maximum(dist, 1e-9)
+        # Coincident nodes get a finite, huge mean SNR.
+        np.maximum(dist, 1e-9, out=dist)
         up = _links_up(dist, params, scheme, rng)
         connected[i_idx[up]] = True
         connected[j_idx[up]] = True
     isolated = n - int(connected.sum())
     return isolated, n
+
+
+def _batches(config: SimConfig, range_cutoff: float, start: int, stop: int):
+    """Consecutive replications as lists of (run index, topology), each list
+    holding at most about ``_BATCH_PAIRS`` candidate pairs of the search.
+
+    The estimate for n nodes is n(n-1)/2 below three cells per axis and
+    4.5 n^2 / nc^2 on the cell grid (half of a cell's nodes and four whole
+    cells around each node), and at least max(n, 1), so that tiny cutoffs
+    and empty replications cannot gather without bound. A replication above
+    the budget forms a batch of its own.
+    """
+    nc = math.floor(config.area_side / _reach(range_cutoff, config.area_side))
+    batch: list[tuple[int, Topology]] = []
+    load = 0.0
+    for run in range(start, stop):
+        topology = sample_topology(config, run)
+        n = len(topology)
+        estimate = n * (n - 1) / 2 if nc < 3 else 4.5 * n * n / (nc * nc)
+        cost = max(estimate, n, 1)
+        if batch and load + cost > _BATCH_PAIRS:
+            yield batch
+            batch, load = [], 0.0
+        batch.append((run, topology))
+        load += cost
+    if batch:
+        yield batch
 
 
 def _simulate_block(
@@ -425,14 +511,29 @@ def _simulate_block(
     start: int,
     stop: int,
 ) -> tuple[int, np.ndarray, np.ndarray]:
+    """Replications start..stop-1: one pair search per batch of them, then
+    each replication's channel draws from its own stream."""
     isolated = np.empty(stop - start, dtype=np.int64)
     totals = np.empty(stop - start, dtype=np.int64)
-    for i in range(start, stop):
-        topology = sample_topology(config, i)
-        rng = _stream(config.master_seed, i, _CHANNEL_DOMAIN)
-        iso, tot = isolation_count(topology, config.params, config.scheme, rng, range_cutoff)
-        isolated[i - start] = iso
-        totals[i - start] = tot
+    for batch in _batches(config, range_cutoff, start, stop):
+        offsets = np.cumsum([0] + [len(topology) for _, topology in batch])
+        positions = np.concatenate([topology.positions for _, topology in batch])
+        i, j, dist = _pairs_within(
+            positions, config.area_side, config.boundary, range_cutoff, offsets
+        )
+        # Pairs come in replication order; these are each one's first.
+        bounds = np.searchsorted(i, offsets)
+        for k, (run, topology) in enumerate(batch):
+            a, b, offset = bounds[k], bounds[k + 1], offsets[k]
+            pairs = (i[a:b], j[a:b], dist[a:b])
+            if offset:
+                pairs = (pairs[0] - offset, pairs[1] - offset, pairs[2])
+            rng = _stream(config.master_seed, run, _CHANNEL_DOMAIN)
+            isolated[run - start], totals[run - start] = isolation_count(
+                topology, config.params, config.scheme, rng, range_cutoff, pairs=pairs
+            )
+        # Freed before the next batch's search allocates its own.
+        del i, j, dist, pairs
     return start, isolated, totals
 
 
@@ -443,7 +544,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_monte_carlo(config: SimConfig, n_jobs: int = 1) -> MonteCarloEstimate:
+def run_monte_carlo(
+    config: SimConfig, n_jobs: int = 1, grids: dict | None = None
+) -> MonteCarloEstimate:
     """Execute all replications and reduce them to one estimate.
 
     The point estimate is total isolated nodes over total nodes; the
@@ -453,11 +556,18 @@ def run_monte_carlo(config: SimConfig, n_jobs: int = 1) -> MonteCarloEstimate:
     replications and at the CPUs this process may run on.
 
     One link-mass grid gives the range cutoff r_eps and, on the torus, the
-    cell's P_I. RuntimeWarnings report fewer than 100 node samples, and a
-    torus cell whose P_I, the estimate's target, differs from the plane's
-    by more than half a standard error.
+    cell's P_I. It depends only on (params, scheme), so callers that run
+    several campaigns, such as a sweep over the density, can pass a dict
+    ``grids`` that keeps one per (params, scheme) across calls.
+    RuntimeWarnings report fewer than 100 node samples, and a torus cell
+    whose P_I, the estimate's target, differs from the plane's by more than
+    half a standard error.
     """
-    grid = _link_mass_grid(config.params, config.scheme)
+    grids = {} if grids is None else grids
+    channel = (config.params, config.scheme)
+    if channel not in grids:
+        grids[channel] = _link_mass_grid(config.params, config.scheme)
+    grid = grids[channel]
     cutoff = _grid_cutoff(grid)
     runs = config.runs
     isolated = np.empty(runs, dtype=np.int64)

@@ -442,6 +442,83 @@ def test_figure4_density_ratio_forced_by_spread_factor():
         assert lam / lam0 == pytest.approx(math.exp(-2 * sigma**2 / 16.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["--figure", "5", "--lambda", "1e-3", "--m", "1"], "--m, --lambda"),
+    (["--figure", "2", "--lambda", "1e-3"], "--lambda"),
+    (["--figure", "2", "--sigma-db", "3"], "--sigma-db"),
+    (["--figure", "3", "--m", "2", "--scheme", "none"], "--m, --scheme"),
+    (["--figure", "4", "--alpha", "3"], "--alpha"),
+    (["--figure", "6", "--M", "2", "--format", "csv"], "--M"),
+    (["--figure", "7", "--sigma", "1"], "--sigma"),
+])
+def test_figure_preset_rejects_flags_it_sets(capsys, argv, flags):
+    assert cli.main(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nodeiso: error: figure {argv[1]} sets {flags} itself\n"
+
+
+def test_figure_preset_rejects_config_values_it_sets(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=2\npsi=10\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--figure", "5"]) == 2
+    assert capsys.readouterr().err == "nodeiso: error: figure 5 sets --m itself\n"
+
+
+def test_figure_preset_keeps_flags_it_leaves_free(capsys):
+    assert cli.main(["sweep", "--figure", "5", "--psi", "10", "--outputs", "analytic,quadrature",
+                     "--format", "json"]) == 0
+    assert cli.main(["sweep", "--figure", "4", "--target-pi", "0.5", "--k-db", "10"]) == 0
+    assert cli.main(["sweep", "--figure", "4"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, ignored", [
+    (["--variable", "sigma", "--grid", "0,1", "--target-pi", "0.9",
+      "--outputs", "analytic,simulation"], "simulation"),
+    (["--variable", "m", "--grid", "1,2", "--target-pi", "0.5", "--outputs", "quadrature"],
+     "quadrature"),
+    (["--figure", "4", "--outputs", "analytic,quadrature,simulation"], "quadrature,simulation"),
+])
+def test_sweep_inversion_rejects_other_outputs(capsys, argv, ignored):
+    assert cli.main(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nodeiso: error: the density inversion uses the closed form only; "
+                            f"--outputs {ignored} does not apply\n")
+
+
+def test_sweep_builds_one_link_mass_grid_per_channel(monkeypatch, capsys):
+    builds = []
+    build = simulator._link_mass_grid
+
+    def counting(params, scheme):
+        builds.append((params, scheme))
+        return build(params, scheme)
+
+    def sweep(*argv):
+        assert cli.main(["sweep", *argv, "--m", "2", "--outputs", "simulation", "--runs", "30",
+                         "--seed", "3", "--format", "json"]) == 0
+        return capsys.readouterr().out
+
+    monkeypatch.setattr(simulator, "_link_mass_grid", counting)
+    counted = sweep("--variable", "lambda", "--grid", "5e-3,1e-2,2e-2")
+    assert len(builds) == 1
+    builds.clear()
+    sweep("--variable", "sigma", "--grid", "0,1", "--lambda", "5e-3")
+    assert len(builds) == len(set(builds)) == 2
+    # Kept grids give the rows that a grid built for each point gives.
+    monkeypatch.setattr(simulator, "_link_mass_grid", build)
+    rows = json.loads(counted)
+    for row in rows:
+        out = io.StringIO()
+        cfg = simulator.SimConfig(params=ChannelParams(ptx=1.0, w=0.01, k=10.0, psi=10.0,
+                                                       alpha=4.0, sigma=0.0, m=2),
+                                  scheme=DiversityScheme.no_diversity(),
+                                  node_density=row["lambda"], runs=30, master_seed=3)
+        assert simulator.run_monte_carlo(cfg).p_isolated == row["p_i_sim"]
+
+
 def test_sweep_sc_diminishing_returns():
     header, body = parse_csv(
         run_cli(
@@ -722,7 +799,7 @@ GOLDEN_SIMULATE = [
 """,
     ),
     (
-        # About 180 nodes with a 5.9 m cutoff on the 100 m square: strips.
+        # About 180 nodes with a 5.9 m cutoff on the 100 m square: the cell grid.
         ["--m", "1", "--lambda", "0.018", "--boundary", "bounded", "--runs", "100", "--seed", "5"],
         """{
   "p_i_sim": 0.6088232038082586,

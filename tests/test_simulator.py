@@ -156,9 +156,9 @@ def _assert_matches_reference(pos, boundary, cutoffs):
 def test_pairs_within_matches_all_pairs_enumeration(monkeypatch, boundary, n):
     # Chunks of 16 candidate pairs: n = 17 fills the first node's chunk
     # exactly, and every n >= 17 runs through dozens of chunks. The cutoffs
-    # around side/2 straddle the switch to taking every later node as a
-    # candidate, where the x-sort is skipped; those around side span even a
-    # bounded square.
+    # around side/2 straddle the switch from the cell grid to taking every
+    # later node as a candidate; those around side span even a bounded
+    # square.
     monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
     pos = _positions(n)
     _, _, all_dist = _triu_reference(pos, 100.0, boundary, math.inf)
@@ -182,6 +182,36 @@ def test_pairs_within_default_blocks_match_all_pairs_enumeration():
     for boundary in ("toroidal", "bounded"):
         _assert_matches_reference(pos, boundary, SHORT_CUTOFFS + [40.0])
         _assert_matches_reference(_with_seam_nodes(pos), boundary, SHORT_CUTOFFS + [40.0])
+
+
+def _batch_reference(parts, boundary, cutoff):
+    """Each replication's all-pairs reference, indexed into the batch."""
+    offsets = np.cumsum([0] + [len(p) for p in parts])
+    refs = [_triu_reference(p, 100.0, boundary, cutoff) for p in parts]
+    return tuple(np.concatenate([r[k] + (off if k < 2 else 0) for r, off in zip(refs, offsets)])
+                 for k in range(3))
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
+def test_pairs_within_batch_matches_each_replication(monkeypatch, boundary):
+    # Replications of 0 to 68 nodes, some with nodes on every edge and
+    # corner, searched at once. Cutoffs just below side/4, side/3 and side/2
+    # give 4, 3 and 2 (that is, no) cells per axis; the others are capped
+    # by the node count.
+    monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
+    rng = np.random.default_rng(77)
+    edge = np.array([[0.0, 0.0], [0.0, 99.9], [99.9, 0.0], [99.9, 99.9], [50.0, 0.0],
+                     [0.0, 50.0], [99.9, 50.0], [50.0, 99.9]])
+    parts = [rng.random((k, 2)) * 100.0 for k in (0, 1, 40, 17, 0, 2, 60, 1, 33)]
+    parts[2] = np.concatenate([parts[2], edge])
+    parts[6] = np.concatenate([edge, parts[6]])
+    offsets = np.cumsum([0] + [len(p) for p in parts])
+    positions = np.concatenate(parts)
+    for cutoff in (0.0, 3.0, 12.0, 24.9, 25.0, 33.3, 40.0, 49.9, 50.0, math.inf):
+        want = _batch_reference(parts, boundary, cutoff)
+        got = simulator._pairs_within(positions, 100.0, boundary, cutoff, offsets)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_pairs_within_keeps_pairs_at_tiny_scales():
@@ -403,6 +433,56 @@ def test_torus_cell_er2_approaches_plane():
 # ============================================================================
 #  Full campaigns
 # ============================================================================
+
+
+def _per_replication_reference(cfg, start, stop):
+    """Each replication searched and drawn on its own, as isolation_count does."""
+    cutoff = effective_range_cutoff(cfg.params, cfg.scheme)
+    counts = [isolation_count(sample_topology(cfg, run), cfg.params, cfg.scheme,
+                              simulator._stream(cfg.master_seed, run, simulator._CHANNEL_DOMAIN),
+                              cutoff)
+              for run in range(start, stop)]
+    return np.array(counts, dtype=np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
+@pytest.mark.parametrize("sigma, lam", [(0.0, 1.5e-2), (2.0, 8e-3), (0.0, 1e-4)],
+                         ids=["cells", "whole-window", "sparse"])
+@pytest.mark.parametrize("budget", [None, 40])
+def test_simulate_block_matches_each_replication_alone(monkeypatch, boundary, sigma, lam, budget):
+    # 'cells' holds about 150 nodes and a 5.9 m cutoff (the acceptance
+    # scale), 'whole-window' a cutoff past half the side, and 'sparse' one
+    # node on average, so that 0- and 1-node replications join batches.
+    if budget is not None:
+        monkeypatch.setattr(simulator, "_BATCH_PAIRS", budget)
+    cfg = config(sigma=sigma, lam=lam, runs=60, seed=5, boundary=boundary)
+    cutoff = effective_range_cutoff(cfg.params, cfg.scheme)
+    start, iso, tot = simulator._simulate_block(cfg, cutoff, 7, 60)
+    assert start == 7
+    assert np.array_equal(np.stack([iso, tot], axis=1), _per_replication_reference(cfg, 7, 60))
+
+
+def test_batches_hold_consecutive_replications_within_the_budget(monkeypatch):
+    # About 8 nodes and one cell per 6 m: each replication costs its node
+    # count, so a budget of 12 pairs some of them and leaves the ones above
+    # 12 nodes alone.
+    monkeypatch.setattr(simulator, "_BATCH_PAIRS", 12)
+    cfg = config(lam=8e-4, runs=300, seed=8)
+    cutoff = effective_range_cutoff(cfg.params, cfg.scheme)
+    batches = list(simulator._batches(cfg, cutoff, 3, 300))
+    assert [run for batch in batches for run, _ in batch] == list(range(3, 300))
+    # An empty replication costs as much as one node.
+    costs = [[max(len(topology), 1) for _, topology in batch] for batch in batches]
+    assert all(sum(c) <= 12 or len(c) == 1 for c in costs)
+    assert any(len(c) == 1 and c[0] > 12 for c in costs)
+    assert any(len(c) >= 2 for c in costs)
+    # Consecutive batches could not have been merged.
+    assert all(sum(a) + b[0] > 12 for a, b in zip(costs, costs[1:]))
+    # At the default budget the acceptance scale gathers dozens per batch.
+    monkeypatch.undo()
+    cfg = config(lam=1.5e-2, runs=200, seed=8)
+    batches = list(simulator._batches(cfg, effective_range_cutoff(cfg.params, cfg.scheme), 0, 200))
+    assert 10 <= 200 / len(batches) <= 60
 
 
 def test_run_monte_carlo_deterministic_and_parallel():

@@ -17,9 +17,11 @@ are the same on every run. The corpus covers:
   simulation reads, an unknown key (including each long flag that is not a
   key), a bad value behind a flag, bad choices, a line without '=' and a
   missing file;
-- every figure preset in every format, and the preset usage errors;
+- every figure preset in every format, and the preset usage errors,
+  flags and config values that a preset sets among them;
 - custom sweeps over m, M, sigma, alpha and lambda, with bad, non-integer
-  and huge grids, a sweep without --lambda, and the target-pi paths;
+  and huge grids, a sweep without --lambda, and the target-pi paths, one
+  with outputs that the inversion does not compute;
 - invert, eval with --m-real, the dB flags and their exclusivity;
 - short simulate runs, bounded and toroidal.
 """
@@ -97,6 +99,10 @@ def invocations() -> list[list[str]]:
         ["sweep", "--figure", "2", "--target-pi", "0.5"],
         ["sweep", "--figure", "2", "--variable", "sigma"],
         ["sweep", "--figure", "5", "--ptx", "inf", "--format", "json"],
+        ["sweep", "--figure", "5", "--lambda", "1e-3", "--m", "1", "--format", "csv"],
+        ["sweep", "--figure", "2", "--sigma-db", "3"],
+        ["sweep", "--config", "good.cfg", "--figure", "3"],
+        ["sweep", "--figure", "4", "--outputs", "analytic,quadrature"],
     ]
     # Custom sweeps.
     m_sweep = ["sweep", "--variable", "m"]
@@ -121,6 +127,8 @@ def invocations() -> list[list[str]]:
         [*sigma_sweep, "--grid", "0,x", *LAM],
         [*sigma_sweep, "--grid", "0,1"],
         [*sigma_sweep, "--grid", "0,1", "--target-pi", "1.5"],
+        [*sigma_sweep, "--grid", "0,1", "--target-pi", "0.9", "--outputs", "analytic,simulation",
+         "--runs", "10"],
         [*sigma_sweep, "--grid", "1,100", "--m", "2", *LAM, "--format", "json"],
         [*sigma_sweep, "--grid", "0,1", "--m", "2", "--lambda", "-1", "--format", "json"],
         [*sigma_sweep, "--grid", "1,1.75", "--alpha", "0.1", *LAM],

@@ -1,4 +1,4 @@
-"""Hash the output of a fixed corpus of 128 ``simulate --format json`` runs.
+"""Hash the output of a fixed corpus of 144 ``simulate --format json`` runs.
 
 Usage: python3 tools/simulate_corpus.py CHECKOUT
 
@@ -17,7 +17,13 @@ The corpus covers every regime of the pair search, each at seeds 5 and
 - the 2 dense cells (m = 2, sigma = 2, none and SC4; lambda 0.02 on a
   400 m torus, 6 runs);
 - toroidal and bounded 100 m squares x none/MRC4/SC4 x sigma 0/2/3 at
-  lambda 5e-3 and 200 runs.
+  lambda 5e-3 and 200 runs;
+- the first acceptance cell on a bounded square, and the fifth at 333
+  runs, which ends both halves of a two-worker run in a partial batch of
+  replications;
+- sigma = 2 (a cutoff of 52.7 m) on 130 m and 180 m tori, where the cutoff
+  lies between a third and half and between a quarter and a third of the
+  side: two and three cells per axis.
 """
 
 from __future__ import annotations
@@ -56,13 +62,13 @@ def run(cli, argv: list[str]) -> tuple[int, str, str]:
 
 def cells(cli) -> list[list[str]]:
     """Every simulated cell, without seed, jobs and output format."""
-    result = []
+    result, lams = [], []
     for cell in ACCEPTANCE_CELLS:
         code, out, err = run(cli, ["invert", *cell, "--target-pi", "0.6", "--format", "json"])
         if code != 0:
             raise RuntimeError(f"invert {' '.join(cell)} exited {code}: {err.strip()}")
-        lam = json.loads(out)["lambda_min"]
-        result.append(cell + ["--lambda", repr(lam), "--area", "100", "--boundary", "toroidal",
+        lams.append(repr(json.loads(out)["lambda_min"]))
+        result.append(cell + ["--lambda", lams[-1], "--area", "100", "--boundary", "toroidal",
                               "--runs", "500"])
     for cell in DENSE_CELLS:
         result.append(cell + ["--lambda", "0.02", "--area", "400", "--runs", "6"])
@@ -71,6 +77,13 @@ def cells(cli) -> list[list[str]]:
             for sigma in ("0", "2", "3"):
                 result.append(["--m", "2", "--sigma", sigma, *scheme, "--lambda", "5e-3",
                                "--area", "100", "--boundary", boundary, "--runs", "200"])
+    result.append(ACCEPTANCE_CELLS[0] + ["--lambda", lams[0], "--area", "100",
+                                         "--boundary", "bounded", "--runs", "500"])
+    result.append(ACCEPTANCE_CELLS[4] + ["--lambda", lams[4], "--area", "100",
+                                         "--boundary", "toroidal", "--runs", "333"])
+    for side in ("130", "180"):
+        result.append(["--m", "2", "--sigma", "2", "--lambda", "5e-3", "--area", side,
+                       "--boundary", "toroidal", "--runs", "200"])
     return result
 
 
