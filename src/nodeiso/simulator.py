@@ -12,10 +12,20 @@ the cell cannot hold the link law.
 Pairs within r_eps come from one cell-list search (``_pairs_within``)
 over each batch of consecutive replications; it returns them in all-pairs
 order, and each replication then draws its channels from its own stream.
+
+Replication r has two streams, its topology (domain 0) and its channel
+draws (domain 1). Each is a PCG64 generator equal bit for bit to
+``np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, r,
+domain)))``. ``_seed_words`` computes the four seed words that this
+SeedSequence generates, for one run or for an array of runs at once, and
+PCG64 seeds itself from them, so a worker seeds its replications in
+chunks of ``_SEED_CHUNK`` runs instead of hashing each entropy tuple on
+its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -79,6 +89,15 @@ _POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64)
 # Substream domains under one (master_seed, run_index) pair.
 _TOPOLOGY_DOMAIN = 0
 _CHANNEL_DOMAIN = 1
+
+# Seed words are computed for this many consecutive runs of one domain at a
+# time. One array pass costs about 0.15-0.2 ms at any length up to here,
+# against 14-28 us per run for SeedSequence and default_rng; a chunk per
+# pair-search batch (7-60 runs) would keep most of that fixed cost, and one
+# chunk per campaign would grow with the number of runs.
+_SEED_CHUNK = 1 << 10
+
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -154,8 +173,100 @@ class MonteCarloEstimate:
         return self.runs_with_isolated / nonempty if nonempty else math.nan
 
 
-def _stream(master_seed: int, run_index: int, domain: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, run_index, domain)))
+def _seed_words(master_seed: int, run, domain: int) -> np.ndarray:
+    """``np.random.SeedSequence(entropy=(master_seed, run, domain)).generate_state(4, np.uint64)``.
+
+    ``run`` is an int, or a uint64 array of runs below 2**32; an array gives
+    one row of four words per run. The arithmetic is numpy's SeedSequence
+    (``_bit_generator.pyx``, fixed by its stream-compatibility policy): each
+    entropy value becomes little-endian 32-bit words ([0] for 0), the words
+    are hashed into a pool of four, every pool word is mixed into every
+    other, words past the fourth are mixed into all four, and the pool is
+    hashed out as eight 32-bit words, paired into four 64-bit ones. Values
+    are Python ints or uint64 arrays holding 32-bit words, reduced with
+    ``& _MASK32`` after each product, so one code serves both.
+    """
+    entropy = []
+    for value in (master_seed, run, domain):
+        if isinstance(value, np.ndarray):
+            entropy.append(value)
+            continue
+        entropy.append(value & _MASK32)
+        while value >> 32:
+            value >>= 32
+            entropy.append(value & _MASK32)
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    out = []
+    for k in range(8):
+        value = pool[k % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
+    words = np.array([out[k] | out[k + 1] << 32 for k in range(0, 8, 2)], dtype=np.uint64)
+    return np.ascontiguousarray(words.T)
+
+
+@functools.cache
+def _preset_seed() -> type:
+    """An ``ISeedSequence`` that hands PCG64 seed words computed beforehand.
+
+    numpy.random.bit_generator is imported here, on first use, so that
+    importing nodeiso loads no numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks only for its four uint64 words.
+            return self.words
+
+    return PresetSeed
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The PCG64 generator that numpy seeds from ``words`` (one row of ``_seed_words``)."""
+    return np.random.Generator(np.random.PCG64(_preset_seed()(words)))
+
+
+def _streams(master_seed: int, domain: int, start: int, stop: int):
+    """The generators of runs start..stop-1 in one domain, in run order.
+
+    Seed words come ``_SEED_CHUNK`` runs at a time from one array pass of
+    ``_seed_words``; a chunk that reaches run 2**32, where a run becomes two
+    entropy words, is computed run by run.
+    """
+    for a in range(start, stop, _SEED_CHUNK):
+        b = min(a + _SEED_CHUNK, stop)
+        if b <= 2**32:
+            rows = _seed_words(master_seed, np.arange(a, b, dtype=np.uint64), domain)
+        else:
+            rows = (_seed_words(master_seed, run, domain) for run in range(a, b))
+        for words in rows:
+            yield _generator(words)
 
 
 # ============================================================================
@@ -163,13 +274,17 @@ def _stream(master_seed: int, run_index: int, domain: int) -> np.random.Generato
 # ============================================================================
 
 
-def sample_topology(config: SimConfig, run_index: int) -> Topology:
+def sample_topology(
+    config: SimConfig, run_index: int, *, rng: np.random.Generator | None = None
+) -> Topology:
     """Poisson node count, independent uniform positions on the square.
 
     Deterministic in (config.master_seed, run_index); zero-node outputs
-    are valid.
+    are valid. ``rng`` is the run's topology stream when the caller has
+    seeded it already (``_batches`` seeds a chunk of runs at once).
     """
-    rng = _stream(config.master_seed, run_index, _TOPOLOGY_DOMAIN)
+    if rng is None:
+        rng = _generator(_seed_words(config.master_seed, run_index, _TOPOLOGY_DOMAIN))
     count = int(rng.poisson(config.node_density * config.area_side**2))
     positions = rng.random((count, 2)) * config.area_side
     return Topology(positions=positions, area_side=config.area_side, boundary=config.boundary)
@@ -352,7 +467,12 @@ def _links_up(
         y = y * np.exp(params.sigma * rng.standard_normal(len(dist)))
     m = params.m
     if scheme.kind == "sc":
-        gain = rng.standard_gamma(m, (len(dist), scheme.branches)).max(axis=1)
+        draws = rng.standard_gamma(m, (len(dist), scheme.branches))
+        # The same values as draws.max(axis=1), which reduces a short inner
+        # axis about ten times slower than a maximum over whole columns.
+        gain = draws[:, 0].copy()
+        for branch in range(1, scheme.branches):
+            np.maximum(gain, draws[:, branch], out=gain)
     else:
         gain = rng.standard_gamma(m * scheme.branches, len(dist))
     return gain * (y / m) >= params.psi
@@ -491,8 +611,9 @@ def _batches(config: SimConfig, range_cutoff: float, start: int, stop: int):
     nc = math.floor(config.area_side / _reach(range_cutoff, config.area_side))
     batch: list[tuple[int, Topology]] = []
     load = 0.0
-    for run in range(start, stop):
-        topology = sample_topology(config, run)
+    streams = _streams(config.master_seed, _TOPOLOGY_DOMAIN, start, stop)
+    for run, rng in zip(range(start, stop), streams):
+        topology = sample_topology(config, run, rng=rng)
         n = len(topology)
         estimate = n * (n - 1) / 2 if nc < 3 else 4.5 * n * n / (nc * nc)
         cost = max(estimate, n, 1)
@@ -515,6 +636,7 @@ def _simulate_block(
     each replication's channel draws from its own stream."""
     isolated = np.empty(stop - start, dtype=np.int64)
     totals = np.empty(stop - start, dtype=np.int64)
+    streams = _streams(config.master_seed, _CHANNEL_DOMAIN, start, stop)
     for batch in _batches(config, range_cutoff, start, stop):
         offsets = np.cumsum([0] + [len(topology) for _, topology in batch])
         positions = np.concatenate([topology.positions for _, topology in batch])
@@ -528,9 +650,8 @@ def _simulate_block(
             pairs = (i[a:b], j[a:b], dist[a:b])
             if offset:
                 pairs = (pairs[0] - offset, pairs[1] - offset, pairs[2])
-            rng = _stream(config.master_seed, run, _CHANNEL_DOMAIN)
             isolated[run - start], totals[run - start] = isolation_count(
-                topology, config.params, config.scheme, rng, range_cutoff, pairs=pairs
+                topology, config.params, config.scheme, next(streams), range_cutoff, pairs=pairs
             )
         # Freed before the next batch's search allocates its own.
         del i, j, dist, pairs

@@ -265,19 +265,26 @@ def test_sigma_sweep_fails_points_whose_er2_leaves_float_range(capsys, scheme):
     assert captured.err == f"nodeiso: sweep point sigma=1.75 failed: {_ALPHA_0_1_CAUSE}\n"
 
 
-def scipy_modules_after(code):
-    """The scipy modules that a fresh interpreter holds after running code."""
+def modules_after(code, package="scipy"):
+    """The modules of package that a fresh interpreter holds after running code."""
     probe = code + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if (m + '.').startswith('{package}.'))))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    assert scipy_modules_after("import nodeiso.cli") == []
-    assert scipy_modules_after("import nodeiso") == []
+    assert modules_after("import nodeiso.cli") == []
+    assert modules_after("import nodeiso") == []
+
+
+def test_cli_import_leaves_out_numpy_random():
+    # Simulations import numpy.random on first use; the other routes never do.
+    loaded = modules_after("import nodeiso.cli", "numpy")
+    assert "numpy" in loaded
+    assert [m for m in loaded if (m + ".").startswith("numpy.random.")] == []
 
 
 def test_closed_form_quadrature_and_simulation_routes_leave_out_scipy():
@@ -289,7 +296,7 @@ def test_closed_form_quadrature_and_simulation_routes_leave_out_scipy():
         "assert cli.main(['simulate', '--m', '2', '--sigma', '2', '--lambda', '5e-3',"
         " '--runs', '5']) == 0",
     ])
-    assert scipy_modules_after(code) == []
+    assert modules_after(code) == []
 
 
 def test_real_severity_eval_loads_scipy_special():
@@ -298,7 +305,7 @@ def test_real_severity_eval_loads_scipy_special():
         "assert cli.main(['eval', '--m-real', '1.5', '--lambda', '1e-4',"
         " '--outputs', 'analytic,quadrature']) == 0",
     ])
-    assert "scipy.special" in scipy_modules_after(code)
+    assert "scipy.special" in modules_after(code)
 
 
 def test_eval_json_format():

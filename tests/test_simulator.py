@@ -42,6 +42,10 @@ def config(m=2, sigma=0.0, scheme=None, lam=1e-3, runs=200, seed=11, boundary="t
     )
 
 
+def _seed_sequence_stream(master_seed, run, domain):
+    return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, run, domain)))
+
+
 # ============================================================================
 #  Topology sampling
 # ============================================================================
@@ -62,6 +66,54 @@ def test_topology_positions_in_range():
     assert topo.positions.shape[1] == 2
     assert np.all(topo.positions >= 0.0)
     assert np.all(topo.positions < cfg.area_side)
+
+
+def _assert_seed_sequence_words(words, seed, run, domain):
+    reference = np.random.SeedSequence(entropy=(seed, run, domain))
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, reference.generate_state(4, np.uint64))
+    assert (simulator._generator(words).bit_generator.state
+            == _seed_sequence_stream(seed, run, domain).bit_generator.state)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260809, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_seed_words_match_seed_sequence(seed):
+    # Entropy of 3 to 5 words: seeds and runs of one and two 32-bit words,
+    # one run at a time and, for runs below 2**32, as one array.
+    runs = [0, 1, 2**32 - 1, 2**32, 2**40]
+    runs += np.random.default_rng(seed % 997).integers(0, 2**63, 6).tolist()
+    runs32 = [0, 1, 2, 99, 2**31, 2**32 - 1]
+    runs32 += np.random.default_rng(seed % 991).integers(0, 2**32, 40).tolist()
+    for domain in (simulator._TOPOLOGY_DOMAIN, simulator._CHANNEL_DOMAIN):
+        for run in runs:
+            _assert_seed_sequence_words(simulator._seed_words(seed, run, domain), seed, run, domain)
+        rows = simulator._seed_words(seed, np.array(runs32, dtype=np.uint64), domain)
+        assert rows.shape == (len(runs32), 4) and rows.flags.c_contiguous
+        for run, words in zip(runs32, rows):
+            _assert_seed_sequence_words(words, seed, run, domain)
+
+
+@pytest.mark.parametrize("start, stop", [(0, 11), (5, 6), (3, 20), (2**32 - 6, 2**32 + 3)])
+def test_streams_equal_seed_sequence_streams_across_chunks(monkeypatch, start, stop):
+    # Chunks of 4 runs: partial first and last chunks, and one chunk that
+    # reaches run 2**32 and is seeded run by run.
+    monkeypatch.setattr(simulator, "_SEED_CHUNK", 4)
+    for seed in (0, 20260809, 2**64 - 1):
+        streams = list(simulator._streams(seed, simulator._CHANNEL_DOMAIN, start, stop))
+        assert len(streams) == stop - start
+        for run, rng in zip(range(start, stop), streams):
+            reference = _seed_sequence_stream(seed, run, simulator._CHANNEL_DOMAIN)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(rng.random(3), reference.random(3))
+
+
+def test_topology_stream_is_the_seed_sequence_stream():
+    cfg = config(lam=2e-3, seed=2**64 - 1)
+    for run in (0, 7, 2**32 + 1):
+        rng = _seed_sequence_stream(cfg.master_seed, run, simulator._TOPOLOGY_DOMAIN)
+        count = int(rng.poisson(cfg.node_density * cfg.area_side**2))
+        expected = rng.random((count, 2)) * cfg.area_side
+        assert np.array_equal(sample_topology(cfg, run).positions, expected)
 
 
 def test_expected_node_count_above_poisson_limit_names_area():
@@ -291,8 +343,11 @@ def _links_up_scaled_gamma(dist, p, scheme, rng):
 
 @pytest.mark.parametrize("sigma", [0.0, 2.0])
 @pytest.mark.parametrize("scheme", [DiversityScheme.no_diversity(), DiversityScheme.mrc(2),
-                                    DiversityScheme.sc(4)], ids=["none", "mrc2", "sc4"])
+                                    DiversityScheme.sc(4), DiversityScheme.sc(2),
+                                    DiversityScheme.sc(3), DiversityScheme.sc(6)],
+                         ids=["none", "mrc2", "sc4", "sc2", "sc3", "sc6"])
 def test_links_up_matches_scaled_gamma_draws(scheme, sigma):
+    # SC's reference is the branch maximum .max(axis=1) of one drawn (n, M) array.
     p = params(m=2, sigma=sigma)
     dist = np.random.default_rng(8).random(20_000) * 9.0 + 1e-9
     for seed in (5, 20260809):
@@ -439,7 +494,8 @@ def _per_replication_reference(cfg, start, stop):
     """Each replication searched and drawn on its own, as isolation_count does."""
     cutoff = effective_range_cutoff(cfg.params, cfg.scheme)
     counts = [isolation_count(sample_topology(cfg, run), cfg.params, cfg.scheme,
-                              simulator._stream(cfg.master_seed, run, simulator._CHANNEL_DOMAIN),
+                              _seed_sequence_stream(cfg.master_seed, run,
+                                                    simulator._CHANNEL_DOMAIN),
                               cutoff)
               for run in range(start, stop)]
     return np.array(counts, dtype=np.int64).reshape(-1, 2)

@@ -1,4 +1,4 @@
-"""Hash the output of a fixed corpus of 144 ``simulate --format json`` runs.
+"""Hash the output of a fixed corpus of 148 ``simulate --format json`` runs.
 
 Usage: python3 tools/simulate_corpus.py CHECKOUT
 
@@ -24,6 +24,10 @@ The corpus covers every regime of the pair search, each at seeds 5 and
 - sigma = 2 (a cutoff of 52.7 m) on 130 m and 180 m tori, where the cutoff
   lies between a third and half and between a quarter and a third of the
   side: two and three cells per axis.
+
+The first acceptance cell also runs at seeds 0 and 2**64 - 1, with
+``--jobs`` 1 and 2: the master seeds that enter the seeding as the single
+word [0] and as two 32-bit words.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import sys
 from pathlib import Path
 
 SEEDS = ("5", "20260809")
+EDGE_SEEDS = ("0", "18446744073709551615")
 JOBS = ("1", "2")
 
 _NONE: list[str] = []
@@ -94,13 +99,15 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
     from nodeiso import cli
 
-    for cell in cells(cli):
-        for seed in SEEDS:
-            for jobs in JOBS:
-                args = ["simulate", *cell, "--seed", seed, "--jobs", jobs, "--format", "json"]
-                code, out, err = run(cli, args)
-                digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
-                print(" ".join(args), code, *digests, flush=True)
+    corpus = cells(cli)
+    seeded = [(cell, seed) for cell in corpus for seed in SEEDS]
+    seeded += [(corpus[0], seed) for seed in EDGE_SEEDS]
+    for cell, seed in seeded:
+        for jobs in JOBS:
+            args = ["simulate", *cell, "--seed", seed, "--jobs", jobs, "--format", "json"]
+            code, out, err = run(cli, args)
+            digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+            print(" ".join(args), code, *digests, flush=True)
     return 0
 
 
