@@ -526,21 +526,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.variable is not None or args.grid is not None:
             raise UsageError("--figure and --variable/--grid are exclusive")
         preset = _FIGURE_PRESETS[args.figure]
-        variable, grid = preset["variable"], preset["grid"]
+        variable, grid, pinned = preset["variable"], preset["grid"], preset["fixed"]
+        sweep = f"figure {args.figure}"
         if "curves" in preset:
             name, values = preset["curves"]
             curves = [{name: v} for v in values]
-        # A flag or config value for a knob that the preset sets would be
-        # silently replaced.
-        own = {variable, *preset["fixed"], *curves[0]}
-        clashes = [
-            "--sigma-db" if knob == "sigma" and args.sigma_db is not None else f"--{knob}"
-            for knob, dest in _KNOBS.items()
-            if knob in own and dest in args.given
-        ]
-        if clashes:
-            raise UsageError(f"figure {args.figure} sets {', '.join(clashes)} itself")
-        fixed.update(preset["fixed"])
         if "target_pi" in preset:
             target_pi = preset["target_pi"] if target_pi is None else target_pi
         elif target_pi is not None:
@@ -548,11 +538,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         if args.variable is None or args.grid is None:
             raise UsageError("sweep requires --figure or both --variable and --grid")
-        variable = args.variable
+        variable, pinned, sweep = args.variable, {}, f"--variable {args.variable}"
         try:
             grid = tuple(float(v) for v in args.grid.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --grid value: {exc}") from exc
+    # A flag or config value for a knob that the sweep sets would be silently
+    # replaced.
+    own = {variable, *pinned, *curves[0]}
+    clashes = [
+        "--sigma-db" if knob == "sigma" and args.sigma_db is not None else f"--{knob}"
+        for knob, dest in _KNOBS.items()
+        if knob in own and dest in args.given
+    ]
+    if clashes:
+        raise UsageError(f"{sweep} sets {', '.join(clashes)} itself")
+    fixed.update(pinned)
 
     ignored = [out for out in outputs if out != "analytic"]
     if target_pi is not None and ignored:

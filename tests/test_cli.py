@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import corpus
 import nodeiso.analytic as analytic
 import nodeiso.channel as channel
 import nodeiso.simulator as simulator
@@ -17,11 +18,9 @@ from nodeiso.channel import ChannelParams, DiversityScheme, sigma_from_db
 
 
 def run_cli(*args, check=True):
-    proc = subprocess.run(
-        [sys.executable, "-m", "nodeiso", *args],
-        capture_output=True,
-        text=True,
-    )
+    """``nodeiso <args>`` in process; test_module_entry_point_matches_the_runner
+    checks that ``python -m nodeiso`` reports the same."""
+    proc = corpus.run(list(args))
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
     return proc
@@ -275,6 +274,23 @@ def modules_after(code, package="scipy"):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--m", "2"],
+    ["eval", "--format", "xml"],
+    ["simulate", "--m", "2", "--lambda", "1e-5", "--runs", "20", "--seed", "1"],
+], ids=["usage-error", "argparse-error", "degenerate-estimate"])
+def test_module_entry_point_matches_the_runner(monkeypatch, argv):
+    # Exit codes 2 and 3 reach the shell, and argparse's exit is reported.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    proc = subprocess.run([sys.executable, "-m", "nodeiso", *argv], capture_output=True,
+                          text=True)
+    assert proc.returncode in (2, 3)
+    expected = corpus.run(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        expected.returncode, expected.stdout, expected.stderr
+    )
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     assert modules_after("import nodeiso.cli") == []
     assert modules_after("import nodeiso") == []
@@ -463,6 +479,25 @@ def test_figure_preset_rejects_flags_it_sets(capsys, argv, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"nodeiso: error: figure {argv[1]} sets {flags} itself\n"
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (["--variable", "sigma", "--grid", "0,1", "--sigma", "2", "--lambda", "1e-4"], "", "--sigma"),
+    (["--variable", "sigma", "--grid", "0,1", "--sigma-db", "3", "--lambda", "1e-4"], "",
+     "--sigma-db"),
+    (["--variable", "lambda", "--grid", "1e-4,2e-4", "--lambda", "5e-3"], "", "--lambda"),
+    (["--variable", "alpha", "--grid", "2,3", "--alpha", "3", "--lambda", "1e-4"], "", "--alpha"),
+    (["--variable", "M", "--grid", "1,2", "--scheme", "mrc", "--M", "2", "--lambda", "1e-4"], "",
+     "--M"),
+    (["--variable", "m", "--grid", "1,2"], "m=2\nlambda=1e-4\n", "--m"),
+], ids=["sigma", "sigma-db", "lambda", "alpha", "M", "config-m"])
+def test_custom_sweep_rejects_values_of_its_variable(tmp_path, capsys, argv, config, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert cli.main(["sweep", "--config", str(cfg), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nodeiso: error: --variable {argv[1]} sets {flags} itself\n"
 
 
 def test_figure_preset_rejects_config_values_it_sets(tmp_path, capsys):

@@ -1,17 +1,23 @@
-"""Hash the output of a fixed corpus of CLI usage runs.
+"""Hash the output of the command line over a fixed corpus of invocations.
 
-Usage: python3 tools/cli_corpus.py CHECKOUT
+Usage: PYTHONPATH=src python3 tools/corpus.py {cli,oracle,simulate}
 
-Runs every invocation in process through ``nodeiso.cli.main`` of the
-checkout at CHECKOUT (its ``src`` goes first on ``sys.path``) and prints one
-line per invocation in the format of ``tools/simulate_corpus.py``: the
-arguments, the exit code, and the sha256 of stdout and of stderr. Diffing
-the output for two checkouts shows whether a change to the command line
-keeps every report, message and exit code.
+Runs every invocation of the suite in process through ``nodeiso.cli.main``
+of the ``nodeiso`` on the path and prints a header line with the Python,
+numpy and scipy versions, then one line per invocation: the arguments, the
+exit code, the sha256 of stdout and of stderr, and the sha256 of each file
+that the run wrote. ``tests/golden/corpus_<suite>.txt`` holds the committed
+output and ``tests/test_corpus.py`` checks every suite against it. A change
+that means to move output re-captures the file in the same change,
 
-The config files of the corpus are written to a temporary directory, which
-is also the working directory of the runs, so that their names in messages
-are the same on every run. The corpus covers:
+    PYTHONPATH=src python3 tools/corpus.py SUITE > tests/golden/corpus_SUITE.txt
+
+and lists every moved line. The runs take place in a temporary working
+directory that holds the config files of the ``cli`` suite, so that file
+names in messages are the same on every run; a file that a run writes there
+is hashed and removed.
+
+``cli`` (114 invocations) covers:
 
 - config files: a good one for each subcommand, one setting every key a
   simulation reads, an unknown key (including each long flag that is not a
@@ -22,19 +28,72 @@ are the same on every run. The corpus covers:
 - custom sweeps over m, M, sigma, alpha and lambda, with bad, non-integer
   and huge grids, a sweep without --lambda, and the target-pi paths, one
   with outputs that the inversion does not compute;
-- invert, eval with --m-real, the dB flags and their exclusivity;
-- short simulate runs, bounded and toroidal.
+- invert, eval with --m-real, the dB flags and their exclusivity, and a
+  report written with --out;
+- short simulate runs, bounded and toroidal, one exporting its topology.
+
+``oracle`` (118) checks the closed forms and the quadrature bit for bit:
+
+- the 6 figure sweeps, figures 2, 3, 5, 6 and 7 with
+  ``--outputs analytic,quadrature`` and the figure-4 inversion;
+- ``eval --m 2 --outputs analytic,quadrature`` over alpha in {2, 3, 4, 6},
+  sigma in {0, 0.5, 2, 4, 8, 12, 16} and no diversity, MRC4 and SC4;
+- the same grid for ``eval --m-real 1.5``, which takes single-branch
+  reception only and so contributes the no-diversity column.
+
+``simulate`` (148) checks every estimate bit for bit over every regime of
+the pair search, each at seeds 5 and 20260809 with ``--jobs`` 1 and 2:
+
+- the 12 cells of acceptance criterion 4 (100 m torus, lambda from
+  ``invert`` at P_I = 0.6, 500 runs): short cutoffs, and at sigma = 2 a
+  cutoff past half the side;
+- the 2 dense cells (m = 2, sigma = 2, none and SC4; lambda 0.02 on a
+  400 m torus, 6 runs);
+- toroidal and bounded 100 m squares x none/MRC4/SC4 x sigma 0/2/3 at
+  lambda 5e-3 and 200 runs;
+- the first acceptance cell on a bounded square, and the fifth at 333
+  runs, which ends both halves of a two-worker run in a partial batch of
+  replications;
+- sigma = 2 (a cutoff of 52.7 m) on 130 m and 180 m tori, where the cutoff
+  lies between a third and half and between a quarter and a third of the
+  side: two and three cells per axis.
+
+The first acceptance cell also runs at seeds 0 and 2**64 - 1, with
+``--jobs`` 1 and 2: the master seeds that enter the seeding as the single
+word [0] and as two 32-bit words.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import os
+import platform
+import subprocess
 import sys
 import tempfile
+from importlib import metadata
 from pathlib import Path
 
-from simulate_corpus import run
+from nodeiso import cli
+
+
+def run(argv: list[str]) -> subprocess.CompletedProcess:
+    """``nodeiso <argv>`` run in process, reported as a subprocess reports it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return subprocess.CompletedProcess(list(argv), code, out.getvalue(), err.getvalue())
+
+
+# ============================================================================
+#  cli
+# ============================================================================
 
 FORMATS = ("text", "csv", "json")
 LAM = ["--lambda", "1e-4"]
@@ -64,8 +123,7 @@ CONFIG_FILES.update({f"flag_{key}.cfg": f"{key}=x\n"
                      for key in ("config", "out", "export-topology", "figure", "variable", "grid")})
 
 
-def invocations() -> list[list[str]]:
-    """Every argument list of the corpus, in a fixed order."""
+def cli_suite() -> list[list[str]]:
     result = []
     # Config files.
     result += [
@@ -168,6 +226,7 @@ def invocations() -> list[list[str]]:
         ["invert", "--k-db", "12", "--psi-db", "8", "--m", "2", "--target-pi", "0.5"],
         ["eval", "--k", "10", "--k-db", "10", *LAM],
         ["eval", "--psi-db", "4000", *LAM],
+        ["eval", "--m", "2", "--sigma", "2", *LAM, "--format", "json", "--out", "report.json"],
     ]
     # Short simulations.
     result += [
@@ -179,29 +238,122 @@ def invocations() -> list[list[str]]:
         ["simulate", "--lambda", "1e-6", "--runs", "5"],
         ["simulate", "--m-real", "1.5", "--lambda", "5e-3"],
         ["simulate", "--m", "2"],
+        ["simulate", "--m", "2", "--lambda", "5e-3", *SHORT_SIM, "--export-topology",
+         "topology.csv"],
     ]
     return result
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
-    from nodeiso import cli
+# ============================================================================
+#  oracle
+# ============================================================================
 
+ALPHAS = ("2", "3", "4", "6")
+SIGMAS = ("0", "0.5", "2", "4", "8", "12", "16")
+_NONE: list[str] = []
+_MRC2 = ["--scheme", "mrc", "--M", "2"]
+_MRC4 = ["--scheme", "mrc", "--M", "4"]
+_SC2 = ["--scheme", "sc", "--M", "2"]
+_SC4 = ["--scheme", "sc", "--M", "4"]
+BOTH = ["--outputs", "analytic,quadrature"]
+
+
+def oracle_suite() -> list[list[str]]:
+    result = [["sweep", "--figure", str(f), *BOTH, "--format", "json"] for f in (2, 3, 5, 6, 7)]
+    result.append(["sweep", "--figure", "4", "--format", "json"])
+    for severity, schemes in ((["--m", "2"], (_NONE, _MRC4, _SC4)), (["--m-real", "1.5"], [_NONE])):
+        for alpha in ALPHAS:
+            for sigma in SIGMAS:
+                for scheme in schemes:
+                    result.append(["eval", *severity, "--alpha", alpha, "--sigma", sigma, *scheme,
+                                   "--lambda", "1e-4", *BOTH, "--format", "json"])
+    return result
+
+
+# ============================================================================
+#  simulate
+# ============================================================================
+
+SEEDS = ("5", "20260809")
+EDGE_SEEDS = ("0", "18446744073709551615")
+ACCEPTANCE_CELLS = [["--m", str(m)] + s for m in (1, 2, 4) for s in (_NONE, _MRC2, _SC2)] + [
+    ["--m", "2"] + _SC4,
+    ["--m", "2", "--sigma", "2"] + _NONE,
+    ["--m", "2", "--sigma", "2"] + _MRC2,
+]
+DENSE_CELLS = [["--m", "2", "--sigma", "2"] + _NONE, ["--m", "2", "--sigma", "2"] + _SC4]
+
+
+def _simulated_cells() -> list[list[str]]:
+    """Every simulated cell, without seed, jobs and output format."""
+    result, lams = [], []
+    for cell in ACCEPTANCE_CELLS:
+        proc = run(["invert", *cell, "--target-pi", "0.6", "--format", "json"])
+        if proc.returncode != 0:
+            raise RuntimeError(f"invert {' '.join(cell)} exited {proc.returncode}: {proc.stderr}")
+        lams.append(repr(json.loads(proc.stdout)["lambda_min"]))
+        result.append(cell + ["--lambda", lams[-1], "--area", "100", "--boundary", "toroidal",
+                              "--runs", "500"])
+    for cell in DENSE_CELLS:
+        result.append(cell + ["--lambda", "0.02", "--area", "400", "--runs", "6"])
+    for boundary in ("toroidal", "bounded"):
+        for scheme in (_NONE, _MRC4, _SC4):
+            for sigma in ("0", "2", "3"):
+                result.append(["--m", "2", "--sigma", sigma, *scheme, "--lambda", "5e-3",
+                               "--area", "100", "--boundary", boundary, "--runs", "200"])
+    result.append(ACCEPTANCE_CELLS[0] + ["--lambda", lams[0], "--area", "100",
+                                         "--boundary", "bounded", "--runs", "500"])
+    result.append(ACCEPTANCE_CELLS[4] + ["--lambda", lams[4], "--area", "100",
+                                         "--boundary", "toroidal", "--runs", "333"])
+    for side in ("130", "180"):
+        result.append(["--m", "2", "--sigma", "2", "--lambda", "5e-3", "--area", side,
+                       "--boundary", "toroidal", "--runs", "200"])
+    return result
+
+
+def simulate_suite() -> list[list[str]]:
+    cells = _simulated_cells()
+    seeded = [(cell, seed) for cell in cells for seed in SEEDS]
+    seeded += [(cells[0], seed) for seed in EDGE_SEEDS]
+    return [["simulate", *cell, "--seed", seed, "--jobs", jobs, "--format", "json"]
+            for cell, seed in seeded for jobs in ("1", "2")]
+
+
+# ============================================================================
+#  Lines
+# ============================================================================
+
+SUITES = {"cli": cli_suite, "oracle": oracle_suite, "simulate": simulate_suite}
+
+
+def lines(suite: str) -> list[str]:
+    """The header line and one line per invocation of the suite."""
+    result = [f"# python {platform.python_version()} numpy {metadata.version('numpy')} "
+              f"scipy {metadata.version('scipy')}"]
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for name, text in CONFIG_FILES.items():
                 Path(name).write_text(text, encoding="utf-8")
-            for args in invocations():
-                code, out, err = run(cli, args)
-                digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
-                print(" ".join(args), code, *digests, flush=True)
+            for args in SUITES[suite]():
+                proc = run(args)
+                digests = [hashlib.sha256(text.encode()).hexdigest()
+                           for text in (proc.stdout, proc.stderr)]
+                for written in sorted(set(os.listdir()) - set(CONFIG_FILES)):
+                    digests.append(hashlib.sha256(Path(written).read_bytes()).hexdigest())
+                    os.remove(written)
+                result.append(" ".join([*args, str(proc.returncode), *digests]))
         finally:
             os.chdir(start)
+    return result
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0] not in SUITES:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    print("\n".join(lines(argv[0])))
     return 0
 
 
