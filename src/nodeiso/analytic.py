@@ -16,14 +16,12 @@ factor exp(2 sigma^2 / alpha^2), which is exactly 1 at sigma = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb
 
 from .channel import ChannelParams, DiversityScheme, _check_series_length, build_beta_table
 
 __all__ = [
     "CancellationError",
-    "IsolationQuery",
     "SC_MAX_ORDER",
     "check_node_density",
     "expected_r2",
@@ -46,18 +44,6 @@ _MAX_DIGIT_LOSS = 1e6
 
 class CancellationError(ArithmeticError):
     """Alternating-sum evaluation lost too many significant digits."""
-
-
-@dataclass(frozen=True)
-class IsolationQuery:
-    """A point evaluation request: channel, receiver structure, density."""
-
-    params: ChannelParams
-    scheme: DiversityScheme
-    node_density: float   # nodes per square meter
-
-    def __post_init__(self) -> None:
-        check_node_density(self.node_density)
 
 
 def _shadow_factor(params: ChannelParams) -> float:
@@ -228,9 +214,11 @@ def isolation_from_er2(node_density: float, er2: float) -> float:
     return math.exp(-node_density * math.pi * er2)
 
 
-def isolation_probability(query: IsolationQuery) -> float:
-    """P_I for the queried configuration, with the closed-form E[R^2]."""
-    return isolation_from_er2(query.node_density, expected_r2(query.params, query.scheme))
+def isolation_probability(
+    params: ChannelParams, scheme: DiversityScheme, node_density: float
+) -> float:
+    """P_I at this density (nodes per square meter) with the closed-form E[R^2]."""
+    return isolation_from_er2(node_density, expected_r2(params, scheme))
 
 
 def min_density_for_isolation(

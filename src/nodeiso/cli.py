@@ -26,13 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import (
-    CancellationError,
-    _density_from_er2,
-    expected_r2,
-    isolation_from_er2,
-    min_density_for_isolation,
-)
+from .analytic import CancellationError, _density_from_er2, expected_r2, isolation_from_er2
 from .channel import ChannelParams, DiversityScheme, db_to_linear, make_success_fn, sigma_from_db
 from .quadrature import (
     QuadratureError,
@@ -147,6 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
         """Add a flag that a config file may also set."""
         config_actions[flag[2:]] = group.add_argument(flag, **kwargs)
 
+    def campaign(group) -> None:
+        """The flags of a simulation campaign, where a subcommand lists them."""
+        option(group, "--area", dest="area_side", type=float, help="square side [m] (default 100)")
+        option(group, "--boundary", choices=("bounded", "toroidal"))
+        option(group, "--runs", type=int, help="replications (default 1000)")
+        option(group, "--seed", dest="master_seed", type=int, help="master seed (default 0)")
+        option(group, "--jobs", type=int, help="parallel workers (default 1)")
+
     channel = argparse.ArgumentParser(add_help=False)
     g = channel.add_argument_group("channel")
     option(g, "--ptx", type=float, help="transmit power [mW] (default 1)")
@@ -189,20 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     option(p_sweep, "--outputs", help="comma list of analytic,quadrature,simulation")
     option(p_sweep, "--target-pi", dest="target_pi", type=float,
            help="invert for density at this isolation probability")
-    option(p_sweep, "--area", dest="area_side", type=float, help="simulation square side [m]")
-    option(p_sweep, "--boundary", choices=("bounded", "toroidal"))
-    option(p_sweep, "--runs", type=int, help="simulation replications per grid point")
-    option(p_sweep, "--seed", dest="master_seed", type=int, help="simulation master seed")
-    option(p_sweep, "--jobs", type=int, help="parallel workers for simulation")
+    campaign(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", parents=[channel, output], help="Monte Carlo estimate")
     option(p_sim, "--lambda", dest="node_density", type=float, help="node density [1/m^2]")
-    option(p_sim, "--area", dest="area_side", type=float, help="square side [m] (default 100)")
-    option(p_sim, "--boundary", choices=("bounded", "toroidal"))
-    option(p_sim, "--runs", type=int, help="replications (default 1000)")
-    option(p_sim, "--seed", dest="master_seed", type=int, help="master seed (default 0)")
-    option(p_sim, "--jobs", type=int, help="parallel workers (default 1)")
+    campaign(p_sim)
     p_sim.add_argument("--export-topology", dest="export_topology",
                        help="write the run-0 topology to this path")
     p_sim.set_defaults(func=cmd_simulate)
@@ -356,11 +350,7 @@ def _render_record(fields: list[tuple[str, object]], out_format: str) -> str:
     if out_format == "json":
         return json.dumps({k: _json_safe(v) for k, v in fields}, indent=2) + "\n"
     if out_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([k for k, _ in fields])
-        writer.writerow([_fmt(v) for _, v in fields])
-        return buf.getvalue()
+        return _render_table([k for k, _ in fields], [[v for _, v in fields]], out_format)
     width = max(len(k) for k, _ in fields)
     return "".join(f"{k.ljust(width)} = {_fmt(v)}\n" for k, v in fields)
 
@@ -406,37 +396,6 @@ def _numeric_er2(params: ChannelParams, scheme: DiversityScheme, m_real: float |
 # ============================================================================
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    if args.node_density is None:
-        raise UsageError("eval requires --lambda")
-    scheme = _build_scheme(args.scheme, args.diversity_order)
-    if args.m_real is not None:
-        if scheme.kind != "none":
-            raise UsageError("--m-real supports the no-diversity scheme only")
-        _parse_outputs(args.outputs, ("analytic", "quadrature"))
-        params = _build_params(args, m=1)
-        er2_q = _numeric_er2(params, scheme, args.m_real)
-        fields = [
-            ("p_i_quadrature", isolation_from_er2(args.node_density, er2_q)),
-            ("er2_quadrature", er2_q),
-        ]
-        _emit(_render_record(fields, args.out_format), args)
-        return 0
-    params = _build_params(args)
-    outputs = _parse_outputs(args.outputs, ("analytic", "quadrature"))
-    er2_a = expected_r2(params, scheme)
-    fields = [
-        ("p_i_analytic", isolation_from_er2(args.node_density, er2_a)),
-        ("er2_analytic", er2_a),
-    ]
-    if "quadrature" in outputs:
-        er2_q = _numeric_er2(params, scheme, None)
-        fields.append(("p_i_quadrature", isolation_from_er2(args.node_density, er2_q)))
-        fields.append(("er2_quadrature", er2_q))
-    _emit(_render_record(fields, args.out_format), args)
-    return 0
-
-
 def _sim_config(
     args: argparse.Namespace, params: ChannelParams, scheme: DiversityScheme, node_density: float
 ) -> SimConfig:
@@ -465,49 +424,80 @@ def _grid_label(variable: str, value: float) -> float | int:
     return value
 
 
-def _sweep_point(
+def _flag_knobs(args: argparse.Namespace) -> dict:
+    """The sweep knobs as the flags, the config file and the defaults set them."""
+    return {knob: getattr(args, dest, None) for knob, dest in _KNOBS.items()}
+
+
+def _point(
     args: argparse.Namespace,
     knobs: dict,
     outputs: tuple[str, ...],
     target_pi: float | None,
-    point: str,
     er2_by_channel: dict,
     grids: dict,
+    where: str,
 ) -> dict:
-    """Evaluate one grid point; raises on invalid or failing configurations.
+    """Every quantity of one point by its column name; raises on invalid or
+    failing configurations.
 
-    E[R^2] does not depend on the density, so ``er2_by_channel`` keeps each
-    route's value per (params, scheme) for the rest of the sweep. Only
-    successful evaluations are kept; a failing one is recomputed, and fails
-    the same way, at every point that needs it. ``grids`` keeps the
-    simulator's link-mass grids the same way.
+    With ``target_pi`` the point inverts the closed form for the density at
+    that P_I. Otherwise it gives P_I at the ``lambda`` knob by the closed
+    form and by each route that ``outputs`` adds; under --m-real the
+    quadrature is the only route. E[R^2] does not depend on the density, so
+    ``er2_by_channel`` keeps each route's value per channel for the points
+    that follow. Only successful evaluations are kept; a failing one is
+    recomputed, and fails the same way, at every point that needs it.
+    ``grids`` keeps the simulator's link-mass grids the same way, and
+    ``where`` begins each simulator warning.
     """
     for int_name in ("m", "M"):
         if int(knobs[int_name]) != knobs[int_name]:
             raise UsageError(f"{int_name} grid values must be integers, got {knobs[int_name]}")
     scheme = _build_scheme(knobs["scheme"], int(knobs["M"]))
-    params = _build_params(args, m=int(knobs["m"]), sigma=knobs["sigma"], alpha=knobs["alpha"])
-    er2 = er2_by_channel.setdefault((params, scheme), {})
-    if "analytic" not in er2:
-        er2["analytic"] = expected_r2(params, scheme)
-    result = {"er2_analytic": er2["analytic"]}
+    m_real = args.m_real
+    if m_real is not None and scheme.kind != "none":
+        raise UsageError("--m-real supports the no-diversity scheme only")
+    params = _build_params(args, m=1 if m_real is not None else int(knobs["m"]),
+                           sigma=knobs["sigma"], alpha=knobs["alpha"])
+    er2 = er2_by_channel.setdefault((params, scheme, m_real), {})
+    if m_real is not None:
+        routes = ["quadrature"]
+    else:
+        routes = ["analytic", *(["quadrature"] if "quadrature" in outputs else [])]
+    result = {}
+    for route in routes:
+        if route not in er2:
+            er2[route] = (expected_r2(params, scheme) if route == "analytic"
+                          else _numeric_er2(params, scheme, m_real))
+        result[f"er2_{route}"] = er2[route]
+        if target_pi is None:
+            result[f"p_i_{route}"] = isolation_from_er2(knobs["lambda"], er2[route])
     if target_pi is not None:
-        result["lambda_min"] = min_density_for_isolation(params, scheme, target_pi)
-        return result
-    node_density = knobs["lambda"]
-    result["p_i_analytic"] = isolation_from_er2(node_density, er2["analytic"])
-    if "quadrature" in outputs:
-        if "quadrature" not in er2:
-            er2["quadrature"] = _numeric_er2(params, scheme, None)
-        result["p_i_quadrature"] = isolation_from_er2(node_density, er2["quadrature"])
-    if "simulation" in outputs:
-        estimate = _simulate(_sim_config(args, params, scheme, node_density), args.jobs,
-                             f"{point}: ", grids)
-        result["p_i_sim"] = estimate.p_isolated
-        result["sim_stderr"] = estimate.std_error
-        result["sim_ci_low"] = estimate.ci95[0]
-        result["sim_ci_high"] = estimate.ci95[1]
+        result["lambda_min"] = _density_from_er2(target_pi, er2["analytic"])
+        result["p_i_roundtrip"] = isolation_from_er2(result["lambda_min"], er2["analytic"])
+    elif "simulation" in outputs:
+        config = _sim_config(args, params, scheme, knobs["lambda"])
+        estimate = _simulate(config, args.jobs, where, grids)
+        result.update(p_i_sim=estimate.p_isolated, sim_stderr=estimate.std_error,
+                      sim_ci_low=estimate.ci95[0], sim_ci_high=estimate.ci95[1])
     return result
+
+
+def _emit_point(result: dict, names: tuple[str, ...], args: argparse.Namespace) -> None:
+    """One record of the named fields that the point has, in the order named."""
+    fields = [(name, result[name]) for name in names if name in result]
+    _emit(_render_record(fields, args.out_format), args)
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    if args.node_density is None:
+        raise UsageError("eval requires --lambda")
+    outputs = _parse_outputs(args.outputs, ("analytic", "quadrature"))
+    result = _point(args, _flag_knobs(args), outputs, None, {}, {}, "")
+    _emit_point(result, ("p_i_analytic", "er2_analytic", "p_i_quadrature", "er2_quadrature"),
+                args)
+    return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -520,7 +510,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if target_pi is not None and args.variable == "lambda":
         raise UsageError("--target-pi inverts for the density; sweep a different variable")
-    fixed = {knob: getattr(args, dest) for knob, dest in _KNOBS.items()}
+    fixed = _flag_knobs(args)
     curves: list[dict] = [{}]  # each curve overrides some of the fixed knobs
     if args.figure is not None:
         if args.variable is not None or args.grid is not None:
@@ -586,8 +576,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             point = f"sweep point {variable}={value:g}"
             knobs = {**fixed, **curve, variable: value}
             try:
-                result = _sweep_point(args, knobs, outputs, target_pi, point, er2_by_channel,
-                                      grids)
+                result = _point(args, knobs, outputs, target_pi, er2_by_channel, grids,
+                                f"{point}: ")
             except (ValueError, OverflowError, CancellationError, QuadratureError) as exc:
                 failures += 1
                 print(f"nodeiso: {point} failed: {exc}", file=sys.stderr)
@@ -641,16 +631,8 @@ def cmd_invert(args: argparse.Namespace) -> int:
         raise UsageError(f"--target-pi must lie in (0, 1), got {args.target_pi}")
     if args.m_real is not None:
         raise UsageError("--m-real is eval-only")
-    scheme = _build_scheme(args.scheme, args.diversity_order)
-    params = _build_params(args)
-    er2 = expected_r2(params, scheme)
-    lam = _density_from_er2(args.target_pi, er2)
-    fields = [
-        ("lambda_min", lam),
-        ("p_i_roundtrip", isolation_from_er2(lam, er2)),
-        ("er2_analytic", er2),
-    ]
-    _emit(_render_record(fields, args.out_format), args)
+    result = _point(args, _flag_knobs(args), ("analytic",), args.target_pi, {}, {}, "")
+    _emit_point(result, ("lambda_min", "p_i_roundtrip", "er2_analytic"), args)
     return 0
 
 

@@ -684,6 +684,8 @@ def run_monte_carlo(
     whose P_I, the estimate's target, differs from the plane's by more than
     half a standard error.
     """
+    if int(n_jobs) != n_jobs or n_jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {n_jobs}")
     grids = {} if grids is None else grids
     channel = (config.params, config.scheme)
     if channel not in grids:
@@ -693,7 +695,7 @@ def run_monte_carlo(
     runs = config.runs
     isolated = np.empty(runs, dtype=np.int64)
     totals = np.empty(runs, dtype=np.int64)
-    n_jobs = min(n_jobs, runs, _usable_cpus())
+    n_jobs = min(int(n_jobs), runs, _usable_cpus())
     if n_jobs <= 1:
         _, isolated, totals = _simulate_block(config, cutoff, 0, runs)
     else:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from nodeiso.analytic import (
-    IsolationQuery,
     _shadow_factor,
     expected_r2,
     expected_r2_mrc,
@@ -238,7 +237,7 @@ def test_criterion_5_trend_reproduction():
     none = DiversityScheme.no_diversity()
 
     def p_i(p, scheme, lam):
-        return isolation_probability(IsolationQuery(p, scheme, lam))
+        return isolation_probability(p, scheme, lam)
 
     # (a) strictly decreasing in lambda, sigma, m, and MRC order M.
     lams = np.logspace(-5, -3, 21)
@@ -297,9 +296,8 @@ def test_criterion_6_reference_point_three_way():
     frozen = (
         abs(closed - 9.3998) <= 1e-3
         and closed == pytest.approx(9.399856029866251, rel=1e-12)
-        and isolation_probability(
-            IsolationQuery(p, DiversityScheme.no_diversity(), 1e-4)
-        ) == pytest.approx(0.9970513041039797, rel=1e-12)
+        and isolation_probability(p, DiversityScheme.no_diversity(), 1e-4)
+        == pytest.approx(0.9970513041039797, rel=1e-12)
     )
     _report(
         6,
@@ -335,6 +333,6 @@ def test_criterion_8_density_inversion_round_trip():
                     scheme = DiversityScheme(kind, M)
                     for target in (0.01, 0.1, 0.5, 0.9):
                         lam = min_density_for_isolation(p, scheme, target)
-                        back = isolation_probability(IsolationQuery(p, scheme, lam))
+                        back = isolation_probability(p, scheme, lam)
                         worst = max(worst, abs(back - target) / target)
     _report(8, "density inversion round trip", worst <= 1e-12, f"worst rel {worst:.2e}")

@@ -7,7 +7,6 @@ import pytest
 import nodeiso.analytic as analytic
 from nodeiso.analytic import (
     SC_MAX_ORDER,
-    IsolationQuery,
     expected_r2,
     expected_r2_mrc,
     expected_r2_sc,
@@ -140,33 +139,32 @@ def test_dispatch_reductions():
 
 
 def test_isolation_empty_network():
-    q = IsolationQuery(params(m=2), DiversityScheme.no_diversity(), 0.0)
-    assert isolation_probability(q) == 1.0
+    assert isolation_probability(params(m=2), DiversityScheme.no_diversity(), 0.0) == 1.0
 
 
 def test_isolation_reference_value():
-    q = IsolationQuery(params(m=2), DiversityScheme.no_diversity(), 1e-4)
-    assert isolation_probability(q) == pytest.approx(0.9970513041039797, rel=1e-12)
+    p_i = isolation_probability(params(m=2), DiversityScheme.no_diversity(), 1e-4)
+    assert p_i == pytest.approx(0.9970513041039797, rel=1e-12)
 
 
 def test_isolation_monotone_in_density():
     p = params(m=2)
     scheme = DiversityScheme.no_diversity()
     lams = np.logspace(-5, -1, 30)
-    vals = [isolation_probability(IsolationQuery(p, scheme, lam)) for lam in lams]
+    vals = [isolation_probability(p, scheme, lam) for lam in lams]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < vals[0] <= 1.0
 
 
 def test_isolation_limit_large_density():
-    q = IsolationQuery(params(m=2), DiversityScheme.no_diversity(), 1e6)
-    assert isolation_probability(q) == pytest.approx(0.0, abs=1e-300)
+    p_i = isolation_probability(params(m=2), DiversityScheme.no_diversity(), 1e6)
+    assert p_i == pytest.approx(0.0, abs=1e-300)
 
 
 def test_isolation_query_validation():
     for bad in (-1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="node density must be finite and >= 0"):
-            IsolationQuery(params(), DiversityScheme.no_diversity(), bad)
+            isolation_probability(params(), DiversityScheme.no_diversity(), bad)
 
 
 def test_isolation_from_er2_is_the_one_formula():
@@ -175,8 +173,7 @@ def test_isolation_from_er2_is_the_one_formula():
         er2 = expected_r2(p, scheme)
         for lam in (0.0, 1e-5, 1e-3, 1.0):
             assert isolation_from_er2(lam, er2) == math.exp(-lam * math.pi * er2)
-            query = IsolationQuery(p, scheme, lam)
-            assert isolation_probability(query) == isolation_from_er2(lam, er2)
+            assert isolation_probability(p, scheme, lam) == isolation_from_er2(lam, er2)
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="node density must be finite and >= 0"):
             isolation_from_er2(bad, 1.0)
@@ -196,7 +193,7 @@ def test_min_density_round_trip_grid():
     p = params(m=2, sigma=1.0)
     scheme = DiversityScheme.mrc(2)
     for lam in np.logspace(-6, -1, 12):
-        target = isolation_probability(IsolationQuery(p, scheme, lam))
+        target = isolation_probability(p, scheme, lam)
         back = min_density_for_isolation(p, scheme, target)
         assert back == pytest.approx(lam, rel=1e-10)
 

@@ -281,7 +281,7 @@ def modules_after(code, package="scipy"):
 ], ids=["usage-error", "argparse-error", "degenerate-estimate"])
 def test_module_entry_point_matches_the_runner(monkeypatch, argv):
     # Exit codes 2 and 3 reach the shell, and argparse's exit is reported.
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")  # the width at which the runner has argparse wrap usage
     proc = subprocess.run([sys.executable, "-m", "nodeiso", *argv], capture_output=True,
                           text=True)
     assert proc.returncode in (2, 3)
@@ -772,7 +772,12 @@ def test_invert_round_trip():
     assert float(record["p_i_roundtrip"]) == pytest.approx(0.01, rel=1e-10)
 
 
-def test_invert_evaluates_the_closed_form_once(monkeypatch, capsys):
+@pytest.mark.parametrize("argv, target, points", [
+    (["invert", "--m", "2", "--target-pi", "0.01"], 0.01, 1),
+    (["sweep", "--figure", "4"], 0.99, 17),
+], ids=["invert", "sweep-figure4"])
+def test_invert_evaluates_the_closed_form_once(monkeypatch, capsys, argv, target, points):
+    # Once per point: the inversion reuses the E[R^2] that the point prints.
     calls = []
     closed_form = analytic.expected_r2
 
@@ -782,11 +787,14 @@ def test_invert_evaluates_the_closed_form_once(monkeypatch, capsys):
 
     monkeypatch.setattr(analytic, "expected_r2", counting)
     monkeypatch.setattr(cli, "expected_r2", counting)
-    assert cli.main(["invert", "--m", "2", "--target-pi", "0.01", "--format", "json"]) == 0
-    assert len(calls) == 1
-    record = json.loads(capsys.readouterr().out)
-    assert record["er2_analytic"] == closed_form(*calls[0])
-    assert record["p_i_roundtrip"] == pytest.approx(0.01, rel=1e-12)
+    assert cli.main([*argv, "--format", "json"]) == 0
+    assert len(calls) == points
+    records = json.loads(capsys.readouterr().out)
+    records = records if isinstance(records, list) else [records]
+    assert [r["er2_analytic"] for r in records] == [closed_form(*call) for call in calls]
+    for record in records:
+        assert record["lambda_min"] == analytic._density_from_er2(target, record["er2_analytic"])
+        assert record.get("p_i_roundtrip", target) == pytest.approx(target, rel=1e-12)
 
 
 def test_invert_bad_target_exit_2():
@@ -881,6 +889,25 @@ def test_simulate_parallel_matches_serial():
     a = run_cli(*SIM_ARGS, "--jobs", "1").stdout
     b = run_cli(*SIM_ARGS, "--jobs", "3").stdout
     assert a == b
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_rejected(capsys, jobs):
+    message = f"jobs must be a positive integer, got {jobs}"
+    cfg = simulator.SimConfig(params=ChannelParams(ptx=1.0, w=0.01, k=10.0, psi=10.0, alpha=4.0,
+                                                   sigma=0.0, m=2),
+                              scheme=DiversityScheme.no_diversity(), node_density=1e-3, runs=5)
+    with pytest.raises(ValueError, match=message):
+        simulator.run_monte_carlo(cfg, n_jobs=jobs)
+    assert cli.main([*SIM_ARGS, "--jobs", str(jobs)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"nodeiso: error: {message}\n")
+    # A sweep fails each simulated point, as it does for --runs 0.
+    assert cli.main(["sweep", "--variable", "lambda", "--grid", "1e-3,2e-3", "--m", "2",
+                     "--outputs", "simulation", "--runs", "10", "--jobs", str(jobs)]) == 3
+    assert capsys.readouterr().err == "".join(
+        f"nodeiso: sweep point lambda={lam} failed: {message}\n" for lam in ("0.001", "0.002")
+    )
 
 
 def test_simulate_reports_both_estimators_and_reference():

@@ -1,6 +1,7 @@
 """Byte-identity of the command line: every invocation of the corpus suites
 in tools/corpus.py gives the exit code and output recorded in tests/golden."""
 
+import os
 import re
 from pathlib import Path
 
@@ -77,3 +78,18 @@ def test_simulate_corpus_is_the_same_for_any_jobs():
     assert len(by_cell) == 74
     for cell, results in by_cell.items():
         assert set(results) == {"1", "2"} and results["1"] == results["2"], cell
+
+
+def test_runner_output_does_not_follow_the_terminal_width(monkeypatch):
+    # argparse wraps its usage text to COLUMNS; the runner pins it and puts it back.
+    stderr = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        proc = corpus.run(["eval", "--format", "xml"])
+        assert proc.returncode == 2 and "invalid choice: 'xml'" in proc.stderr
+        assert os.environ["COLUMNS"] == columns
+        stderr[columns] = proc.stderr
+    assert stderr["40"] == stderr["200"]
+    monkeypatch.delenv("COLUMNS")
+    corpus.run(["eval", "--format", "xml"])
+    assert "COLUMNS" not in os.environ

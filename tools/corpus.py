@@ -15,9 +15,10 @@ that means to move output re-captures the file in the same change,
 and lists every moved line. The runs take place in a temporary working
 directory that holds the config files of the ``cli`` suite, so that file
 names in messages are the same on every run; a file that a run writes there
-is hashed and removed.
+is hashed and removed. Each run sees ``COLUMNS=80``, so that argparse wraps
+its usage text the same way in any terminal.
 
-``cli`` (114 invocations) covers:
+``cli`` (122 invocations) covers:
 
 - config files: a good one for each subcommand, one setting every key a
   simulation reads, an unknown key (including each long flag that is not a
@@ -28,18 +29,24 @@ is hashed and removed.
 - custom sweeps over m, M, sigma, alpha and lambda, with bad, non-integer
   and huge grids, a sweep without --lambda, and the target-pi paths, one
   with outputs that the inversion does not compute;
-- invert, eval with --m-real, the dB flags and their exclusivity, and a
-  report written with --out;
-- short simulate runs, bounded and toroidal, one exporting its topology.
+- invert, eval with --m-real, the dB flags and their exclusivity, --M
+  without a diversity scheme, and a report written with --out or to a
+  missing directory;
+- argparse's own rejections: no subcommand, an unknown flag, and bad
+  --format and --scheme choices;
+- short simulate runs, bounded and toroidal, one exporting its topology,
+  one with no node at all (JSON nulls) and one with --jobs 0.
 
-``oracle`` (118) checks the closed forms and the quadrature bit for bit:
+``oracle`` (119) checks the closed forms and the quadrature bit for bit:
 
 - the 6 figure sweeps, figures 2, 3, 5, 6 and 7 with
   ``--outputs analytic,quadrature`` and the figure-4 inversion;
 - ``eval --m 2 --outputs analytic,quadrature`` over alpha in {2, 3, 4, 6},
   sigma in {0, 0.5, 2, 4, 8, 12, 16} and no diversity, MRC4 and SC4;
 - the same grid for ``eval --m-real 1.5``, which takes single-branch
-  reception only and so contributes the no-diversity column.
+  reception only and so contributes the no-diversity column;
+- ``eval --m 12`` with SC16, the one cell whose selection-combining sum
+  runs in log space (x0 + M(m - 1) >= 170).
 
 ``simulate`` (148) checks every estimate bit for bit over every regime of
 the pair search, each at seeds 5 and 20260809 with ``--jobs`` 1 and 2:
@@ -76,14 +83,21 @@ import sys
 import tempfile
 from importlib import metadata
 from pathlib import Path
+from unittest import mock
 
 from nodeiso import cli
 
 
 def run(argv: list[str]) -> subprocess.CompletedProcess:
-    """``nodeiso <argv>`` run in process, reported as a subprocess reports it."""
+    """``nodeiso <argv>`` run in process, reported as a subprocess reports it.
+
+    argparse wraps its usage text to the terminal width that it reads from
+    ``COLUMNS``, so the run sets that to 80 and then restores the caller's
+    environment.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's usage errors
@@ -227,7 +241,11 @@ def cli_suite() -> list[list[str]]:
         ["eval", "--k", "10", "--k-db", "10", *LAM],
         ["eval", "--psi-db", "4000", *LAM],
         ["eval", "--m", "2", "--sigma", "2", *LAM, "--format", "json", "--out", "report.json"],
+        ["eval", "--m", "2", *LAM, "--out", "missing_dir/report.json"],
+        ["eval", "--M", "2", *LAM],
     ]
+    # argparse's own rejections.
+    result += [[], ["eval", "--bogus"], ["eval", "--format", "xml"], ["eval", "--scheme", "bogus"]]
     # Short simulations.
     result += [
         ["simulate", "--m", "2", "--lambda", "5e-3", *SHORT_SIM],
@@ -236,6 +254,8 @@ def cli_suite() -> list[list[str]]:
         ["simulate", "--m", "2", "--sigma", "4", "--lambda", "5e-3", *SHORT_SIM, "--format", "csv"],
         ["simulate", "--scheme", "sc", "--M", "2", "--lambda", "5e-3", *SHORT_SIM, "--jobs", "2"],
         ["simulate", "--lambda", "1e-6", "--runs", "5"],
+        ["simulate", "--lambda", "1e-6", "--runs", "5", "--format", "json"],
+        ["simulate", "--m", "2", "--lambda", "5e-3", *SHORT_SIM, "--jobs", "0"],
         ["simulate", "--m-real", "1.5", "--lambda", "5e-3"],
         ["simulate", "--m", "2"],
         ["simulate", "--m", "2", "--lambda", "5e-3", *SHORT_SIM, "--export-topology",
@@ -267,6 +287,9 @@ def oracle_suite() -> list[list[str]]:
                 for scheme in schemes:
                     result.append(["eval", *severity, "--alpha", alpha, "--sigma", sigma, *scheme,
                                    "--lambda", "1e-4", *BOTH, "--format", "json"])
+    # x0 + M(m - 1) >= 170: the selection-combining sum in log space.
+    result.append(["eval", "--m", "12", *_SC4[:2], "--M", "16", "--alpha", "4", "--sigma", "0",
+                   "--lambda", "1e-4", *BOTH, "--format", "json"])
     return result
 
 
