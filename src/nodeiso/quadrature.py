@@ -206,6 +206,8 @@ def expected_r2_numeric_fading(success_prob: Callable, params: ChannelParams) ->
     probabilities; it must be smooth and nondecreasing in the mean SNR, with
     eventual decay as the mean SNR falls.
     """
+    if params.sigma != 0:
+        raise ValueError("fading-only integral requires sigma = 0; use the shadowed form")
     return _radial_integral(success_prob, params, 0.0)
 
 
@@ -272,10 +274,10 @@ def success_prob_real_m(y, m: float, psi: float):
 def shadow_averaged_success(success_prob: Callable, mean_snr: float, sigma: float) -> float:
     """Average the success probability over the lognormal shadowing gain.
 
-    One call of the law over the oracle's Hermite nodes.
+    One call of the law over the oracle's Hermite nodes, on the mean SNRs
+    that the oracle clips to e^(+-700).
     """
-    if sigma == 0.0:
+    if sigma == 0.0 or not mean_snr > 0:  # the law itself rejects a mean SNR <= 0
         return success_prob(mean_snr)
-    nodes, weights = _hermite_rule(_HERMITE_ORDER)
-    p = success_prob(mean_snr * np.exp(sigma * math.sqrt(2.0) * nodes))
-    return float(weights @ p) / math.sqrt(math.pi)
+    law, _ = _shadowed_law(success_prob, math.log(mean_snr), sigma)
+    return float(law(np.zeros(1))[0])

@@ -8,7 +8,6 @@ import math
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from nodeiso.analytic import (
     min_density_for_isolation,
 )
 from nodeiso.channel import (
-    ChannelParams,
     DiversityScheme,
     build_beta_table,
     make_success_fn,
@@ -38,19 +36,12 @@ from nodeiso.quadrature import (
 )
 from nodeiso import simulator
 from nodeiso.simulator import SimConfig, run_monte_carlo
-
-# System parameters used throughout: K = 10, psi = 10 (both linear, i.e.
-# 10 dB), ptx = 1 mW, w = 0.01 mW.
-BASE = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0)
+from reference import BASE, beta_rows_fraction, params
 
 M_GRID = (1, 2, 4)
 ALPHA_GRID = (2.0, 3.0, 4.0, 6.0)
 SIGMA_GRID = (0.0, 1.0, 2.0)
 MC_SEED = 20260809
-
-
-def params(m=1, sigma=0.0, alpha=4.0):
-    return ChannelParams(**BASE, alpha=alpha, sigma=sigma, m=m)
 
 
 def _report(number: int, title: str, ok: bool, detail: str = "") -> None:
@@ -133,15 +124,7 @@ def test_criterion_2_reduction_identities():
 def test_criterion_3_beta_table_and_sc_identity():
     worst_beta = 0.0
     for m in range(1, 7):
-        kernel = [Fraction(1, math.factorial(k)) for k in range(m)]
-        exact_rows = [[Fraction(1)]]
-        for _ in range(6):
-            prev = exact_rows[-1]
-            new = [Fraction(0)] * (len(prev) + m - 1)
-            for i, b in enumerate(prev):
-                for j, c in enumerate(kernel):
-                    new[i + j] += b * c
-            exact_rows.append(new)
+        exact_rows = beta_rows_fraction(m, 6)
         table = build_beta_table(m, 6)
         for n in range(7):
             for k, exact in enumerate(exact_rows[n]):

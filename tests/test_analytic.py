@@ -16,14 +16,7 @@ from nodeiso.analytic import (
     min_density_for_isolation,
 )
 from nodeiso.channel import ChannelParams, DiversityScheme
-
-BASE = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0)
-
-
-def params(m=1, sigma=0.0, alpha=4.0, **over):
-    kw = dict(BASE, alpha=alpha, sigma=sigma, m=m)
-    kw.update(over)
-    return ChannelParams(**kw)
+from reference import params
 
 
 # ============================================================================

@@ -1,12 +1,10 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from nodeiso.channel import (
-    BetaTable,
     ChannelParams,
     DiversityScheme,
     build_beta_table,
@@ -17,10 +15,7 @@ from nodeiso.channel import (
     success_prob_sc,
 )
 from nodeiso.specialfn import truncated_exp_series
-
-
-def params(m=1, sigma=0.0, alpha=4.0, psi=10.0):
-    return ChannelParams(ptx=1.0, w=0.01, k=10.0, psi=psi, alpha=alpha, sigma=sigma, m=m)
+from reference import beta_rows_fraction, params
 
 
 # ============================================================================
@@ -208,25 +203,11 @@ def test_beta_table_overflow_names_m_and_M():
             build_beta_table(m, M)
 
 
-def _beta_rows_fraction(m, order):
-    """Exact oracle: repeated polynomial self-convolution in rationals."""
-    kernel = [Fraction(1, math.factorial(k)) for k in range(m)]
-    rows = [[Fraction(1)]]
-    for _ in range(order):
-        prev = rows[-1]
-        new = [Fraction(0)] * (len(prev) + m - 1)
-        for i, b in enumerate(prev):
-            for j, c in enumerate(kernel):
-                new[i + j] += b * c
-        rows.append(new)
-    return rows
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
 def test_beta_matches_polynomial_convolution(m, order):
     table = build_beta_table(m, order)
-    oracle = _beta_rows_fraction(m, order)
+    oracle = beta_rows_fraction(m, order)
     for n in range(order + 1):
         assert len(table.rows[n]) == n * (m - 1) + 1
         for k, exact in enumerate(oracle[n]):

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import pathlib
 import subprocess
 import sys
 import time
@@ -14,7 +13,8 @@ import nodeiso.analytic as analytic
 import nodeiso.channel as channel
 import nodeiso.simulator as simulator
 from nodeiso import cli
-from nodeiso.channel import ChannelParams, DiversityScheme, sigma_from_db
+from nodeiso.channel import DiversityScheme, sigma_from_db
+from reference import count_link_mass_grids, params
 
 
 def run_cli(*args, check=True):
@@ -186,10 +186,9 @@ def test_series_beyond_the_bound_exits_2_at_once(capsys):
     assert cli.main(["sweep", "--variable", "m", "--grid", "1e300", "--lambda", "1e-4"]) == 3
     assert time.perf_counter() - start < 5.0
     assert "series terms exceed" in capsys.readouterr().err
-    params = ChannelParams(ptx=1.0, w=0.01, k=10.0, psi=10.0, alpha=4.0, m=bound // 4)
-    channel.make_success_fn(params, DiversityScheme.mrc(4))
+    channel.make_success_fn(params(m=bound // 4), DiversityScheme.mrc(4))
     with pytest.raises(ValueError, match="series terms exceed"):
-        channel.make_success_fn(params, DiversityScheme.sc(5))
+        channel.make_success_fn(params(m=bound // 4), DiversityScheme.sc(5))
 
 
 _SCHEMES = pytest.mark.parametrize("scheme", [[], ["--scheme", "mrc", "--M", "2"],
@@ -531,32 +530,22 @@ def test_sweep_inversion_rejects_other_outputs(capsys, argv, ignored):
 
 
 def test_sweep_builds_one_link_mass_grid_per_channel(monkeypatch, capsys):
-    builds = []
-    build = simulator._link_mass_grid
-
-    def counting(params, scheme):
-        builds.append((params, scheme))
-        return build(params, scheme)
-
     def sweep(*argv):
         assert cli.main(["sweep", *argv, "--m", "2", "--outputs", "simulation", "--runs", "30",
                          "--seed", "3", "--format", "json"]) == 0
         return capsys.readouterr().out
 
-    monkeypatch.setattr(simulator, "_link_mass_grid", counting)
+    builds = count_link_mass_grids(monkeypatch)
     counted = sweep("--variable", "lambda", "--grid", "5e-3,1e-2,2e-2")
     assert len(builds) == 1
     builds.clear()
     sweep("--variable", "sigma", "--grid", "0,1", "--lambda", "5e-3")
     assert len(builds) == len(set(builds)) == 2
     # Kept grids give the rows that a grid built for each point gives.
-    monkeypatch.setattr(simulator, "_link_mass_grid", build)
+    monkeypatch.undo()
     rows = json.loads(counted)
     for row in rows:
-        out = io.StringIO()
-        cfg = simulator.SimConfig(params=ChannelParams(ptx=1.0, w=0.01, k=10.0, psi=10.0,
-                                                       alpha=4.0, sigma=0.0, m=2),
-                                  scheme=DiversityScheme.no_diversity(),
+        cfg = simulator.SimConfig(params=params(m=2), scheme=DiversityScheme.no_diversity(),
                                   node_density=row["lambda"], runs=30, master_seed=3)
         assert simulator.run_monte_carlo(cfg).p_isolated == row["p_i_sim"]
 
@@ -696,50 +685,6 @@ def test_sweep_computes_each_channel_once_per_invocation(monkeypatch, capsys):
     assert capsys.readouterr().out == first
 
 
-# Golden outputs. The analytic columns were recorded before E[R^2] was kept
-# per sweep; the quadrature column was recorded again when the oracle became
-# a trapezoid rule in ln u (it moved by at most 6e-14 relative). Equal text
-# means equal floats.
-GOLDEN_SWEEP = [
-    (
-        ["--figure", "2"],
-        (pathlib.Path(__file__).parent / "golden" / "sweep_figure2_quadrature.json").read_text(),
-    ),
-    (
-        ["--variable", "sigma", "--grid", "0,1,2", "--scheme", "sc", "--M", "4", "--m", "2",
-         "--lambda", "1e-4"],
-        """[
-  {
-    "sigma": 0.0,
-    "p_i_analytic": 0.9959128179127854,
-    "er2_analytic": 13.036564241089335,
-    "p_i_quadrature": 0.9959128179127854
-  },
-  {
-    "sigma": 1.0,
-    "p_i_analytic": 0.9953698776357786,
-    "er2_analytic": 14.772362603096685,
-    "p_i_quadrature": 0.9953698776357787
-  },
-  {
-    "sigma": 2.0,
-    "p_i_analytic": 0.9932703137721736,
-    "er2_analytic": 21.493660761132663,
-    "p_i_quadrature": 0.9932703137721788
-  }
-]
-""",
-    ),
-]
-
-
-@pytest.mark.parametrize("args, expected", GOLDEN_SWEEP, ids=["figure2", "sigma-sc4"])
-def test_sweep_quadrature_json_matches_golden(capsys, args, expected):
-    argv = ["sweep", *args, "--outputs", "analytic,quadrature", "--format", "json"]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == expected
-
-
 def test_sweep_m_variable_with_diversity_fixed():
     header, body = parse_csv(
         run_cli(
@@ -809,76 +754,6 @@ def test_invert_bad_target_exit_2():
 SIM_ARGS = ["simulate", "--m", "2", "--lambda", "1e-3", "--runs", "150", "--seed", "42"]
 
 
-# Golden outputs recorded with the link-mass cutoff r_eps (eps = 1e-6), which
-# decides which pairs get channel draws. Equal text means equal floats, so
-# the pair order and the random stream are unchanged.
-GOLDEN_SIMULATE = [
-    (
-        ["--m", "2", "--sigma", "2", "--scheme", "sc", "--M", "4", "--lambda", "5e-3",
-         "--boundary", "bounded", "--runs", "200", "--seed", "7"],
-        """{
-  "p_i_sim": 0.727208480565371,
-  "sim_stderr": 0.006560262828835055,
-  "sim_ci_low": 0.7143503654208543,
-  "sim_ci_high": 0.7400665957098878,
-  "p_i_any_isolated": 1.0,
-  "p_i_analytic": 0.7134651879967382,
-  "z_score": 2.094930176916906,
-  "total_nodes": 9905,
-  "total_isolated": 7203,
-  "runs_executed": 200,
-  "runs_empty": 0
-}
-""",
-    ),
-    (
-        ["--m", "2", "--lambda", "1e-2", "--runs", "100", "--seed", "7"],
-        """{
-  "p_i_sim": 0.7427184466019418,
-  "sim_stderr": 0.0062524773065520435,
-  "sim_ci_low": 0.7304635910810997,
-  "sim_ci_high": 0.7549733021227838,
-  "p_i_any_isolated": 1.0,
-  "p_i_analytic": 0.7443044011586312,
-  "z_score": -0.2536521891934701,
-  "total_nodes": 9888,
-  "total_isolated": 7344,
-  "runs_executed": 100,
-  "runs_empty": 0
-}
-""",
-    ),
-    (
-        # About 180 nodes with a 5.9 m cutoff on the 100 m square: the cell grid.
-        ["--m", "1", "--lambda", "0.018", "--boundary", "bounded", "--runs", "100", "--seed", "5"],
-        """{
-  "p_i_sim": 0.6088232038082586,
-  "sim_stderr": 0.005217843978829449,
-  "sim_ci_low": 0.5985962296097529,
-  "sim_ci_high": 0.6190501780067643,
-  "p_i_any_isolated": 1.0,
-  "p_i_analytic": 0.6058338413415892,
-  "z_score": 0.5729114321543948,
-  "total_nodes": 18066,
-  "total_isolated": 10999,
-  "runs_executed": 100,
-  "runs_empty": 0
-}
-""",
-    ),
-]
-
-
-@pytest.mark.parametrize("args, expected", GOLDEN_SIMULATE,
-                         ids=["sigma2-sc4-bounded", "sigma0-toroidal", "sigma0-short-link-bounded"])
-def test_simulate_json_matches_golden(capsys, args, expected):
-    assert cli.main(["simulate", *args, "--format", "json"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == expected
-    # Bounded squares, and a torus cell that holds the disc of radius r_eps.
-    assert captured.err == ""
-
-
 def test_simulate_fixed_seed_reproducible():
     a = run_cli(*SIM_ARGS)
     b = run_cli(*SIM_ARGS)
@@ -894,9 +769,8 @@ def test_simulate_parallel_matches_serial():
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_is_rejected(capsys, jobs):
     message = f"jobs must be a positive integer, got {jobs}"
-    cfg = simulator.SimConfig(params=ChannelParams(ptx=1.0, w=0.01, k=10.0, psi=10.0, alpha=4.0,
-                                                   sigma=0.0, m=2),
-                              scheme=DiversityScheme.no_diversity(), node_density=1e-3, runs=5)
+    cfg = simulator.SimConfig(params=params(m=2), scheme=DiversityScheme.no_diversity(),
+                              node_density=1e-3, runs=5)
     with pytest.raises(ValueError, match=message):
         simulator.run_monte_carlo(cfg, n_jobs=jobs)
     assert cli.main([*SIM_ARGS, "--jobs", str(jobs)]) == 2
@@ -952,14 +826,7 @@ def test_simulate_warns_when_the_torus_cell_truncates_the_link_mass(capsys):
 
 
 def test_simulate_builds_one_link_mass_grid(monkeypatch, capsys):
-    builds = []
-    build = simulator._link_mass_grid
-
-    def counting(*args):
-        builds.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(simulator, "_link_mass_grid", counting)
+    builds = count_link_mass_grids(monkeypatch)
     args = ["--m", "2", "--sigma", "4", "--lambda", "5e-3", "--runs", "20", "--seed", "3"]
     assert cli.main(["simulate", *args]) == 0
     assert "torus cell" in capsys.readouterr().err

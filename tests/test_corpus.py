@@ -53,6 +53,13 @@ def test_corpus_matches_golden(suite):
         ]), pytrace=False)
 
 
+@pytest.mark.parametrize("suite", sorted(corpus.SUITES))
+def test_no_suite_lists_an_invocation_twice(suite):
+    # A second copy runs again and checks nothing more: lines are compared by arguments.
+    invocations = [" ".join(args) for args in corpus.SUITES[suite]()]
+    assert sorted({a for a in invocations if invocations.count(a) > 1}) == []
+
+
 def test_differences_name_the_versions_and_each_invocation():
     digest = "0" * 64
     expected = ["# python 3.11.7 numpy 2.4.6 scipy 1.17.1",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import integrate
 import nodeiso.channel as channel
 import nodeiso.quadrature as quadrature
 from nodeiso.analytic import expected_r2_mrc, expected_r2_sc, expected_r2_shadow_only
-from nodeiso.channel import ChannelParams, DiversityScheme, make_success_fn
+from nodeiso.channel import DiversityScheme, make_success_fn
 from nodeiso.quadrature import (
     QuadratureError,
     expected_r2_numeric_fading,
@@ -16,12 +17,7 @@ from nodeiso.quadrature import (
     shadow_averaged_success,
     success_prob_real_m,
 )
-
-BASE = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0)
-
-
-def params(m=1, sigma=0.0, alpha=4.0):
-    return ChannelParams(**BASE, alpha=alpha, sigma=sigma, m=m)
+from reference import params
 
 
 # ============================================================================
@@ -150,6 +146,13 @@ def test_fading_shadow_requires_sigma():
         expected_r2_numeric_fading_shadow(make_success_fn(p, DiversityScheme.no_diversity()), p)
 
 
+def test_fading_only_form_refuses_sigma():
+    # Ignoring sigma = 2 would give 9.39986, 39% below the shadowed 15.49774.
+    p = params(m=2, sigma=2.0)
+    with pytest.raises(ValueError, match="requires sigma = 0; use the shadowed form"):
+        expected_r2_numeric_fading(make_success_fn(p, DiversityScheme.no_diversity()), p)
+
+
 def test_hermite_order_doubling_stable(monkeypatch):
     p = params(m=2, sigma=2.0)
     fn = make_success_fn(p, DiversityScheme.no_diversity())
@@ -230,7 +233,7 @@ def test_law_calls_stay_within_chunk(monkeypatch):
 def test_zero_law_gives_zero_and_subnormal_values_survive():
     assert expected_r2_numeric_fading(lambda y: np.zeros_like(y), params(m=1)) == 0.0
     # E[R^2] = 2e-320 m^2: the tail test must not underflow into a refusal.
-    p = ChannelParams(**{**BASE, "psi": 1e163}, alpha=1.0, m=1)
+    p = params(m=1, alpha=1.0, psi=1e163)
     numeric = expected_r2_numeric_fading(make_success_fn(p, DiversityScheme.no_diversity()), p)
     assert numeric == pytest.approx(expected_r2_mrc(p, 1), rel=1e-3)
 
@@ -292,6 +295,15 @@ def test_shadow_averaged_success_limits():
     brute = float(np.mean(fn(20.0 * np.exp(1.0 * z))))
     smooth = shadow_averaged_success(fn, 20.0, 1.0)
     assert smooth == pytest.approx(brute, abs=4 * 0.5 / math.sqrt(200_000))
+    # Mean SNRs clipped to e^(+-700), as the oracle clips them: no underflow
+    # to a zero SNR, no overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert shadow_averaged_success(fn, 1e-300, 8.0) == 0.0
+        assert shadow_averaged_success(fn, 1e300, 8.0) == 1.0
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="average SNR must be positive"):
+            shadow_averaged_success(fn, bad, 1.0)
 
 
 def test_shadow_averaged_success_is_one_array_call():
@@ -304,7 +316,7 @@ def test_shadow_averaged_success_is_one_array_call():
         return fn(y)
 
     value = shadow_averaged_success(recording, 20.0, 1.0)
-    assert calls == [(64,)]
+    assert calls == [(1, 64)]
     assert isinstance(value, float)
     nodes, weights = np.polynomial.hermite.hermgauss(64)
     loop = sum(w * fn(20.0 * math.exp(math.sqrt(2.0) * x)) for x, w in zip(nodes, weights))

@@ -9,7 +9,7 @@ import pytest
 
 import nodeiso.simulator as simulator
 from nodeiso.analytic import expected_r2, min_density_for_isolation
-from nodeiso.channel import ChannelParams, DiversityScheme, make_success_fn
+from nodeiso.channel import DiversityScheme, make_success_fn
 from nodeiso.quadrature import shadow_averaged_success
 from nodeiso.simulator import (
     SimConfig,
@@ -22,12 +22,7 @@ from nodeiso.simulator import (
     run_monte_carlo,
     sample_topology,
 )
-
-BASE = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0)
-
-
-def params(m=1, sigma=0.0, alpha=4.0):
-    return ChannelParams(**BASE, alpha=alpha, sigma=sigma, m=m)
+from reference import count_link_mass_grids, params
 
 
 def config(m=2, sigma=0.0, scheme=None, lam=1e-3, runs=200, seed=11, boundary="toroidal"):
@@ -628,14 +623,7 @@ def test_degenerate_sample_warns():
 
 
 def test_run_monte_carlo_warns_when_the_torus_cell_truncates_the_link_mass(monkeypatch):
-    builds = []
-    build = simulator._link_mass_grid
-
-    def counting(*args):
-        builds.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(simulator, "_link_mass_grid", counting)
+    builds = count_link_mass_grids(monkeypatch)
     with pytest.warns(RuntimeWarning) as caught:
         run_monte_carlo(config(sigma=4.0, lam=5e-3, runs=50, seed=3))
     assert [str(w.message) for w in caught] == [

@@ -7,8 +7,10 @@ of the ``nodeiso`` on the path and prints a header line with the Python,
 numpy and scipy versions, then one line per invocation: the arguments, the
 exit code, the sha256 of stdout and of stderr, and the sha256 of each file
 that the run wrote. ``tests/golden/corpus_<suite>.txt`` holds the committed
-output and ``tests/test_corpus.py`` checks every suite against it. A change
-that means to move output re-captures the file in the same change,
+output and ``tests/test_corpus.py`` checks every suite against it: this is
+the project's one check of exact output bytes, and no test keeps a second
+copy of an output. A change that means to move output re-captures the file
+in the same change,
 
     PYTHONPATH=src python3 tools/corpus.py SUITE > tests/golden/corpus_SUITE.txt
 
@@ -18,7 +20,7 @@ names in messages are the same on every run; a file that a run writes there
 is hashed and removed. Each run sees ``COLUMNS=80``, so that argparse wraps
 its usage text the same way in any terminal.
 
-``cli`` (122 invocations) covers:
+``cli`` (125 invocations) covers:
 
 - config files: a good one for each subcommand, one setting every key a
   simulation reads, an unknown key (including each long flag that is not a
@@ -35,12 +37,17 @@ its usage text the same way in any terminal.
 - argparse's own rejections: no subcommand, an unknown flag, and bad
   --format and --scheme choices;
 - short simulate runs, bounded and toroidal, one exporting its topology,
-  one with no node at all (JSON nulls) and one with --jobs 0.
+  one with no node at all (JSON nulls) and one with --jobs 0;
+- three JSON simulate runs of 100 and 200 replications: SC4 at sigma = 2
+  on a bounded square, m = 2 on the torus, and about 180 nodes with a
+  5.9 m cutoff on a bounded square, which takes the cell grid.
 
-``oracle`` (119) checks the closed forms and the quadrature bit for bit:
+``oracle`` (120) checks the closed forms and the quadrature bit for bit:
 
 - the 6 figure sweeps, figures 2, 3, 5, 6 and 7 with
   ``--outputs analytic,quadrature`` and the figure-4 inversion;
+- a sigma sweep over {0, 1, 2} with SC4 and ``--outputs
+  analytic,quadrature``;
 - ``eval --m 2 --outputs analytic,quadrature`` over alpha in {2, 3, 4, 6},
   sigma in {0, 0.5, 2, 4, 8, 12, 16} and no diversity, MRC4 and SC4;
 - the same grid for ``eval --m-real 1.5``, which takes single-branch
@@ -260,6 +267,13 @@ def cli_suite() -> list[list[str]]:
         ["simulate", "--m", "2"],
         ["simulate", "--m", "2", "--lambda", "5e-3", *SHORT_SIM, "--export-topology",
          "topology.csv"],
+        ["simulate", "--m", "2", "--sigma", "2", "--scheme", "sc", "--M", "4", "--lambda", "5e-3",
+         "--boundary", "bounded", "--runs", "200", "--seed", "7", "--format", "json"],
+        ["simulate", "--m", "2", "--lambda", "1e-2", "--runs", "100", "--seed", "7",
+         "--format", "json"],
+        # About 180 nodes with a 5.9 m cutoff on the 100 m square: the cell grid.
+        ["simulate", "--m", "1", "--lambda", "0.018", "--boundary", "bounded", "--runs", "100",
+         "--seed", "5", "--format", "json"],
     ]
     return result
 
@@ -281,6 +295,8 @@ BOTH = ["--outputs", "analytic,quadrature"]
 def oracle_suite() -> list[list[str]]:
     result = [["sweep", "--figure", str(f), *BOTH, "--format", "json"] for f in (2, 3, 5, 6, 7)]
     result.append(["sweep", "--figure", "4", "--format", "json"])
+    result.append(["sweep", "--variable", "sigma", "--grid", "0,1,2", *_SC4, "--m", "2",
+                   "--lambda", "1e-4", *BOTH, "--format", "json"])
     for severity, schemes in ((["--m", "2"], (_NONE, _MRC4, _SC4)), (["--m-real", "1.5"], [_NONE])):
         for alpha in ALPHAS:
             for sigma in SIGMAS:
