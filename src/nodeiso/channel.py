@@ -10,6 +10,10 @@ Provides:
   - maximal-ratio and selection-combining success probabilities for
     integer Nakagami severity; single-branch reception is MRC with M = 1
   - the multinomial coefficient table behind the selection-combining form
+
+The value types, the coefficient table and the scalar SC expansion are
+pure Python, and so are the closed forms built on them. numpy is imported
+inside the array laws, so importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ import math
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable
-
-import numpy as np
 
 from .specialfn import LOG_SPACE_CUTOVER, truncated_exp_series
 
@@ -168,6 +170,7 @@ def build_beta_table(m: int, diversity_order: int) -> BetaTable:
     diversity_order = int(diversity_order)
     rows: list[tuple[float, ...]] = [(1.0,)]
     try:
+        factorials = [float(factorial(j)) for j in range(m)]
         for n in range(1, diversity_order + 1):
             prev = rows[n - 1]
             prev_top = (n - 1) * (m - 1)
@@ -175,7 +178,7 @@ def build_beta_table(m: int, diversity_order: int) -> BetaTable:
             for k in range(n * (m - 1) + 1):
                 acc = 0.0
                 for i in range(max(0, k - m + 1), min(k, prev_top) + 1):
-                    acc += prev[i] / factorial(k - i)
+                    acc += prev[i] / factorials[k - i]
                 row.append(acc)
             rows.append(tuple(row))
     except OverflowError as exc:
@@ -193,6 +196,8 @@ def build_beta_table(m: int, diversity_order: int) -> BetaTable:
 
 def _positive_snr(y):
     """Mean SNR y (float or array) as a numpy value, after checking y > 0."""
+    import numpy as np
+
     y = np.asarray(y, dtype=float)[()]
     if not (y > 0).all():
         raise ValueError(f"average SNR must be positive, got {np.extract(~(y > 0), y)[0]}")
@@ -276,6 +281,7 @@ def make_success_fn(params: ChannelParams, scheme: DiversityScheme) -> Callable:
     _check_series_length(params, scheme)
     M = scheme.branches
     if scheme.kind == "sc":
+        import numpy as np
 
         def success_sc(y):
             q = np.asarray(success_prob_mrc(y, 1, params))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -23,8 +24,6 @@ import os
 import sys
 import warnings
 from typing import Sequence
-
-import numpy as np
 
 from .analytic import CancellationError, _density_from_er2, expected_r2, isolation_from_er2
 from .channel import ChannelParams, DiversityScheme, db_to_linear, make_success_fn, sigma_from_db
@@ -56,51 +55,55 @@ class UsageError(ValueError):
 #  Figure presets
 # ============================================================================
 
-_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-5, -3, 21))
-_SIGMA_GRID = tuple(float(v) for v in np.arange(0.0, 4.0 + 1e-9, 0.25))
-_ALPHA_GRID = tuple(float(v) for v in np.arange(2.0, 6.0 + 1e-9, 0.25))
+
+@functools.cache
+def _preset_grid(variable: str) -> tuple[float, ...]:
+    """The presets' grid of a swept variable, built on first use so that
+    importing the CLI loads no numpy."""
+    import numpy as np
+
+    if variable == "lambda":
+        return tuple(float(v) for v in np.logspace(-5, -3, 21))
+    start, stop = {"sigma": (0.0, 4.0), "alpha": (2.0, 6.0)}[variable]
+    return tuple(float(v) for v in np.arange(start, stop + 1e-9, 0.25))
+
 
 # The sweep knobs by flag name ('lambda' is the density) and their dests.
 _KNOBS = {"m": "m", "sigma": "sigma", "alpha": "alpha", "scheme": "scheme",
           "M": "diversity_order", "lambda": "node_density"}
 
-# Caption parameters for the built-in presets, named as the sweep knobs.
-# Curve variables reproduce the per-figure families; sigma is in natural-log
-# units throughout. A preset with a target_pi inverts for the density there
-# unless --target-pi names another.
+# Caption parameters for the built-in presets, named as the sweep knobs; each
+# preset sweeps its variable over that variable's ``_preset_grid``. Curve
+# variables reproduce the per-figure families; sigma is in natural-log units
+# throughout. A preset with a target_pi inverts for the density there unless
+# --target-pi names another.
 _FIGURE_PRESETS: dict[int, dict] = {
     2: dict(
         variable="lambda",
-        grid=_LAMBDA_GRID,
         fixed={"m": 2, "alpha": 4.0, "scheme": "none", "M": 1},
         curves=("sigma", (0.0, 2.0, 4.0)),
     ),
     3: dict(
         variable="lambda",
-        grid=_LAMBDA_GRID,
         fixed={"sigma": 2.0, "alpha": 4.0, "scheme": "none", "M": 1},
         curves=("m", (1, 2, 4)),
     ),
     4: dict(
         variable="sigma",
-        grid=_SIGMA_GRID,
         fixed={"m": 4, "alpha": 4.0, "scheme": "none", "M": 1},
         target_pi=0.99,
     ),
     5: dict(
         variable="alpha",
-        grid=_ALPHA_GRID,
         fixed={"m": 4, "sigma": 0.0, "scheme": "none", "M": 1, "lambda": 1e-5},
     ),
     6: dict(
         variable="sigma",
-        grid=_SIGMA_GRID,
         fixed={"m": 2, "alpha": 4.0, "scheme": "mrc", "lambda": 1e-5},
         curves=("M", (1, 2, 4)),
     ),
     7: dict(
         variable="sigma",
-        grid=_SIGMA_GRID,
         fixed={"m": 2, "alpha": 4.0, "scheme": "sc", "lambda": 1e-5},
         curves=("M", (1, 2, 4)),
     ),
@@ -516,7 +519,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.variable is not None or args.grid is not None:
             raise UsageError("--figure and --variable/--grid are exclusive")
         preset = _FIGURE_PRESETS[args.figure]
-        variable, grid, pinned = preset["variable"], preset["grid"], preset["fixed"]
+        variable, pinned = preset["variable"], preset["fixed"]
+        grid = _preset_grid(variable)
         sweep = f"figure {args.figure}"
         if "curves" in preset:
             name, values = preset["curves"]

@@ -16,19 +16,20 @@ all share one absolute t grid. The simulator's link-mass grid is a
 ``_log_grid`` range of the same average, in t = ln rho. Success laws are
 called with numpy arrays of mean SNRs, in chunks of bounded size.
 scipy.special is imported inside the two routines that call it, the
-shadowing-only oracle and the real-severity law, so importing this module
-loads no scipy.
+shadowing-only oracle and the real-severity law, and numpy inside each
+routine that builds an array, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .channel import ChannelParams, _positive_snr
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadratureError",
@@ -72,6 +73,8 @@ _HERMITE_ORDER = 64
 
 @lru_cache(maxsize=8)
 def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     return np.polynomial.hermite.hermgauss(order)
 
 
@@ -89,6 +92,8 @@ def _grid_sum(
     """
     if stop - start > _MAX_POINTS:
         raise QuadratureError(f"the trapezoid grid would exceed {_MAX_POINTS} points")
+    import numpy as np
+
     acc = 0.0
     for a in range(start, stop, points):
         t = origin + np.arange(a, min(a + points, stop)) * h
@@ -170,6 +175,8 @@ def _shadowed_law(
     The law sees mean SNRs clipped to e^(+-700), always finite and positive;
     above e^700 every law is 1.
     """
+    import numpy as np
+
     if sigma > 0:
         nodes, weights = _hermite_rule(_HERMITE_ORDER)
         weights = weights / math.sqrt(math.pi)
@@ -279,5 +286,7 @@ def shadow_averaged_success(success_prob: Callable, mean_snr: float, sigma: floa
     """
     if sigma == 0.0 or not mean_snr > 0:  # the law itself rejects a mean SNR <= 0
         return success_prob(mean_snr)
+    import numpy as np
+
     law, _ = _shadowed_law(success_prob, math.log(mean_snr), sigma)
     return float(law(np.zeros(1))[0])

@@ -21,6 +21,9 @@ SeedSequence generates, for one run or for an array of runs at once, and
 PCG64 seeds itself from them, so a worker seeds its replications in
 chunks of ``_SEED_CHUNK`` runs instead of hashing each entropy tuple on
 its own.
+
+numpy is imported inside the routines that use it, and numpy.random on
+the first seeding, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analytic import check_node_density, isolation_from_er2
 from .channel import ChannelParams, DiversityScheme, make_success_fn
 from .quadrature import _LN_LIMIT, QuadratureError, _log_grid, _shadowed_law
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MonteCarloEstimate",
@@ -84,7 +89,7 @@ _BATCH_PAIRS = 1 << 13
 
 # numpy's Poisson sampler refuses a mean above this: the int64 maximum less
 # ten standard deviations.
-_POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+_POISSON_MAX_MEAN = (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
 
 # Substream domains under one (master_seed, run_index) pair.
 _TOPOLOGY_DOMAIN = 0
@@ -186,6 +191,8 @@ def _seed_words(master_seed: int, run, domain: int) -> np.ndarray:
     are Python ints or uint64 arrays holding 32-bit words, reduced with
     ``& _MASK32`` after each product, so one code serves both.
     """
+    import numpy as np
+
     entropy = []
     for value in (master_seed, run, domain):
         if isinstance(value, np.ndarray):
@@ -232,8 +239,9 @@ def _preset_seed() -> type:
     """An ``ISeedSequence`` that hands PCG64 seed words computed beforehand.
 
     numpy.random.bit_generator is imported here, on first use, so that
-    importing nodeiso loads no numpy.random.
+    only a simulation loads numpy.random.
     """
+    import numpy as np
     from numpy.random.bit_generator import ISeedSequence
 
     class PresetSeed(ISeedSequence):
@@ -249,6 +257,8 @@ def _preset_seed() -> type:
 
 def _generator(words: np.ndarray) -> np.random.Generator:
     """The PCG64 generator that numpy seeds from ``words`` (one row of ``_seed_words``)."""
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(_preset_seed()(words)))
 
 
@@ -259,6 +269,8 @@ def _streams(master_seed: int, domain: int, start: int, stop: int):
     ``_seed_words``; a chunk that reaches run 2**32, where a run becomes two
     entropy words, is computed run by run.
     """
+    import numpy as np
+
     for a in range(start, stop, _SEED_CHUNK):
         b = min(a + _SEED_CHUNK, stop)
         if b <= 2**32:
@@ -295,7 +307,7 @@ def _reach(cutoff: float, extent: float) -> float:
     and in cell or window bounds (relative to the largest coordinate,
     ``extent``), so that a search by reach finds every pair the exact test
     keeps; the exact test then drops the extras."""
-    return cutoff * (1.0 + 1e-9) + 8.0 * np.finfo(float).eps * extent
+    return cutoff * (1.0 + 1e-9) + 8.0 * math.ulp(1.0) * extent
 
 
 def _pairs_within(
@@ -338,6 +350,8 @@ def _pairs_within(
     enumeration's. On the cell grid one argsort of the kept keys
     ``i * n + j`` restores the order.
     """
+    import numpy as np
+
     n = len(positions)
     if n < 2:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
@@ -462,6 +476,8 @@ def _links_up(
     monotone, so the outcomes equal those of ``rng.gamma(m, y / m)`` bit for
     bit while skipping its per-element broadcasting.
     """
+    import numpy as np
+
     y = params.mean_snr(dist)
     if params.sigma > 0:
         y = y * np.exp(params.sigma * rng.standard_normal(len(dist)))
@@ -491,6 +507,8 @@ def _link_mass_grid(
     grid points times Hermite nodes. None when the integrand does not decay
     before e^{2t} leaves the float range.
     """
+    import numpy as np
+
     ln_budget = math.log(params.k * params.ptx / params.w)
     pbar_of, ln_scales = _shadowed_law(make_success_fn(params, scheme), ln_budget, params.sigma)
     t_psi = (ln_budget - math.log(params.psi)) / params.alpha
@@ -521,6 +539,8 @@ def _grid_cutoff(grid: tuple[np.ndarray, np.ndarray] | None) -> float:
     sum(mass[k+1:]); on the convex far tail that overstates the integral,
     so the radius rounds outward. inf without a grid.
     """
+    import numpy as np
+
     if grid is None:
         return math.inf
     rho, mass = grid
@@ -546,6 +566,8 @@ def _torus_cell_er2(grid: tuple[np.ndarray, np.ndarray], area_side: float) -> fl
     Each grid radius up to r_eps counts with the share of its circle that
     lies inside the cell; the grid's mass sums to the plane's E[R^2].
     """
+    import numpy as np
+
     rho, mass = grid
     kept = rho <= _grid_cutoff(grid)
     # The circle leaves the cell through four arcs of 2 rho arccos(half / rho)
@@ -581,6 +603,8 @@ def isolation_count(
     replications at once); without it ``_pairs_within`` searches this
     topology. The distances are clamped in place.
     """
+    import numpy as np
+
     n = len(topology)
     if pairs is None:
         pairs = _pairs_within(
@@ -634,6 +658,8 @@ def _simulate_block(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Replications start..stop-1: one pair search per batch of them, then
     each replication's channel draws from its own stream."""
+    import numpy as np
+
     isolated = np.empty(stop - start, dtype=np.int64)
     totals = np.empty(stop - start, dtype=np.int64)
     streams = _streams(config.master_seed, _CHANNEL_DOMAIN, start, stop)
@@ -684,6 +710,8 @@ def run_monte_carlo(
     whose P_I, the estimate's target, differs from the plane's by more than
     half a standard error.
     """
+    import numpy as np
+
     if int(n_jobs) != n_jobs or n_jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {n_jobs}")
     grids = {} if grids is None else grids

@@ -1,13 +1,12 @@
 """Special functions shared by the success laws and the closed forms.
 
-Everything here is pure and reentrant.
+Everything here is pure and reentrant. numpy is imported inside the
+series, its one user, so importing this module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 __all__ = [
     "log_factorial",
@@ -40,6 +39,8 @@ def truncated_exp_series(x, num_terms: int):
     """
     if num_terms < 1:
         raise ValueError(f"series needs at least one term, got {num_terms}")
+    import numpy as np
+
     x = np.asarray(x, dtype=float)[()]    # a numpy scalar for a scalar
     if not (x >= 0).all():
         raise ValueError(f"series argument must be >= 0, got {np.extract(~(x >= 0), x)[0]}")

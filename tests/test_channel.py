@@ -198,9 +198,29 @@ def test_beta_table_overflow_names_m_and_M():
     # 170! is the largest factorial a float holds, so m = 171 is the last
     # severity whose table exists; beyond it the build names m and M.
     assert build_beta_table(171, 2).rows[1][170] > 0.0
-    for m, M in ((172, 1), (200, 2), (200, 16)):
-        with pytest.raises(OverflowError, match=rf"\(m={m}, M={M}\) needs {m - 1}!"):
+    for m, M in ((172, 1), (172, 4), (200, 2), (200, 16)):
+        with pytest.raises(OverflowError) as info:
             build_beta_table(m, M)
+        assert str(info.value) == (
+            f"coefficient table for (m={m}, M={M}) needs {m - 1}!, which exceeds the float range"
+        )
+        assert str(info.value.__cause__) == "int too large to convert to float"
+
+
+@pytest.mark.parametrize("m, order", [(6, 6), (40, 4), (171, 2)])
+def test_beta_table_divides_by_each_factorial_with_the_same_bits(m, order):
+    # The reference divides by the exact integer k!, which Python rounds to a
+    # float once: the closed form's bytes depend on every coefficient's bits.
+    rows = [(1.0,)]
+    for n in range(1, order + 1):
+        row = []
+        for k in range(n * (m - 1) + 1):
+            acc = 0.0
+            for i in range(max(0, k - m + 1), min(k, (n - 1) * (m - 1)) + 1):
+                acc += rows[n - 1][i] / math.factorial(k - i)
+            row.append(acc)
+        rows.append(tuple(row))
+    assert build_beta_table(m, order).rows == tuple(rows)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])

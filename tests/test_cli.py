@@ -263,11 +263,12 @@ def test_sigma_sweep_fails_points_whose_er2_leaves_float_range(capsys, scheme):
     assert captured.err == f"nodeiso: sweep point sigma=1.75 failed: {_ALPHA_0_1_CAUSE}\n"
 
 
-def modules_after(code, package="scipy"):
-    """The modules of package that a fresh interpreter holds after running code."""
+def modules_after(code, packages=("scipy",)):
+    """The modules of packages that a fresh interpreter holds after running code."""
+    prefixes = tuple(package + "." for package in packages)
     probe = code + (
         "\nimport json, sys\n"
-        f"print(json.dumps(sorted(m for m in sys.modules if (m + '.').startswith('{package}.'))))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if (m + '.').startswith({prefixes!r}))))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -290,16 +291,39 @@ def test_module_entry_point_matches_the_runner(monkeypatch, argv):
     )
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    assert modules_after("import nodeiso.cli") == []
-    assert modules_after("import nodeiso") == []
+@pytest.mark.parametrize("module", ["nodeiso", "nodeiso.cli"])
+def test_import_loads_no_numpy_or_scipy(module):
+    loaded = modules_after(f"import {module}", ("numpy", "scipy", "nodeiso"))
+    assert [m for m in loaded if not m.startswith("nodeiso")] == []
+    # The imports between nodeiso's modules stay eager: bench/layers.py finds
+    # these two in sys.modules after importing the CLI.
+    assert {"nodeiso.quadrature", "nodeiso.simulator"} <= set(loaded)
 
 
-def test_cli_import_leaves_out_numpy_random():
-    # Simulations import numpy.random on first use; the other routes never do.
-    loaded = modules_after("import nodeiso.cli", "numpy")
-    assert "numpy" in loaded
-    assert [m for m in loaded if (m + ".").startswith("numpy.random.")] == []
+def test_closed_form_routes_load_no_numpy():
+    code = "\n".join([
+        "from nodeiso import cli",
+        "assert cli.main(['eval', '--m', '2', '--lambda', '1e-4']) == 0",
+        "assert cli.main(['eval', '--m', '2', '--lambda', '1e-4', '--scheme', 'sc', '--M', '4',"
+        " '--sigma', '2']) == 0",
+        "assert cli.main(['invert', '--target-pi', '0.5']) == 0",
+        "assert cli.main(['sweep', '--variable', 'sigma', '--grid', '0,1,2', '--lambda', '1e-4'])"
+        " == 0",
+    ])
+    assert modules_after(code, ("numpy",)) == []
+
+
+def test_only_simulate_loads_numpy_random():
+    code = "\n".join([
+        "import sys",
+        "from nodeiso import cli",
+        "assert cli.main(['eval', '--m', '2', '--lambda', '1e-4', '--outputs',"
+        " 'analytic,quadrature']) == 0",
+        "assert cli.main(['sweep', '--figure', '4']) == 0",
+        "assert 'numpy' in sys.modules and 'numpy.random' not in sys.modules",
+        "assert cli.main(['simulate', '--m', '2', '--lambda', '5e-3', '--runs', '5']) == 0",
+    ])
+    assert "numpy.random" in modules_after(code, ("numpy",))
 
 
 def test_closed_form_quadrature_and_simulation_routes_leave_out_scipy():

@@ -121,6 +121,11 @@ def test_expected_node_count_above_poisson_limit_names_area():
                       node_density=lam, area_side=side)
 
 
+def test_poisson_limit_is_numpys_int64_bound():
+    limit = np.iinfo(np.int64).max
+    assert simulator._POISSON_MAX_MEAN == limit - 10.0 * math.sqrt(limit)
+
+
 def test_topology_poisson_mean():
     cfg = config(lam=1e-3, runs=1)
     counts = np.array([len(sample_topology(cfg, i)) for i in range(10_000)])
