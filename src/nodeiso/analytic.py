@@ -16,6 +16,7 @@ factor exp(2 sigma^2 / alpha^2), which is exactly 1 at sigma = 0.
 from __future__ import annotations
 
 import math
+import sys
 from math import comb
 
 from .channel import ChannelParams, DiversityScheme, _check_series_length, build_beta_table
@@ -47,14 +48,41 @@ class CancellationError(ArithmeticError):
 
 
 def _shadow_factor(params: ChannelParams) -> float:
-    """exp(2 sigma^2 / alpha^2); beyond the float range the error names both."""
+    """exp(2 sigma^2 / alpha^2), exactly 1 at sigma = 0; beyond the float
+    range, alpha^2 underflowing to 0 included, the error names both."""
+    if params.sigma == 0.0:
+        return 1.0
     try:
         return math.exp(2.0 * params.sigma**2 / params.alpha**2)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise OverflowError(
             f"E[R^2] is outside the float range at alpha = {params.alpha:g}, "
             f"sigma = {params.sigma:g}: the shadowing factor exp(2 sigma^2/alpha^2) overflows"
         ) from None
+
+
+def _two_over_alpha(params: ChannelParams) -> float:
+    """x0 = 2/alpha, the exponent of every closed form; an alpha so small
+    that x0 overflows is named as given."""
+    x0 = 2.0 / params.alpha
+    if x0 == math.inf:
+        raise OverflowError(
+            f"E[R^2] is outside the float range at alpha = {params.alpha:g}: 2/alpha overflows"
+        )
+    return x0
+
+
+def _ratio_power(up: tuple[float, ...], down: tuple[float, ...], x: float) -> float:
+    """(prod(up) / prod(down)) ** x. Where either product or their ratio is
+    not a normal float (0, subnormal or inf), the power is taken in log
+    space, exp(x * (sum of ln up - sum of ln down)); an overflow raises
+    OverflowError either way."""
+    numerator, denominator = math.prod(up), math.prod(down)
+    tiny = sys.float_info.min
+    if tiny <= numerator < math.inf and tiny <= denominator < math.inf:
+        if tiny <= numerator / denominator < math.inf:
+            return (numerator / denominator) ** x
+    return math.exp(x * (sum(map(math.log, up)) - sum(map(math.log, down))))
 
 
 def _gamma_at(x0: float) -> float:
@@ -73,10 +101,13 @@ def _er2_out_of_range(x0: float, cause: str | None = None) -> OverflowError:
 def _theta_scaled(params: ChannelParams, x0: float, *factors: float) -> float:
     """x0 * theta^(-x0) times the factors, left to right; beyond the float
     range the error names alpha."""
+    up, down = (params.m, params.psi, params.w), (params.k, params.ptx)
     try:
-        er2 = x0 * params.theta ** (-x0)
+        er2 = x0 * _ratio_power(up, down, -x0)
     except OverflowError:
-        cause = f"theta^(-2/alpha) = {params.theta:g}^(-{x0:g}) overflows"
+        # theta < 1 here, so theta itself is in range or underflows.
+        theta = _ratio_power(up, down, 1.0)
+        cause = f"theta^(-2/alpha) = {theta:g}^(-{x0:g}) overflows"
         raise _er2_out_of_range(x0, cause) from None
     for factor in factors:
         er2 *= factor
@@ -113,8 +144,8 @@ def expected_r2_shadow_only(params: ChannelParams) -> float:
     Equals (k*ptx/(psi*w))^(2/alpha) * exp(2 sigma^2/alpha^2); the
     no-fading baseline that every fading form approaches as m grows.
     """
-    budget = params.k * params.ptx / (params.psi * params.w)
-    return budget ** (2.0 / params.alpha) * _shadow_factor(params)
+    disk = _ratio_power((params.k, params.ptx), (params.psi, params.w), _two_over_alpha(params))
+    return disk * _shadow_factor(params)
 
 
 def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
@@ -127,7 +158,7 @@ def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
     M = int(diversity_order)
     if M != diversity_order or M < 1:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
-    x0 = 2.0 / params.alpha
+    x0 = _two_over_alpha(params)
     series = math.fsum(_gamma_over_factorial_ladder(x0, params.m * M))
     return _theta_scaled(params, x0, series, _shadow_factor(params))
 
@@ -149,7 +180,7 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
         )
     beta = build_beta_table(params.m, M)
     m = params.m
-    x0 = 2.0 / params.alpha
+    x0 = _two_over_alpha(params)
     top = M * (m - 1)
     terms: list[float] = []
     if x0 + top < 170.0:

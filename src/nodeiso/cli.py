@@ -33,13 +33,7 @@ from .quadrature import (
     expected_r2_numeric_fading_shadow,
     success_prob_real_m,
 )
-from .simulator import (
-    MonteCarloEstimate,
-    SimConfig,
-    format_topology_export,
-    run_monte_carlo,
-    sample_topology,
-)
+from .simulator import SimConfig, format_topology_export, run_monte_carlo, sample_topology
 
 __all__ = ["build_parser", "main"]
 
@@ -399,27 +393,6 @@ def _numeric_er2(params: ChannelParams, scheme: DiversityScheme, m_real: float |
 # ============================================================================
 
 
-def _sim_config(
-    args: argparse.Namespace, params: ChannelParams, scheme: DiversityScheme, node_density: float
-) -> SimConfig:
-    """The campaign that the square, replication and seed flags describe."""
-    return SimConfig(params=params, scheme=scheme, node_density=node_density,
-                     area_side=args.area_side, boundary=args.boundary, runs=args.runs,
-                     master_seed=args.master_seed)
-
-
-def _simulate(
-    config: SimConfig, jobs: int, where: str = "", grids: dict | None = None
-) -> MonteCarloEstimate:
-    """run_monte_carlo, printing each warning as one ``nodeiso: warning: <where>`` line."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        estimate = run_monte_carlo(config, n_jobs=jobs, grids=grids)
-    for caught_warning in caught:
-        print(f"nodeiso: warning: {where}{caught_warning.message}", file=sys.stderr)
-    return estimate
-
-
 def _grid_label(variable: str, value: float) -> float | int:
     """A grid value as its row shows it: m and M as integers where that is exact."""
     if variable in ("m", "M") and value.is_integer() and abs(value) < 2**53:
@@ -447,12 +420,15 @@ def _point(
     With ``target_pi`` the point inverts the closed form for the density at
     that P_I. Otherwise it gives P_I at the ``lambda`` knob by the closed
     form and by each route that ``outputs`` adds; under --m-real the
-    quadrature is the only route. E[R^2] does not depend on the density, so
-    ``er2_by_channel`` keeps each route's value per channel for the points
-    that follow. Only successful evaluations are kept; a failing one is
-    recomputed, and fails the same way, at every point that needs it.
+    quadrature is the only route. A simulated point checks its campaign
+    before any E[R^2] route, runs it, and writes the run-0 topology where
+    ``args`` has an --export-topology path. E[R^2] does not depend on the
+    density, so ``er2_by_channel`` keeps each route's value per channel for
+    the points that follow. Only successful evaluations are kept; a failing
+    one is recomputed, and fails the same way, at every point that needs it.
     ``grids`` keeps the simulator's link-mass grids the same way, and
-    ``where`` begins each simulator warning.
+    ``where`` begins each ``nodeiso: warning:`` line that the simulator's
+    warnings become.
     """
     for int_name in ("m", "M"):
         if int(knobs[int_name]) != knobs[int_name]:
@@ -463,6 +439,11 @@ def _point(
         raise UsageError("--m-real supports the no-diversity scheme only")
     params = _build_params(args, m=1 if m_real is not None else int(knobs["m"]),
                            sigma=knobs["sigma"], alpha=knobs["alpha"])
+    simulates = target_pi is None and "simulation" in outputs
+    if simulates:
+        config = SimConfig(params=params, scheme=scheme, node_density=knobs["lambda"],
+                           area_side=args.area_side, boundary=args.boundary, runs=args.runs,
+                           master_seed=args.master_seed)
     er2 = er2_by_channel.setdefault((params, scheme, m_real), {})
     if m_real is not None:
         routes = ["quadrature"]
@@ -479,11 +460,22 @@ def _point(
     if target_pi is not None:
         result["lambda_min"] = _density_from_er2(target_pi, er2["analytic"])
         result["p_i_roundtrip"] = isolation_from_er2(result["lambda_min"], er2["analytic"])
-    elif "simulation" in outputs:
-        config = _sim_config(args, params, scheme, knobs["lambda"])
-        estimate = _simulate(config, args.jobs, where, grids)
-        result.update(p_i_sim=estimate.p_isolated, sim_stderr=estimate.std_error,
-                      sim_ci_low=estimate.ci95[0], sim_ci_high=estimate.ci95[1])
+    elif simulates:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimate = run_monte_carlo(config, n_jobs=args.jobs, grids=grids)
+        for caught_warning in caught:
+            print(f"nodeiso: warning: {where}{caught_warning.message}", file=sys.stderr)
+        se = estimate.std_error
+        z = (estimate.p_isolated - result["p_i_analytic"]) / se if 0.0 < se < math.inf else math.nan
+        result.update(p_i_sim=estimate.p_isolated, sim_stderr=se, sim_ci_low=estimate.ci95[0],
+                      sim_ci_high=estimate.ci95[1], p_i_any_isolated=estimate.p_any_isolated,
+                      z_score=z, total_nodes=estimate.total_nodes,
+                      total_isolated=estimate.total_isolated,
+                      runs_executed=estimate.runs_executed, runs_empty=estimate.runs_empty)
+        if getattr(args, "export_topology", None):
+            topology = format_topology_export(sample_topology(config, 0), config.master_seed, 0)
+            _write_file(args.export_topology, topology)
     return result
 
 
@@ -597,32 +589,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("the simulator requires integer m; --m-real is eval-only")
     if args.node_density is None:
         raise UsageError("simulate requires --lambda")
-    scheme = _build_scheme(args.scheme, args.diversity_order)
-    params = _build_params(args)
-    config = _sim_config(args, params, scheme, args.node_density)
-    p_analytic = isolation_from_er2(args.node_density, expected_r2(params, scheme))
     _check_writable(args.export_topology, args.out)
-    estimate = _simulate(config, args.jobs)
-    se = estimate.std_error
-    z = (estimate.p_isolated - p_analytic) / se if 0.0 < se < math.inf else math.nan
-    fields = [
-        ("p_i_sim", estimate.p_isolated),
-        ("sim_stderr", se),
-        ("sim_ci_low", estimate.ci95[0]),
-        ("sim_ci_high", estimate.ci95[1]),
-        ("p_i_any_isolated", estimate.p_any_isolated),
-        ("p_i_analytic", p_analytic),
-        ("z_score", z),
-        ("total_nodes", estimate.total_nodes),
-        ("total_isolated", estimate.total_isolated),
-        ("runs_executed", estimate.runs_executed),
-        ("runs_empty", estimate.runs_empty),
-    ]
-    if args.export_topology:
-        topology = sample_topology(config, 0)
-        _write_file(args.export_topology, format_topology_export(topology, config.master_seed, 0))
-    _emit(_render_record(fields, args.out_format), args)
-    if estimate.total_nodes < 100:
+    result = _point(args, _flag_knobs(args), ("simulation",), None, {}, {}, "")
+    _emit_point(result, ("p_i_sim", "sim_stderr", "sim_ci_low", "sim_ci_high", "p_i_any_isolated",
+                         "p_i_analytic", "z_score", "total_nodes", "total_isolated",
+                         "runs_executed", "runs_empty"), args)
+    if result["total_nodes"] < 100:
         print("nodeiso: degenerate estimate (fewer than 100 node samples)", file=sys.stderr)
         return 3
     return 0

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,26 @@ def test_shadow_only_deterministic_disk():
 def test_shadow_only_spread_factor(sigma, expected):
     p = ChannelParams(ptx=1.0, w=0.01, k=100.0, psi=1.0, alpha=4.0, sigma=sigma)
     assert expected_r2_shadow_only(p) == pytest.approx(expected, rel=1e-12)
+
+
+def test_shadow_only_budget_beyond_the_float_range():
+    # psi * w underflows to 0: k*ptx/(psi*w) = 1e401 and alpha = 4 give 10^200.5.
+    p = params(psi=1e-200, w=1e-200)
+    assert expected_r2_shadow_only(p) == pytest.approx(10**200.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_alpha_whose_inverse_overflows_is_named(sigma):
+    message = re.escape(f"at alpha = {1e-320:g}: 2/alpha overflows")
+    for er2 in (expected_r2_shadow_only, lambda p: expected_r2(p, DiversityScheme.sc(2))):
+        with pytest.raises(OverflowError, match=message):
+            er2(params(alpha=1e-320, sigma=sigma))
+
+
+def test_shadow_factor_is_one_without_shadowing_and_names_an_alpha_squared_of_zero():
+    assert analytic._shadow_factor(params(alpha=1e-200)) == 1.0
+    with pytest.raises(OverflowError, match="at alpha = 1e-200, sigma = 1: the shadowing factor"):
+        analytic._shadow_factor(params(alpha=1e-200, sigma=1.0))
 
 
 # ============================================================================

@@ -263,6 +263,79 @@ def test_sigma_sweep_fails_points_whose_er2_leaves_float_range(capsys, scheme):
     assert captured.err == f"nodeiso: sweep point sigma=1.75 failed: {_ALPHA_0_1_CAUSE}\n"
 
 
+# theta = m psi w / (k ptx) as a float product: 0, subnormal and inf.
+_THETA_PROBES = pytest.mark.parametrize("channel", [
+    ["--psi", "1e-200", "--w", "1e-200"],
+    ["--psi", "1e-160", "--w", "1e-160"],
+    ["--psi-db", "3000", "--w", "1e10"],
+], ids=["theta-0", "theta-subnormal", "theta-inf"])
+
+
+@_THETA_PROBES
+@_SCHEMES
+def test_closed_form_meets_quadrature_where_theta_leaves_the_normal_range(channel, scheme):
+    proc = run_cli("eval", *channel, *scheme, "--lambda", "1e-4",
+                   "--outputs", "analytic,quadrature", "--format", "json")
+    record = json.loads(proc.stdout)
+    assert record["er2_analytic"] == pytest.approx(record["er2_quadrature"], rel=1e-6)
+
+
+def test_invert_where_theta_overflows():
+    proc = run_cli("invert", "--psi-db", "3000", "--w", "1e10", "--target-pi", "0.5",
+                   "--format", "json")
+    record = json.loads(proc.stdout)
+    assert record["lambda_min"] == pytest.approx(math.log(2) / (math.pi * 2.8025e-155), rel=1e-4)
+
+
+@pytest.mark.parametrize("channel, alpha, cause", [
+    # k ptx = inf, so the float theta is 0; its value 1e-617 gives theta^(-1/2) = 3.2e308.
+    (["--ptx", "1e308", "--k", "1e308"], "4", "0^(-0.5)"),
+    # m psi w and k ptx both underflow to 0, so the float quotient has no value; theta is 1e-200.
+    (["--psi", "1e-300", "--w", "1e-300", "--k", "1e-200", "--ptx", "1e-200"], "1",
+     "1e-200^(-2)"),
+], ids=["theta-0", "theta-0-over-0"])
+def test_theta_power_beyond_float_range_names_alpha(capsys, channel, alpha, cause):
+    assert cli.main(["eval", *channel, "--alpha", alpha, "--lambda", "1e-4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"nodeiso: numerical failure: E[R^2] is outside the float range at alpha = {alpha}: "
+        f"theta^(-2/alpha) = {cause} overflows\n"
+    )
+
+
+_ALPHA_UNDERFLOW_CAUSE = (
+    f"E[R^2] is outside the float range at alpha = {1e-320:g}: 2/alpha overflows"
+)
+
+
+@pytest.mark.parametrize("command", [["eval", "--lambda", "1e-4"],
+                                     ["invert", "--target-pi", "0.5"],
+                                     ["simulate", "--lambda", "1e-4"]],
+                         ids=["eval", "invert", "simulate"])
+@pytest.mark.parametrize("sigma", ["0", "1"])
+@_SCHEMES
+def test_alpha_whose_inverse_overflows_exits_3_naming_it(capsys, command, sigma, scheme):
+    argv = [command[0], "--alpha", "1e-320", "--sigma", sigma, *scheme, *command[1:]]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nodeiso: numerical failure: {_ALPHA_UNDERFLOW_CAUSE}\n"
+
+
+def test_alpha_sweep_fails_the_point_whose_inverse_overflows(capsys):
+    argv = ["sweep", "--variable", "alpha", "--grid", "1e-320,4", "--lambda", "1e-4",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
+    assert rows[0]["p_i_analytic"] is None and rows[0]["er2_analytic"] is None
+    assert rows[1]["er2_analytic"] == pytest.approx(8.862269255, rel=1e-9)
+    assert captured.err == (
+        f"nodeiso: sweep point alpha={1e-320:g} failed: {_ALPHA_UNDERFLOW_CAUSE}\n"
+    )
+
+
 def modules_after(code, packages=("scipy",)):
     """The modules of packages that a fresh interpreter holds after running code."""
     prefixes = tuple(package + "." for package in packages)
@@ -614,6 +687,20 @@ def test_sweep_simulation_columns():
     i_a, i_s, i_e = header.index("p_i_analytic"), header.index("p_i_sim"), header.index("sim_stderr")
     for row in body:
         assert abs(float(row[i_s]) - float(row[i_a])) <= 4 * float(row[i_e])
+
+
+@pytest.mark.parametrize("channel", [["--m", "2"], ["--m", "2", "--sigma", "4", "--scheme", "sc",
+                                                  "--M", "2", "--boundary", "bounded"]],
+                         ids=["m2", "sigma4-sc2-bounded"])
+def test_simulate_matches_a_one_point_simulation_sweep(channel):
+    campaign = [*channel, "--runs", "40", "--seed", "3", "--format", "csv"]
+    header, body = parse_csv(run_cli("simulate", "--lambda", "5e-3", *campaign).stdout)
+    simulated = dict(zip(header, body[0]))
+    header, body = parse_csv(run_cli("sweep", "--variable", "lambda", "--grid", "5e-3",
+                                     "--outputs", "simulation", *campaign).stdout)
+    swept = dict(zip(header, body[0]))
+    for name in ("p_i_sim", "sim_stderr", "sim_ci_low", "sim_ci_high", "p_i_analytic"):
+        assert swept[name] == simulated[name]
 
 
 def test_sweep_grid_must_increase():

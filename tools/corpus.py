@@ -20,7 +20,7 @@ names in messages are the same on every run; a file that a run writes there
 is hashed and removed. Each run sees ``COLUMNS=80``, so that argparse wraps
 its usage text the same way in any terminal.
 
-``cli`` (125 invocations) covers:
+``cli`` (132 invocations) covers:
 
 - config files: a good one for each subcommand, one setting every key a
   simulation reads, an unknown key (including each long flag that is not a
@@ -34,15 +34,19 @@ its usage text the same way in any terminal.
 - invert, eval with --m-real, the dB flags and their exclusivity, --M
   without a diversity scheme, and a report written with --out or to a
   missing directory;
+- theta^(-2/alpha) past the float range with theta a float 0, and an
+  alpha whose 2/alpha overflows in eval, invert, simulate and an alpha
+  sweep;
 - argparse's own rejections: no subcommand, an unknown flag, and bad
   --format and --scheme choices;
 - short simulate runs, bounded and toroidal, one exporting its topology,
-  one with no node at all (JSON nulls) and one with --jobs 0;
+  one with no node at all (JSON nulls) and one with --jobs 0, and one
+  whose unwritable --out is reported before its E[R^2] overflow;
 - three JSON simulate runs of 100 and 200 replications: SC4 at sigma = 2
   on a bounded square, m = 2 on the torus, and about 180 nodes with a
   5.9 m cutoff on a bounded square, which takes the cell grid.
 
-``oracle`` (119) checks the closed forms and the quadrature bit for bit:
+``oracle`` (122) checks the closed forms and the quadrature bit for bit:
 
 - the figure sweeps 2, 3, 5, 6 and 7 with ``--outputs analytic,quadrature``
   (``cli`` holds the figure-4 inversion in JSON);
@@ -53,7 +57,9 @@ its usage text the same way in any terminal.
 - the same grid for ``eval --m-real 1.5``, which takes single-branch
   reception only and so contributes the no-diversity column;
 - ``eval --m 12`` with SC16, the one cell whose selection-combining sum
-  runs in log space (x0 + M(m - 1) >= 170).
+  runs in log space (x0 + M(m - 1) >= 170);
+- ``eval`` where theta = m psi w/(k ptx) as a float product is 0,
+  subnormal and inf, so that the closed form takes it in log space.
 
 ``simulate`` (148) checks every estimate bit for bit over every regime of
 the pair search, each at seeds 5 and 20260809 with ``--jobs`` 1 and 2:
@@ -212,6 +218,7 @@ def cli_suite() -> list[list[str]]:
         [*sigma_sweep, "--grid", "0,1", "--m", "2", "--lambda", "-1", "--format", "json"],
         [*sigma_sweep, "--grid", "1,1.75", "--alpha", "0.1", *LAM],
         ["sweep", "--variable", "alpha", "--grid", "2,3,4", "--m", "2", *LAM, "--format", "csv"],
+        ["sweep", "--variable", "alpha", "--grid", "1e-320,4", *LAM],
         ["sweep", "--variable", "lambda", "--grid", "5e-4,2e-3", "--m", "1",
          "--outputs", "analytic,simulation", *SHORT_SIM, "--format", "csv"],
         ["sweep", "--variable", "lambda", "--grid", "5e-3", "--m", "2", "--sigma", "4",
@@ -250,6 +257,11 @@ def cli_suite() -> list[list[str]]:
         ["eval", "--m", "2", "--sigma", "2", *LAM, "--format", "json", "--out", "report.json"],
         ["eval", "--m", "2", *LAM, "--out", "missing_dir/report.json"],
         ["eval", "--M", "2", *LAM],
+        # theta underflows to 0 and theta^(-1/2) overflows; alpha^2 underflows to 0.
+        ["eval", "--ptx", "1e308", "--k", "1e308", *LAM],
+        ["eval", "--alpha", "1e-320", *LAM],
+        ["eval", "--alpha", "1e-320", "--sigma", "1", *LAM],
+        ["invert", "--alpha", "1e-320", "--target-pi", "0.5"],
     ]
     # argparse's own rejections.
     result += [[], ["eval", "--bogus"], ["eval", "--format", "xml"], ["eval", "--scheme", "bogus"]]
@@ -265,6 +277,9 @@ def cli_suite() -> list[list[str]]:
         ["simulate", "--m", "2", "--lambda", "5e-3", *SHORT_SIM, "--jobs", "0"],
         ["simulate", "--m-real", "1.5", "--lambda", "5e-3"],
         ["simulate", "--m", "2"],
+        ["simulate", "--alpha", "1e-320", *LAM],
+        # Two faults: the unwritable path is reported before the E[R^2] overflow.
+        ["simulate", "--alpha", "0.001", "--lambda", "1e-3", "--out", "missing_dir/report.txt"],
         ["simulate", "--m", "2", "--lambda", "5e-3", *SHORT_SIM, "--export-topology",
          "topology.csv"],
         ["simulate", "--m", "2", "--sigma", "2", "--scheme", "sc", "--M", "4", "--lambda", "5e-3",
@@ -305,6 +320,10 @@ def oracle_suite() -> list[list[str]]:
     # x0 + M(m - 1) >= 170: the selection-combining sum in log space.
     result.append(["eval", "--m", "12", *_SC4[:2], "--M", "16", "--alpha", "4", "--sigma", "0",
                    "--lambda", "1e-4", *BOTH, "--format", "json"])
+    # theta = m psi w / (k ptx) as a float product is 0, subnormal and inf.
+    for channel in (["--psi", "1e-200", "--w", "1e-200"], ["--psi", "1e-160", "--w", "1e-160"],
+                    ["--psi-db", "3000", "--w", "1e10"]):
+        result.append(["eval", *channel, "--lambda", "1e-4", *BOTH, "--format", "json"])
     return result
 
 
