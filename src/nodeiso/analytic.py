@@ -116,18 +116,10 @@ def _theta_scaled(params: ChannelParams, x0: float, *factors: float) -> float:
     return er2
 
 
-def _gamma_ladder(x0: float, count: int) -> list[float]:
-    """[Gamma(x0), Gamma(x0+1), ..., Gamma(x0+count-1)] from one evaluation."""
-    values = [_gamma_at(x0)]
-    for l in range(1, count):
-        values.append(values[-1] * (x0 + l - 1))
-    return values
-
-
-def _gamma_over_factorial_ladder(x0: float, count: int) -> list[float]:
-    """[Gamma(x0+l)/l! for l < count]; the ratio grows only like l^(x0-1),
-    so the ladder stays in range for arbitrarily long series."""
-    values = [_gamma_at(x0)]
+def _gamma_over_factorial_ladder(x0: float, count: int, scale: float = 1.0) -> list[float]:
+    """[scale * Gamma(x0+l)/l! for l < count]; the ratio grows only like
+    l^(x0-1), so the ladder stays in range for arbitrarily long series."""
+    values = [scale * _gamma_at(x0)]
     for l in range(1, count):
         values.append(values[-1] * (x0 + l - 1) / l)
     return values
@@ -166,9 +158,10 @@ def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
 def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
     """Mean squared range with selection combining over M branches.
 
-    Alternating sum over branch subsets with the coefficient table for
-    (m, M); evaluated with exact compensated summation and guarded against
-    catastrophic cancellation.
+    Alternating sum over branch subsets h of
+    C(M,h) h^(-2/alpha) c_{h,l} Gamma(2/alpha + l)/l!, with c the occupancy
+    table for (m, M), whose entries lie in [0, 1] for any m; the sum is
+    compensated, and one that lost more than six digits raises.
     """
     M = int(diversity_order)
     if M != diversity_order or M < 1:
@@ -178,35 +171,16 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
             f"selection-combining order {M} exceeds the supported maximum "
             f"{SC_MAX_ORDER}; the alternating sum loses too much precision beyond it"
         )
-    beta = build_beta_table(params.m, M)
-    m = params.m
+    table = build_beta_table(params.m, M)
     x0 = _two_over_alpha(params)
-    top = M * (m - 1)
     terms: list[float] = []
-    if x0 + top < 170.0:
-        ladder = _gamma_ladder(x0, top + 1)
-        for h in range(1, M + 1):
-            c = comb(M, h)
-            sign = -1.0 if h % 2 else 1.0
-            row = beta.rows[h]
-            for l in range(len(row)):
-                terms.append(sign * c * row[l] * h ** -(x0 + l) * ladder[l])
-    else:
-        # Gamma(x0 + l) overflows on its own up there; assemble each term
-        # in log space instead (the terms themselves stay in range).
-        for h in range(1, M + 1):
-            log_c = math.log(comb(M, h))
-            sign = -1.0 if h % 2 else 1.0
-            log_h = math.log(h)
-            row = beta.rows[h]
-            for l in range(len(row)):
-                if row[l] == 0.0:
-                    continue
-                mag = log_c + math.log(row[l]) - (x0 + l) * log_h + math.lgamma(x0 + l)
-                try:
-                    terms.append(sign * math.exp(mag))
-                except OverflowError:
-                    raise _er2_out_of_range(x0) from None
+    for h in range(1, M + 1):
+        # Scaled by h^(-x0), each ladder stays within the h = 1 terms' range.
+        ladder = _gamma_over_factorial_ladder(x0, len(table.rows[h]), h ** -x0)
+        if ladder[-1] == math.inf:    # monotone from a finite Gamma(x0)
+            raise _er2_out_of_range(x0, "the Gamma series times theta^(-2/alpha) overflows")
+        weight = (-1.0 if h % 2 else 1.0) * comb(M, h)
+        terms.extend(weight * c * g for c, g in zip(table.rows[h], ladder))
     inner = math.fsum(terms)
     peak = max(abs(t) for t in terms)
     if inner >= 0.0 or peak > _MAX_DIGIT_LOSS * abs(inner):

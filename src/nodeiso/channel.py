@@ -9,9 +9,9 @@ Provides:
   - ChannelParams / DiversityScheme / BetaTable value types
   - maximal-ratio and selection-combining success probabilities for
     integer Nakagami severity; single-branch reception is MRC with M = 1
-  - the multinomial coefficient table behind the selection-combining form
+  - the occupancy-probability table behind the selection-combining form
 
-The value types, the coefficient table and the scalar SC expansion are
+The value types, the occupancy table and the scalar SC expansion are
 pure Python, and so are the closed forms built on them. numpy is imported
 inside the array laws, so importing this module loads no numpy.
 """
@@ -19,11 +19,13 @@ inside the array laws, so importing this module loads no numpy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
+from operator import mul
 from typing import Callable
 
-from .specialfn import LOG_SPACE_CUTOVER, truncated_exp_series
+from .specialfn import truncated_exp_series
 
 __all__ = [
     "BetaTable",
@@ -100,6 +102,14 @@ class ChannelParams:
         """m * psi * w / (k * ptx), the recurring threshold-to-budget ratio."""
         return self.m * self.psi * self.w / (self.k * self.ptx)
 
+    @property
+    def ln_budget(self) -> float:
+        """ln(k * ptx / w); a sum of logs where the float product or ratio is not normal."""
+        product, tiny = self.k * self.ptx, sys.float_info.min
+        if tiny <= product < math.inf and tiny <= product / self.w < math.inf:
+            return math.log(product / self.w)
+        return math.log(self.k) + math.log(self.ptx) - math.log(self.w)
+
     def mean_snr(self, rho: float) -> float:
         """Distance-law average SNR k * ptx * rho^-alpha / w (no shadowing)."""
         return self.k * self.ptx * rho ** -self.alpha / self.w
@@ -143,11 +153,13 @@ class DiversityScheme:
 
 @dataclass(frozen=True)
 class BetaTable:
-    """Coefficients of [sum_{k<m} x^k/k!]^n expanded in powers of x.
+    """Occupancy probabilities behind the selection-combining expansion.
 
-    ``rows[n][k]`` holds the coefficient of x^k in the n-th power,
-    n = 0..diversity_order, k = 0..n*(m-1). Coefficients outside that
-    range are zero.
+    ``rows[h][l]`` is the probability that l balls dropped uniformly into h
+    bins leave every bin with fewer than m balls, h = 0..diversity_order,
+    l = 0..h*(m-1); beyond that range it is zero. It equals
+    beta_{h,l} * l!/h^l, with beta_{h,l} the coefficient of x^l in
+    [sum_{k<m} x^k/k!]^h, and lies in [0, 1] for every m.
     """
 
     m: int
@@ -156,11 +168,13 @@ class BetaTable:
 
 
 def build_beta_table(m: int, diversity_order: int) -> BetaTable:
-    """Build the coefficient table by row convolution.
+    """Build the occupancy table row by row (Johnson & Kotz, *Urn Models and
+    Their Application*, 1977).
 
-    Row n is row n-1 convolved with (1/0!, 1/1!, ..., 1/(m-1)!); the base
-    cases beta_00 = beta_0n = 1 and beta_k1 = 1/k! fall out of the
-    recursion from the seed row (1,).
+    Of l balls in h bins the last holds k with probability Bin(k; l, 1/h), so
+    c_{h,l} = sum_{k<m} Bin(k; l, 1/h) c_{h-1,l-k} from the seed row (1,).
+    The weights for k < m grow with l by Pascal's rule, a sum of two
+    nonnegative terms, so none near the mode underflows however long the row.
     """
     if int(m) != m or m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
@@ -169,23 +183,17 @@ def build_beta_table(m: int, diversity_order: int) -> BetaTable:
     m = int(m)
     diversity_order = int(diversity_order)
     rows: list[tuple[float, ...]] = [(1.0,)]
-    try:
-        factorials = [float(factorial(j)) for j in range(m)]
-        for n in range(1, diversity_order + 1):
-            prev = rows[n - 1]
-            prev_top = (n - 1) * (m - 1)
-            row = []
-            for k in range(n * (m - 1) + 1):
-                acc = 0.0
-                for i in range(max(0, k - m + 1), min(k, prev_top) + 1):
-                    acc += prev[i] / factorials[k - i]
-                row.append(acc)
-            rows.append(tuple(row))
-    except OverflowError as exc:
-        raise OverflowError(
-            f"coefficient table for (m={m}, M={diversity_order}) needs {m - 1}!, "
-            "which exceeds the float range"
-        ) from exc
+    for h in range(1, diversity_order + 1):
+        prev = rows[-1]
+        p, q = 1.0 / h, 1.0 - 1.0 / h
+        weights = [1.0] + [0.0] * (m - 1)    # Bin(k; 0, p) for k < m
+        row = []
+        for l in range(h * (m - 1) + 1):
+            if l:
+                weights = [q * weights[0]] + [p * a + q * b for a, b in zip(weights, weights[1:])]
+            lo, hi = max(0, l - (h - 1) * (m - 1)), min(m - 1, l)
+            row.append(sum(map(mul, weights[lo:hi + 1], reversed(prev[l - hi:l - lo + 1]))))
+        rows.append(tuple(row))
     return BetaTable(m=m, diversity_order=diversity_order, rows=tuple(rows))
 
 
@@ -218,6 +226,15 @@ def success_prob_mrc(y, diversity_order: int, params: ChannelParams):
     return truncated_exp_series(x, params.m * int(diversity_order))
 
 
+def _poisson_average(row: tuple[float, ...], lam: float) -> float:
+    """sum_k row[k] * e^{-lam} lam^k/k!, each Poisson weight taken in log space."""
+    if lam == 0.0 or lam == math.inf:    # weights 1, 0, 0, ... at 0 and all 0 at inf
+        return row[0] if lam == 0.0 else 0.0
+    ln_lam = math.log(lam)
+    return math.fsum(c * math.exp(k * ln_lam - lam - math.lgamma(k + 1.0))
+                     for k, c in enumerate(row))
+
+
 def success_prob_sc(
     y: float,
     diversity_order: int,
@@ -227,8 +244,8 @@ def success_prob_sc(
     """Success probability after selection combining of M branches.
 
     Complement of all M branches falling below threshold, expanded
-    binomially with the coefficient table:
-        -sum_{n=1}^{M} (-1)^n C(M,n) e^{-n x} sum_k beta_kn x^k,  x = m psi / y,
+    binomially with the occupancy table:
+        -sum_{n=1}^{M} (-1)^n C(M,n) sum_k c_{n,k} Poisson(k; n x),  x = m psi / y,
     the expansion the closed form integrates. Identically equal to
     1 - (1 - Q(m, x))^M, the form :func:`make_success_fn` evaluates.
     """
@@ -243,30 +260,8 @@ def success_prob_sc(
             f"does not cover (m={params.m}, M={M})"
         )
     x = params.m * params.psi / y
-    top = M * (params.m - 1)
-    # x^k itself can overflow for very long polynomials even while each
-    # full term is tiny; route those through the log-space branch too.
-    if x <= LOG_SPACE_CUTOVER and top * max(math.log(x), 0.0) < 680.0:
-        powers = [1.0]
-        for _ in range(top):
-            powers.append(powers[-1] * x)
-        terms = []
-        for n in range(1, M + 1):
-            poly = 0.0
-            for coeff, xk in zip(beta.rows[n], powers):
-                poly += coeff * xk
-            terms.append(-((-1.0) ** n) * comb(M, n) * math.exp(-n * x) * poly)
-    else:
-        # Per-term log-space evaluation keeps sub-normal results meaningful;
-        # zero coefficients carry no term there.
-        lx = math.log(x)
-        terms = []
-        for n in range(1, M + 1):
-            log_c = math.log(comb(M, n))
-            for k, coeff in enumerate(beta.rows[n]):
-                if coeff != 0.0:
-                    mag = log_c + math.log(coeff) + k * lx - n * x
-                    terms.append(-((-1.0) ** n) * math.exp(mag))
+    terms = [-((-1.0) ** n) * comb(M, n) * _poisson_average(beta.rows[n], n * x)
+             for n in range(1, M + 1)]
     return min(max(math.fsum(terms), 0.0), 1.0)
 
 

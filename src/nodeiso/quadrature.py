@@ -112,11 +112,16 @@ def _log_grid(
     right until a block holds at most ``_TAIL_SHARE * tol`` of the sum and
     no more than the block before it, then to the left until the bound
     e^{rate t} on the left tail (f <= 1) is below the same share. Returns
-    (lo, hi, h * sum). A point beyond ``t_max`` raises QuadratureError.
+    (lo, hi, h * sum). A point beyond ``t_max``, or a start whose index
+    could leave int64 in the halvings, raises QuadratureError.
     """
     tail = _TAIL_SHARE * tol
     block = max(1, round(_BLOCK_WIDTH / h))
-    lo = hi = math.floor((min(t_start, t_max) - origin) / h)
+    start = (min(t_start, t_max) - origin) / h
+    if not abs(start) < 2.0 ** (62 - _MAX_HALVINGS):    # int64 indices after every halving
+        raise QuadratureError(f"the grid would start at t = {min(t_start, t_max):.3g}, "
+                              "beyond the integer range of its indices")
+    lo = hi = math.floor(start)
     total, previous = 0.0, math.inf
     while True:
         if origin + (hi + block) * h > t_max:
@@ -193,7 +198,7 @@ def _shadowed_law(
 
 def _radial_integral(success_prob: Callable, params: ChannelParams, sigma: float) -> float:
     """E[R^2] for the law averaged over shadowing of spread sigma."""
-    ln_budget = math.log(params.k * params.ptx / params.w)
+    ln_budget = params.ln_budget
     law, ln_scales = _shadowed_law(success_prob, ln_budget, sigma)
     rate = 2.0 / params.alpha
     t_max = min(float(ln_scales.min()) + _LN_LIMIT, _LN_LIMIT / rate)

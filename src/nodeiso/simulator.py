@@ -509,7 +509,7 @@ def _link_mass_grid(
     """
     import numpy as np
 
-    ln_budget = math.log(params.k * params.ptx / params.w)
+    ln_budget = params.ln_budget
     pbar_of, ln_scales = _shadowed_law(make_success_fn(params, scheme), ln_budget, params.sigma)
     t_psi = (ln_budget - math.log(params.psi)) / params.alpha
     points = max(1, _MASS_CHUNK // len(ln_scales))

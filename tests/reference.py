@@ -29,6 +29,13 @@ def beta_rows_fraction(m, order):
     return rows
 
 
+def occupancy_rows_fraction(m, order):
+    """Exact occupancy rows beta_{h,l} * l!/h^l: the chance that l balls in h
+    bins leave every bin below m."""
+    return [[b * math.factorial(l) / Fraction(max(h, 1)) ** l for l, b in enumerate(row)]
+            for h, row in enumerate(beta_rows_fraction(m, order))]
+
+
 def count_link_mass_grids(monkeypatch):
     """The list to which every later build of a link-mass grid appends its arguments."""
     builds, build = [], simulator._link_mass_grid

@@ -16,7 +16,8 @@ from nodeiso.analytic import (
     isolation_probability,
     min_density_for_isolation,
 )
-from nodeiso.channel import ChannelParams, DiversityScheme
+from nodeiso.channel import ChannelParams, DiversityScheme, make_success_fn
+from nodeiso.quadrature import expected_r2_numeric_fading
 from reference import params
 
 
@@ -117,6 +118,26 @@ def test_sc_single_branch_reduction():
 def test_sc_reference_value():
     p = params(m=1)
     assert expected_r2_sc(p, 2) == pytest.approx(11.457967822477658, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, m, M", [
+    (2.0, 64, 4), (2.0, 100, 8), (2.0, 171, 2), (4.0, 100, 16), (4.0, 256, 16), (8.0, 64, 8),
+])
+def test_sc_long_series_meets_the_oracle(alpha, m, M):
+    # Rows where many coefficients beta_{h,l} underflow as floats: every
+    # occupancy probability c_{h,l} is in range, so no term is dropped.
+    p = params(m=m, alpha=alpha)
+    oracle = expected_r2_numeric_fading(make_success_fn(p, DiversityScheme.sc(M)), p)
+    assert expected_r2_sc(p, M) == pytest.approx(oracle, rel=1e-8)
+
+
+def test_sc_ladder_in_range_where_its_terms_are():
+    # Gamma(2/alpha + l)/l! alone overflows at alpha = 0.02 and l = 1584;
+    # scaled by h^(-2/alpha) it stays as small as the h = 1 terms.
+    assert expected_r2_sc(params(m=100, alpha=0.02), 16) == pytest.approx(
+        6.760439881531912e217, rel=1e-9)
+    with pytest.raises(OverflowError, match="the Gamma series times theta"):
+        expected_r2_sc(params(m=200, alpha=0.015), 2)
 
 
 def test_sc_below_mrc():

@@ -15,7 +15,7 @@ from nodeiso.channel import (
     success_prob_sc,
 )
 from nodeiso.specialfn import truncated_exp_series
-from reference import beta_rows_fraction, params
+from reference import occupancy_rows_fraction, params
 
 
 # ============================================================================
@@ -158,18 +158,28 @@ def test_mrc_two_branch_nakagami2_monte_carlo():
     assert abs(hit - value) <= 4 * se
 
 
+def test_ln_budget_is_the_float_log_while_the_budget_is_a_normal_float():
+    p = params()
+    assert p.ln_budget == math.log(p.k * p.ptx / p.w)
+    # k ptx as a float product is 0, subnormal and inf; then k ptx/w is inf.
+    for k, ptx, w in ((1e-200, 1e-200, 1.0), (1e-160, 1e-160, 1.0), (1e200, 1e200, 1.0),
+                      (1e200, 1e100, 1e-100)):
+        exact = math.log(k) + math.log(ptx) - math.log(w)
+        assert params(k=k, ptx=ptx, w=w).ln_budget == pytest.approx(exact, rel=1e-15)
+
+
 # ============================================================================
 #  Coefficient table
 # ============================================================================
 
 
 def test_beta_base_cases():
+    # No ball, or fewer than m balls in all, leaves every bin below m.
     table = build_beta_table(4, 5)
-    assert table.rows[0][0] == 1.0
-    for n in range(table.diversity_order + 1):
-        assert table.rows[n][0] == 1.0
-    for k in range(4):
-        assert table.rows[1][k] == pytest.approx(1.0 / math.factorial(k), rel=1e-15)
+    assert table.rows[0] == (1.0,)
+    for n in range(1, table.diversity_order + 1):
+        assert table.rows[n][:4] == pytest.approx((1.0,) * 4, rel=1e-15)
+    assert table.rows[1] == (1.0,) * 4
 
 
 def test_beta_m1_rows_are_unity():
@@ -178,12 +188,12 @@ def test_beta_m1_rows_are_unity():
 
 
 def test_beta_m2_square():
-    assert build_beta_table(2, 2).rows[2] == (1.0, 2.0, 1.0)
+    assert build_beta_table(2, 2).rows[2] == (1.0, 1.0, 0.5)
 
 
 def test_beta_m3_square():
     row = build_beta_table(3, 2).rows[2]
-    assert row == pytest.approx((1.0, 2.0, 2.0, 1.0, 0.25), rel=1e-15)
+    assert row == pytest.approx((1.0, 1.0, 1.0, 0.75, 0.375), rel=1e-15)
 
 
 def test_beta_out_of_range_is_zero():
@@ -194,48 +204,41 @@ def test_beta_out_of_range_is_zero():
     assert len(table.rows) == 4
 
 
-def test_beta_table_overflow_names_m_and_M():
-    # 170! is the largest factorial a float holds, so m = 171 is the last
-    # severity whose table exists; beyond it the build names m and M.
-    assert build_beta_table(171, 2).rows[1][170] > 0.0
-    for m, M in ((172, 1), (172, 4), (200, 2), (200, 16)):
-        with pytest.raises(OverflowError) as info:
-            build_beta_table(m, M)
-        assert str(info.value) == (
-            f"coefficient table for (m={m}, M={M}) needs {m - 1}!, which exceeds the float range"
-        )
-        assert str(info.value.__cause__) == "int too large to convert to float"
+def _assert_rows_match_exact(m, order, rel):
+    table = build_beta_table(m, order)
+    oracle = occupancy_rows_fraction(m, order)
+    for n in range(order + 1):
+        assert len(table.rows[n]) == n * (m - 1) + 1
+        for k, exact in enumerate(oracle[n]):
+            got = table.rows[n][k]
+            assert abs(got - float(exact)) <= rel * float(exact)
 
 
 @pytest.mark.parametrize("m, order", [(6, 6), (40, 4), (171, 2)])
-def test_beta_table_divides_by_each_factorial_with_the_same_bits(m, order):
-    # The reference divides by the exact integer k!, which Python rounds to a
-    # float once: the closed form's bytes depend on every coefficient's bits.
-    rows = [(1.0,)]
-    for n in range(1, order + 1):
-        row = []
-        for k in range(n * (m - 1) + 1):
-            acc = 0.0
-            for i in range(max(0, k - m + 1), min(k, (n - 1) * (m - 1)) + 1):
-                acc += rows[n - 1][i] / math.factorial(k - i)
-            row.append(acc)
-        rows.append(tuple(row))
-    assert build_beta_table(m, order).rows == tuple(rows)
+def test_beta_table_matches_exact_occupancy_on_long_rows(m, order):
+    # beta_{h,l} itself underflows from l of a few hundred on; its occupancy
+    # form stays in [0, 1] and keeps its digits along the whole row.
+    _assert_rows_match_exact(m, order, 1e-13)
+
+
+def test_beta_table_builds_past_the_old_factorial_overflow():
+    # Dividing by (m-1)! once overflowed from m = 172 on; occupancy rows need
+    # no factorial, so these (m, M) build with every entry a probability, up
+    # to the rounding of the sums behind it.
+    _assert_rows_match_exact(200, 2, 1e-13)
+    for m, M in ((172, 1), (172, 4), (200, 16)):
+        table = build_beta_table(m, M)
+        for h in range(M + 1):
+            row = table.rows[h]
+            assert len(row) == h * (m - 1) + 1
+            assert all(0.0 < c <= 1.0 + 1e-12 for c in row)
+            assert row[:m] == pytest.approx((1.0,) * min(m, len(row)), rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
 def test_beta_matches_polynomial_convolution(m, order):
-    table = build_beta_table(m, order)
-    oracle = beta_rows_fraction(m, order)
-    for n in range(order + 1):
-        assert len(table.rows[n]) == n * (m - 1) + 1
-        for k, exact in enumerate(oracle[n]):
-            got = table.rows[n][k]
-            if exact == 0:
-                assert got == 0.0
-            else:
-                assert abs(got - float(exact)) <= 1e-12 * float(exact)
+    _assert_rows_match_exact(m, order, 1e-12)
 
 
 # ============================================================================
@@ -279,50 +282,29 @@ def test_sc_three_branch_example():
     assert value == pytest.approx(1 - (1 - single) ** 3, rel=1e-10)
 
 
-def _sc_reference(y, M, p, beta, branches_hit):
-    """The selection-combining sum as a plain loop, one term at a time."""
-    m = p.m
-    x = m * p.psi / y
-    terms = []
-    top = M * (m - 1)
-    if x <= 700.0 and top * max(math.log(x), 0.0) < 680.0:
-        branches_hit.add("direct")
-        for n in range(1, M + 1):
-            row = beta.rows[n]
-            poly = 0.0
-            xk = 1.0
-            for k in range(len(row)):
-                poly += row[k] * xk
-                xk *= x
-            terms.append(-((-1.0) ** n) * math.comb(M, n) * math.exp(-n * x) * poly)
-    else:
-        branches_hit.add("x > 700" if x > 700.0 else "long polynomial")
-        lx = math.log(x)
-        for n in range(1, M + 1):
-            row = beta.rows[n]
-            for k in range(len(row)):
-                if row[k] == 0.0:
-                    continue
-                mag = math.log(math.comb(M, n)) + math.log(row[k]) + k * lx - n * x
-                terms.append(-((-1.0) ** n) * math.exp(mag))
-    return min(max(math.fsum(terms), 0.0), 1.0)
-
-
-def test_sc_bound_law_is_bit_identical():
-    # m=8, M=16 has a degree-112 polynomial, so 434 < x <= 700 takes the
-    # log-space branch through the polynomial-length test alone.
+def test_sc_expansion_matches_the_bound_law():
+    # m=8, M=16 sums a degree-112 polynomial in the Poisson weights, whose
+    # log-space form must hold from x = 1e-7 to beyond 1e9.
     ys = [float(v) for v in np.logspace(-8, 8, 161)] + [80.0 / 500.0, 80.0 / 650.0]
-    branches_hit = set()
     for m, M in ((2, 4), (3, 2), (8, 16)):
         p = params(m=m)
         table = build_beta_table(m, M)
+        law = make_success_fn(p, DiversityScheme.sc(M))
         for y in ys:
-            expected = _sc_reference(y, M, p, table, branches_hit)
-            assert success_prob_sc(y, M, p, table) == expected
+            assert abs(success_prob_sc(y, M, p, table) - law(y)) <= 1e-10
         for y in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 success_prob_sc(y, M, p, table)
-    assert branches_hit == {"direct", "x > 700", "long polynomial"}
+
+
+def test_sc_expansion_at_the_ends_of_the_snr_range():
+    # x = m psi/y overflows at a subnormal y, and is 0 at y = inf.
+    for m, M in ((2, 4), (8, 16)):
+        p = params(m=m)
+        table = build_beta_table(m, M)
+        for y in (5e-324, 1e-320):
+            assert success_prob_sc(y, M, p, table) == 0.0
+        assert success_prob_sc(math.inf, M, p, table) == 1.0
 
 
 def test_sc_law_matches_beta_expansion():

@@ -135,14 +135,15 @@ def test_eval_rejects_bad_density_exit_2(density):
     (["invert", "--sigma", "100", "--target-pi", "0.5"], 3, "numerical failure"),
     (["eval", "--psi-db", "4000", "--lambda", "1e-4"], 2, "--psi-db 4000 overflows as a linear value"),
     (["eval", "--k-db", "4000", "--lambda", "1e-4"], 2, "--k-db 4000 overflows as a linear value"),
-    (["eval", "--m", "200", "--scheme", "sc", "--M", "16", "--lambda", "1e-4"], 3,
-     "numerical failure: coefficient table for (m=200, M=16) needs 199!"),
-    (["eval", "--m", "200", "--scheme", "sc", "--M", "2", "--lambda", "1e-4"], 3,
-     "numerical failure: coefficient table for (m=200, M=2) needs 199!"),
     (["invert", "--psi", "1e163", "--alpha", "1", "--target-pi", "0.5"], 3,
      "numerical failure: the minimum node density overflows"),
     (["invert", "--psi", "1e300", "--alpha", "0.5", "--target-pi", "0.5"], 3,
      "numerical failure: the minimum node density overflows"),
+    # The shadowed grid's start index leaves int64 (--m-real has no closed form to fail first).
+    (["eval", "--m-real", "1.5", "--sigma", "1e20", "--lambda", "1e-4"], 3,
+     "numerical failure: the grid would start at t = -1.49e+21, beyond the integer range"),
+    (["eval", "--psi", "1e300", "--sigma", "1e200", "--m-real", "0.7", "--lambda", "0"], 3,
+     "numerical failure: the grid would start at t = -1.49e+201, beyond the integer range"),
     (["simulate", "--m", "2", "--lambda", "inf"], 2, "node density must be finite and >= 0"),
     (["simulate", "--m", "2", "--lambda", "-1"], 2, "node density must be finite and >= 0"),
     (["eval", "--alpha", "0.001", "--lambda", "1e-4"], 3,
@@ -163,8 +164,9 @@ def test_eval_rejects_bad_density_exit_2(density):
      "area side 1e+10 m at node density 1 gives 1e+20 expected nodes per replication, "
      "above the Poisson sampler's limit"),
 ], ids=["eval-ptx-inf", "eval-alpha-inf", "eval-sigma-nan", "eval-sigma-100", "invert-sigma-100",
-        "eval-psi-db-4000", "eval-k-db-4000", "eval-m200-sc16", "eval-m200-sc2",
-        "invert-subnormal-er2", "invert-zero-er2", "simulate-lambda-inf", "simulate-lambda--1",
+        "eval-psi-db-4000", "eval-k-db-4000",
+        "invert-subnormal-er2", "invert-zero-er2", "eval-m-real-sigma-1e20",
+        "eval-m-real-sigma-1e200", "simulate-lambda-inf", "simulate-lambda--1",
         "eval-alpha-0.001", "invert-alpha-0.001", "eval-alpha-0.001-sc2", "simulate-area-inf",
         "simulate-area-1e200", "simulate-area-1e7-out-of-memory", "simulate-area-1e10-poisson"])
 def test_out_of_domain_channel_exits_with_message(capsys, argv, code, message):
@@ -172,6 +174,14 @@ def test_out_of_domain_channel_exits_with_message(capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("branches", ["16", "2"])
+def test_sc_at_m_200_meets_the_quadrature(branches):
+    proc = run_cli("eval", "--m", "200", "--scheme", "sc", "--M", branches, "--lambda", "1e-4",
+                   "--outputs", "analytic,quadrature", "--format", "json")
+    record = json.loads(proc.stdout)
+    assert record["er2_analytic"] == pytest.approx(record["er2_quadrature"], rel=1e-8)
 
 
 def test_series_beyond_the_bound_exits_2_at_once(capsys):
@@ -263,12 +273,14 @@ def test_sigma_sweep_fails_points_whose_er2_leaves_float_range(capsys, scheme):
     assert captured.err == f"nodeiso: sweep point sigma=1.75 failed: {_ALPHA_0_1_CAUSE}\n"
 
 
-# theta = m psi w / (k ptx) as a float product: 0, subnormal and inf.
+# theta = m psi w / (k ptx) as a float product: 0, subnormal and inf; and
+# k ptx as a float product 0, so that the quadrature takes ln(k ptx/w) as a sum.
 _THETA_PROBES = pytest.mark.parametrize("channel", [
     ["--psi", "1e-200", "--w", "1e-200"],
     ["--psi", "1e-160", "--w", "1e-160"],
     ["--psi-db", "3000", "--w", "1e10"],
-], ids=["theta-0", "theta-subnormal", "theta-inf"])
+    ["--k", "1e-200", "--ptx", "1e-200"],
+], ids=["theta-0", "theta-subnormal", "theta-inf", "budget-0"])
 
 
 @_THETA_PROBES
@@ -904,6 +916,14 @@ def test_simulate_reports_both_estimators_and_reference():
     ):
         assert key in record
     assert abs(float(record["z_score"])) <= 4.0
+
+
+def test_simulate_sc_with_a_long_series_meets_its_closed_form():
+    # The simulation takes no coefficient; the closed form sums rows of up
+    # to 793 terms, many of whose beta_{h,l} underflow as floats.
+    proc = run_cli("simulate", "--alpha", "2", "--m", "100", "--scheme", "sc", "--M", "8",
+                   "--lambda", "5e-3", "--runs", "300", "--seed", "1", "--format", "json")
+    assert abs(json.loads(proc.stdout)["z_score"]) <= 3.0
 
 
 def test_simulate_degenerate_exit_3():

@@ -63,6 +63,12 @@ def test_no_suite_lists_an_invocation_twice(suite):
     assert sorted({a for a in invocations if invocations.count(a) > 1 or a in elsewhere}) == []
 
 
+def test_docstring_counts_each_suite():
+    # "``cli`` (N invocations)", "``oracle`` (N)": the counts a reader sees.
+    counts = dict(re.findall(r"``(\w+)`` \((\d+)", corpus.__doc__))
+    assert counts == {name: str(len(make())) for name, make in corpus.SUITES.items()}
+
+
 def test_differences_name_the_versions_and_each_invocation():
     digest = "0" * 64
     expected = ["# python 3.11.7 numpy 2.4.6 scipy 1.17.1",
@@ -85,7 +91,7 @@ def test_simulate_corpus_is_the_same_for_any_jobs():
         args, results = split(line)
         cell = re.sub(r" --jobs \d+", "", args)
         by_cell.setdefault(cell, {})[re.search(r" --jobs (\d+)", args)[1]] = results
-    assert len(by_cell) == 74
+    assert len(by_cell) == 75
     for cell, results in by_cell.items():
         assert set(results) == {"1", "2"} and results["1"] == results["2"], cell
 

@@ -179,6 +179,14 @@ def test_non_decaying_integrand_raises():
         expected_r2_numeric_fading(lambda y: 0.5, p)
 
 
+@pytest.mark.parametrize("sigma", [1e20, 1e200])
+def test_grid_beyond_integer_indices_raises(sigma):
+    # The Hermite nodes put ln(budget) - 1.49 sigma at the grid's start.
+    with pytest.raises(QuadratureError, match="beyond the integer range of its indices"):
+        expected_r2_numeric_fading_shadow(lambda y: success_prob_real_m(y, 1.5, 10.0),
+                                          params(sigma=sigma))
+
+
 def test_integrand_evaluated_only_at_interior_points():
     # The success function sees a finite positive mean SNR at every node the
     # rule touches; rho = 0 (infinite SNR) would surface here as inf.

@@ -485,6 +485,13 @@ def test_torus_cell_er2_approaches_plane():
     assert 1.0 - simulator._CUTOFF_MASS <= cell / float(grid[1].sum()) < 1.0
 
 
+def test_link_mass_grid_where_the_budget_product_underflows():
+    # k * ptx = 1e-400 is 0 as a float, and its log a domain error.
+    p, scheme = params(m=2, k=1e-200, ptx=1e-200), DiversityScheme.no_diversity()
+    grid = simulator._link_mass_grid(p, scheme)
+    assert float(grid[1].sum()) == pytest.approx(expected_r2(p, scheme), rel=1e-9)
+
+
 # ============================================================================
 #  Full campaigns
 # ============================================================================

@@ -20,7 +20,7 @@ names in messages are the same on every run; a file that a run writes there
 is hashed and removed. Each run sees ``COLUMNS=80``, so that argparse wraps
 its usage text the same way in any terminal.
 
-``cli`` (132 invocations) covers:
+``cli`` (134 invocations) covers:
 
 - config files: a good one for each subcommand, one setting every key a
   simulation reads, an unknown key (including each long flag that is not a
@@ -37,6 +37,7 @@ its usage text the same way in any terminal.
 - theta^(-2/alpha) past the float range with theta a float 0, and an
   alpha whose 2/alpha overflows in eval, invert, simulate and an alpha
   sweep;
+- k ptx as a float product 0, in eval on both routes and in simulate;
 - argparse's own rejections: no subcommand, an unknown flag, and bad
   --format and --scheme choices;
 - short simulate runs, bounded and toroidal, one exporting its topology,
@@ -46,7 +47,7 @@ its usage text the same way in any terminal.
   on a bounded square, m = 2 on the torus, and about 180 nodes with a
   5.9 m cutoff on a bounded square, which takes the cell grid.
 
-``oracle`` (122) checks the closed forms and the quadrature bit for bit:
+``oracle`` (130) checks the closed forms and the quadrature bit for bit:
 
 - the figure sweeps 2, 3, 5, 6 and 7 with ``--outputs analytic,quadrature``
   (``cli`` holds the figure-4 inversion in JSON);
@@ -56,12 +57,14 @@ its usage text the same way in any terminal.
   sigma in {0, 0.5, 2, 4, 8, 12, 16} and no diversity, MRC4 and SC4;
 - the same grid for ``eval --m-real 1.5``, which takes single-branch
   reception only and so contributes the no-diversity column;
-- ``eval --m 12`` with SC16, the one cell whose selection-combining sum
-  runs in log space (x0 + M(m - 1) >= 170);
+- selection combining with long rows, M(m - 1) from 176 to 4080: m = 12,
+  100 and 256 with SC16 and m = 200 with SC16 and SC2 at alpha = 4;
+  m = 64 with SC4, m = 100 with SC8 and m = 171 with SC2 at alpha = 2;
+  and m = 64 with SC8 at alpha = 8;
 - ``eval`` where theta = m psi w/(k ptx) as a float product is 0,
   subnormal and inf, so that the closed form takes it in log space.
 
-``simulate`` (148) checks every estimate bit for bit over every regime of
+``simulate`` (150) checks every estimate bit for bit over every regime of
 the pair search, each at seeds 5 and 20260809 with ``--jobs`` 1 and 2:
 
 - the 12 cells of acceptance criterion 4 (100 m torus, lambda from
@@ -80,7 +83,9 @@ the pair search, each at seeds 5 and 20260809 with ``--jobs`` 1 and 2:
 
 The first acceptance cell also runs at seeds 0 and 2**64 - 1, with
 ``--jobs`` 1 and 2: the master seeds that enter the seeding as the single
-word [0] and as two 32-bit words.
+word [0] and as two 32-bit words. SC8 at m = 100 and alpha = 2 (lambda
+5e-3, 300 runs) runs at seed 1 with ``--jobs`` 1 and 2, against a closed
+form that sums rows of 793 terms.
 """
 
 from __future__ import annotations
@@ -262,6 +267,9 @@ def cli_suite() -> list[list[str]]:
         ["eval", "--alpha", "1e-320", *LAM],
         ["eval", "--alpha", "1e-320", "--sigma", "1", *LAM],
         ["invert", "--alpha", "1e-320", "--target-pi", "0.5"],
+        # k ptx as a float product is 0: ln(k ptx/w) is a sum of logs.
+        ["eval", "--k", "1e-200", "--ptx", "1e-200", *LAM, "--outputs", "analytic,quadrature"],
+        ["simulate", "--k", "1e-200", "--ptx", "1e-200", *LAM, "--runs", "5"],
     ]
     # argparse's own rejections.
     result += [[], ["eval", "--bogus"], ["eval", "--format", "xml"], ["eval", "--scheme", "bogus"]]
@@ -317,9 +325,12 @@ def oracle_suite() -> list[list[str]]:
                 for scheme in schemes:
                     result.append(["eval", *severity, "--alpha", alpha, "--sigma", sigma, *scheme,
                                    "--lambda", "1e-4", *BOTH, "--format", "json"])
-    # x0 + M(m - 1) >= 170: the selection-combining sum in log space.
-    result.append(["eval", "--m", "12", *_SC4[:2], "--M", "16", "--alpha", "4", "--sigma", "0",
-                   "--lambda", "1e-4", *BOTH, "--format", "json"])
+    # Selection combining with long rows, M(m - 1) from 176 to 4080.
+    for alpha, m, branches in (("4", "12", "16"), ("2", "64", "4"), ("2", "100", "8"),
+                               ("2", "171", "2"), ("4", "100", "16"), ("4", "256", "16"),
+                               ("8", "64", "8"), ("4", "200", "16"), ("4", "200", "2")):
+        result.append(["eval", "--m", m, *_SC4[:2], "--M", branches, "--alpha", alpha,
+                       "--sigma", "0", "--lambda", "1e-4", *BOTH, "--format", "json"])
     # theta = m psi w / (k ptx) as a float product is 0, subnormal and inf.
     for channel in (["--psi", "1e-200", "--w", "1e-200"], ["--psi", "1e-160", "--w", "1e-160"],
                     ["--psi-db", "3000", "--w", "1e10"]):
@@ -372,6 +383,9 @@ def simulate_suite() -> list[list[str]]:
     cells = _simulated_cells()
     seeded = [(cell, seed) for cell in cells for seed in SEEDS]
     seeded += [(cells[0], seed) for seed in EDGE_SEEDS]
+    # Selection combining over 8 branches at m = 100, whose closed form sums long rows.
+    seeded.append((["--alpha", "2", "--m", "100", *_SC4[:2], "--M", "8", "--lambda", "5e-3",
+                    "--runs", "300"], "1"))
     return [["simulate", *cell, "--seed", seed, "--jobs", jobs, "--format", "json"]
             for cell, seed in seeded for jobs in ("1", "2")]
 
