@@ -187,7 +187,8 @@ def _shadowed_law(
         weights = weights / math.sqrt(math.pi)
     else:
         nodes, weights = np.zeros(1), np.ones(1)
-    ln_scales = ln_budget + sigma * math.sqrt(2.0) * nodes
+    with np.errstate(over="ignore"):    # +-inf at sigma near the float maximum; _log_grid refuses it
+        ln_scales = ln_budget + sigma * math.sqrt(2.0) * nodes
 
     def law(t: np.ndarray) -> np.ndarray:
         y = np.exp(np.clip(ln_scales - t[:, None], -_LN_LIMIT, _LN_LIMIT))
@@ -246,7 +247,7 @@ def expected_r2_numeric_nofade(params: ChannelParams) -> float:
         raise ValueError("the shadowing-only integral requires sigma > 0")
     from scipy.special import erfc
 
-    ln_margin = math.log(params.k * params.ptx / (params.psi * params.w))
+    ln_margin = params.ln_budget - math.log(params.psi)
     scale = 1.0 / (params.sigma * math.sqrt(2.0))
 
     def tail_mass(t: np.ndarray) -> np.ndarray:

@@ -34,6 +34,15 @@ def test_nofade_matches_closed_form(sigma, alpha):
     assert abs(numeric - closed) / closed < 1e-6
 
 
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_nofade_budget_below_the_float_range(sigma):
+    # k * ptx underflows to 0.0; the budget's log is still finite.
+    p = params(sigma=sigma, ptx=1e-200, k=1e-200)
+    numeric = expected_r2_numeric_nofade(p)
+    closed = expected_r2_shadow_only(p)
+    assert abs(numeric - closed) / closed < 1e-6
+
+
 def test_nofade_small_sigma_approaches_disk():
     p = params(sigma=1e-3, alpha=4.0)
     disk = (p.k * p.ptx / (p.psi * p.w)) ** (2.0 / p.alpha)

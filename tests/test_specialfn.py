@@ -6,6 +6,7 @@ from scipy import integrate, special
 
 from nodeiso.analytic import _gamma_over_factorial_ladder
 from nodeiso.specialfn import log_factorial, truncated_exp_series
+from reference import truncated_exp_series_full
 
 
 def test_gamma_known_values():
@@ -113,3 +114,25 @@ def test_series_arrays_match_scalars():
         truncated_exp_series(np.array([1.0, -0.5]), 2)
     with pytest.raises(ValueError):
         truncated_exp_series(np.array([math.nan]), 2)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("num_terms", [1, 2, 8, 17, 64, 699, 700, 701, 1024, 4096])
+def test_series_bits_match_full_loop(num_terms):
+    # The series skips terms and far entries that cannot change a bit; its
+    # bits must equal the loop that sums every term over the whole array.
+    rng = np.random.default_rng(num_terms)
+    edges = [0.0, 1e-300, 699.9, 700.0, 700.1, 757.0, 800.0, 1e6, 1e308, math.inf]
+    xs = np.concatenate([edges, np.logspace(-3, math.log10(1500.0), 2000),
+                         rng.uniform(0.0, 1500.0, 2000), 10.0 ** rng.uniform(-3, 3.2, 2000)])
+    for x in (xs, xs[:4000].reshape(40, 100), xs[xs < 700.0], xs[xs > 700.0]):
+        np.testing.assert_array_equal(_bits(truncated_exp_series(x, num_terms)),
+                                      _bits(truncated_exp_series_full(x, num_terms)))
+    for x in edges + [0.5, 3.0, 64.0, 650.0]:
+        value = truncated_exp_series(x, num_terms)
+        assert type(value) is float
+        assert _bits(value) == _bits(truncated_exp_series_full(x, num_terms))
+    assert truncated_exp_series(np.zeros((2, 0)), num_terms).shape == (2, 0)
