@@ -405,6 +405,11 @@ def _flag_knobs(args: argparse.Namespace) -> dict:
     return {knob: getattr(args, dest, None) for knob, dest in _KNOBS.items()}
 
 
+# What a point of a sweep may fail with: its row stays empty and the sweep
+# goes on.
+_POINT_FAILURES = (ValueError, OverflowError, CancellationError, QuadratureError)
+
+
 def _point(
     args: argparse.Namespace,
     knobs: dict,
@@ -424,8 +429,8 @@ def _point(
     before any E[R^2] route, runs it, and writes the run-0 topology where
     ``args`` has an --export-topology path. E[R^2] does not depend on the
     density, so ``er2_by_channel`` keeps each route's value per channel for
-    the points that follow. Only successful evaluations are kept; a failing
-    one is recomputed, and fails the same way, at every point that needs it.
+    the points that follow, or the exception of a route that failed, which
+    is raised again, with the same message, at every point that needs it.
     ``grids`` keeps the simulator's link-mass grids the same way, and
     ``where`` begins each ``nodeiso: warning:`` line that the simulator's
     warnings become.
@@ -452,8 +457,13 @@ def _point(
     result = {}
     for route in routes:
         if route not in er2:
-            er2[route] = (expected_r2(params, scheme) if route == "analytic"
-                          else _numeric_er2(params, scheme, m_real))
+            try:
+                er2[route] = (expected_r2(params, scheme) if route == "analytic"
+                              else _numeric_er2(params, scheme, m_real))
+            except _POINT_FAILURES as exc:
+                er2[route] = exc
+        if isinstance(er2[route], Exception):
+            raise er2[route]
         result[f"er2_{route}"] = er2[route]
         if target_pi is None:
             result[f"p_i_{route}"] = isolation_from_er2(knobs["lambda"], er2[route])
@@ -574,7 +584,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             try:
                 result = _point(args, knobs, outputs, target_pi, er2_by_channel, grids,
                                 f"{point}: ")
-            except (ValueError, OverflowError, CancellationError, QuadratureError) as exc:
+            except _POINT_FAILURES as exc:
                 failures += 1
                 print(f"nodeiso: {point} failed: {exc}", file=sys.stderr)
                 result = {}

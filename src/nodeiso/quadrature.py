@@ -278,9 +278,12 @@ def success_prob_real_m(y, m: float, psi: float):
         raise ValueError(f"Nakagami severity must be >= 0.5, got {m}")
     if not psi > 0:
         raise ValueError(f"threshold must be positive, got {psi}")
+    import numpy as np
     from scipy.special import gammaincc
 
-    p = gammaincc(m, m * psi / y)
+    with np.errstate(over="ignore"):    # x = inf where y is tiny, and Q(m, inf) = 0
+        x = m * psi / y
+    p = gammaincc(m, x)
     return float(p) if p.ndim == 0 else p
 
 

@@ -87,6 +87,12 @@ _BLOCK_PAIRS = 1 << 14
 # pairs each) and raised that workload's peak RSS from 41.5 to 55.9 MB.
 _BATCH_PAIRS = 1 << 13
 
+# Fading gains are drawn for this many pairs at a time, so their scratch
+# (M + 1 float64 arrays of a chunk under SC) does not grow with the pair
+# count. On the mc-dense cells (about 0.3M pairs per replication, 2-vCPU
+# Xeon) chunks of 2^16 measured no faster and 2^12 about 4% slower.
+_DRAW_CHUNK = 1 << 14
+
 # numpy's Poisson sampler refuses a mean above this: the int64 maximum less
 # ten standard deviations.
 _POISSON_MAX_MEAN = (2**63 - 1) - 10.0 * math.sqrt(2**63 - 1)
@@ -347,8 +353,14 @@ def _pairs_within(
     cheaply, and the survivors are decided by the same elementwise
     operations as an all-pairs enumeration (``abs``, the torus ``minimum``,
     ``hypot``, ``<= cutoff``), so the pair set and every distance equal that
-    enumeration's. On the cell grid one argsort of the kept keys
-    ``i * n + j`` restores the order.
+    enumeration's.
+
+    Each kept pair is held as one int64 key ``i * n + j`` and its distance,
+    16 bytes. On the cell grid one in-place sort of ``key * 2^bits +
+    position``, ``bits`` the bit length of the pair count, restores the
+    order, with each pair's position in the low bits for one gather of the
+    distances; where that would leave int64 (``_packs``), an argsort of the
+    keys does. ``divmod(key, n)`` gives i and j.
     """
     import numpy as np
 
@@ -386,8 +398,8 @@ def _pairs_within(
             low, high = np.flatnonzero(cy == 0), np.flatnonzero(cy == nc - 1)
             node = np.concatenate((node, node[low], node[high]))
             key = np.concatenate((key, key[low] + nc, key[high] - nc))
-        # Any order within a cell serves: the final argsort restores the
-        # pairs' order.
+        # Any order within a cell serves: the final sort of the keys
+        # restores the pairs' order.
         order = np.argsort(key)
         slot = np.empty(len(key), dtype=np.intp)
         slot[order] = np.arange(len(key))
@@ -413,7 +425,7 @@ def _pairs_within(
     # The prefilter's slack keeps every pair the exact test keeps, including
     # squares that round up or underflow.
     limit = cutoff * cutoff * (1.0 + 1e-9) + np.finfo(float).tiny
-    out_i, out_j, out_d = [], [], []
+    out_key, out_d = [], []
     p0 = 0
     while p0 < n:
         base = int(ends[p0 - 1]) if p0 else 0
@@ -436,23 +448,45 @@ def _pairs_within(
         dist = np.hypot(dx[cand], dy[cand])
         exact = dist <= cutoff
         keep = cand[exact]
+        dist = dist[exact]
         i, j = np.repeat(np.arange(p0, p1), counts)[keep], q[keep]
         if node is not None:
             j = node[j]
             i, j = np.minimum(i, j), np.maximum(i, j)
-        out_i.append(i)
-        out_j.append(j)
-        out_d.append(dist[exact])
+        i *= n
+        i += j
+        out_key.append(i)
+        out_d.append(dist)
         p0 = p1
-    # The chunk lists and the sort keys are freed before the final gathers.
-    i, j, dist = np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d)
-    del out_i, out_j, out_d
-    if node is None:
-        return i, j, dist
-    rank = np.argsort(i * n + j)
-    i = i[rank]
-    j = j[rank]
-    return i, j, dist[rank]
+    # Each list is freed before the next is joined.
+    key = np.concatenate(out_key)
+    del out_key
+    dist = np.concatenate(out_d)
+    del out_d
+    count = len(key)
+    if node is not None:
+        bits = count.bit_length()
+        if _packs(n, bits):
+            # key * 2^bits + position: sorting it in place puts the pairs in
+            # key order and carries each one's position in the low bits.
+            key <<= bits
+            key += np.arange(count)
+            key.sort()
+            rank = key & ((1 << bits) - 1)
+            key >>= bits
+        else:
+            rank = np.argsort(key)
+            key = key[rank]
+        dist = dist[rank]
+        del rank
+    j = np.empty_like(key)
+    np.divmod(key, n, out=(key, j))
+    return key, j, dist
+
+
+def _packs(n: int, bits: int) -> bool:
+    """Whether a pair key below n^2, shifted left by ``bits``, fits in int64."""
+    return n * n << bits <= 2**63
 
 
 def _links_up(
@@ -475,23 +509,40 @@ def _links_up(
     the same stream and rounding a product with a positive scale is
     monotone, so the outcomes equal those of ``rng.gamma(m, y / m)`` bit for
     bit while skipping its per-element broadcasting.
+
+    The shadowing factor and 1/m are applied to y in place. The gammas are
+    drawn ``_DRAW_CHUNK`` pairs at a time (rows of M under SC), in the order
+    of one call, and compared into one preallocated link mask, so the
+    scratch beyond y does not grow with the pair count.
     """
     import numpy as np
 
     y = params.mean_snr(dist)
     if params.sigma > 0:
-        y = y * np.exp(params.sigma * rng.standard_normal(len(dist)))
+        shadow = rng.standard_normal(len(dist))
+        shadow *= params.sigma
+        np.exp(shadow, out=shadow)
+        y *= shadow
+        del shadow
     m = params.m
-    if scheme.kind == "sc":
-        draws = rng.standard_gamma(m, (len(dist), scheme.branches))
-        # The same values as draws.max(axis=1), which reduces a short inner
-        # axis about ten times slower than a maximum over whole columns.
-        gain = draws[:, 0].copy()
-        for branch in range(1, scheme.branches):
-            np.maximum(gain, draws[:, branch], out=gain)
-    else:
-        gain = rng.standard_gamma(m * scheme.branches, len(dist))
-    return gain * (y / m) >= params.psi
+    y /= m
+    count = len(dist)
+    up = np.empty(count, dtype=bool)
+    for a in range(0, count, _DRAW_CHUNK):
+        rows = min(count - a, _DRAW_CHUNK)
+        if scheme.kind == "sc":
+            draws = rng.standard_gamma(m, (rows, scheme.branches))
+            # The same values as draws.max(axis=1), which reduces a short
+            # inner axis about ten times slower than a maximum over whole
+            # columns.
+            gain = draws[:, 0].copy()
+            for branch in range(1, scheme.branches):
+                np.maximum(gain, draws[:, branch], out=gain)
+        else:
+            gain = rng.standard_gamma(m * scheme.branches, rows)
+        gain *= y[a : a + rows]
+        np.greater_equal(gain, params.psi, out=up[a : a + rows])
+    return up
 
 
 def _link_mass_grid(

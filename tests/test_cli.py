@@ -808,6 +808,24 @@ def test_sweep_computes_each_channel_once_per_invocation(monkeypatch, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_sweep_evaluates_a_failing_channel_once(monkeypatch, capsys):
+    calls = []
+
+    def failing(params, scheme, m_real):
+        calls.append((params, scheme))
+        raise cli.QuadratureError("the grid would start at t = -inf")
+
+    monkeypatch.setattr(cli, "_numeric_er2", failing)
+    grid = ("0.001", "0.002", "0.003")
+    assert cli.main(["sweep", "--variable", "lambda", "--grid", ",".join(grid), "--m", "2",
+                     "--outputs", "analytic,quadrature", "--format", "csv"]) == 3
+    assert len(calls) == 1
+    assert capsys.readouterr().err == "".join(
+        f"nodeiso: sweep point lambda={lam} failed: the grid would start at t = -inf\n"
+        for lam in grid
+    )
+
+
 def test_sweep_m_variable_with_diversity_fixed():
     header, body = parse_csv(
         run_cli(

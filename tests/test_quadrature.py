@@ -292,6 +292,14 @@ def test_real_m_domain():
         success_prob_real_m(1.0, 0.3, 10.0)
 
 
+def test_real_m_law_where_m_psi_over_y_overflows():
+    # m psi / y leaves the float range: x is inf, Q(m, inf) = 0, and no numpy
+    # overflow warning escapes (pyproject's filterwarnings make one an error).
+    y = np.array([1e-300, 1e-10, 1e300])
+    got = success_prob_real_m(y, 1.5, 1e300)
+    assert got[0] == 0.0 and got[1] == 0.0 and got[2] == pytest.approx(0.3916251762710877)
+
+
 def test_real_m_numeric_range_integral_runs():
     p = params(m=1, sigma=1.0)
     fn = lambda y: success_prob_real_m(y, 1.5, p.psi)  # noqa: E731

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import re
+import tracemalloc
 import warnings
 from concurrent.futures import Future
 
@@ -212,6 +213,25 @@ def test_pairs_within_matches_all_pairs_enumeration(monkeypatch, boundary, n):
     # later node as a candidate; those around side span even a bounded
     # square.
     monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
+    _check_pairs_within_against_all_pairs(boundary, n)
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17, 18, 33, 100])
+def test_pairs_within_argsort_order_matches_all_pairs_enumeration(monkeypatch, boundary, n):
+    # The order where key * 2^bits would leave int64: an argsort of the keys.
+    monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
+    monkeypatch.setattr(simulator, "_packs", lambda n, bits: False)
+    _check_pairs_within_against_all_pairs(boundary, n)
+
+
+def test_packed_keys_fit_int64_exactly():
+    # Keys run up to n^2 - 1 and positions up to 2^bits - 1.
+    assert simulator._packs(2**20, 23) and not simulator._packs(2**20, 24)
+    assert simulator._packs(3, 59) and not simulator._packs(3, 60)
+
+
+def _check_pairs_within_against_all_pairs(boundary, n):
     pos = _positions(n)
     _, _, all_dist = _triu_reference(pos, 100.0, boundary, math.inf)
     cutoffs = SHORT_CUTOFFS + [30.0, 49.9, 50.0, 50.1, 99.9, 100.0, math.inf]
@@ -341,13 +361,30 @@ def _links_up_scaled_gamma(dist, p, scheme, rng):
     return snr >= p.psi
 
 
+LINK_SCHEMES = pytest.mark.parametrize(
+    "scheme", [DiversityScheme.no_diversity(), DiversityScheme.mrc(2), DiversityScheme.sc(4),
+               DiversityScheme.sc(2), DiversityScheme.sc(3), DiversityScheme.sc(6)],
+    ids=["none", "mrc2", "sc4", "sc2", "sc3", "sc6"])
+
+
 @pytest.mark.parametrize("sigma", [0.0, 2.0])
-@pytest.mark.parametrize("scheme", [DiversityScheme.no_diversity(), DiversityScheme.mrc(2),
-                                    DiversityScheme.sc(4), DiversityScheme.sc(2),
-                                    DiversityScheme.sc(3), DiversityScheme.sc(6)],
-                         ids=["none", "mrc2", "sc4", "sc2", "sc3", "sc6"])
+@LINK_SCHEMES
 def test_links_up_matches_scaled_gamma_draws(scheme, sigma):
-    # SC's reference is the branch maximum .max(axis=1) of one drawn (n, M) array.
+    # SC's reference is the branch maximum .max(axis=1) of one drawn (n, M)
+    # array. The 20k distances fit in one chunk of draws.
+    _check_links_up_against_scaled_gamma(scheme, sigma)
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+@LINK_SCHEMES
+def test_links_up_in_chunks_matches_scaled_gamma_draws(monkeypatch, scheme, sigma, chunk):
+    # Chunks of 7 and 4096 pairs end mid-array.
+    monkeypatch.setattr(simulator, "_DRAW_CHUNK", chunk)
+    _check_links_up_against_scaled_gamma(scheme, sigma)
+
+
+def _check_links_up_against_scaled_gamma(scheme, sigma):
     p = params(m=2, sigma=sigma)
     dist = np.random.default_rng(8).random(20_000) * 9.0 + 1e-9
     for seed in (5, 20260809):
@@ -424,6 +461,27 @@ def test_isolation_count_respects_cutoff():
     topo = Topology(np.array([[0.0, 0.0], [50.0, 0.0]]), 100.0, "bounded")
     iso, tot = isolation_count(topo, p, scheme, np.random.default_rng(0), range_cutoff=10.0)
     assert (iso, tot) == (2, 2)
+
+
+@pytest.mark.parametrize("scheme", [DiversityScheme.no_diversity(), DiversityScheme.mrc(2),
+                                    DiversityScheme.sc(4)], ids=["none", "mrc2", "sc4"])
+def test_isolation_count_working_set_per_pair(scheme):
+    # The traced peak of one replication's search and draws, per in-range
+    # pair: about 40 bytes (key and distance, then i, j and the distance with
+    # one float64 scratch array, and a fixed chunk of draws); one full-length
+    # copy more, kept alive at once, would break the bound.
+    p = params(m=2, sigma=2.0)
+    cutoff = simulator._grid_cutoff(simulator._link_mass_grid(p, scheme))
+    topo = Topology(np.random.default_rng(3000).random((3000, 2)) * 400.0, 400.0, "toroidal")
+    pairs = len(_pairs_within(topo.positions, 400.0, "toroidal", cutoff)[2])
+    tracemalloc.start()
+    try:
+        isolation_count(topo, p, scheme, np.random.default_rng(5), cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs > 200_000
+    assert peak <= 48 * pairs
 
 
 def _fine_tail_masses(p, scheme, t):

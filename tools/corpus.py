@@ -47,7 +47,7 @@ its usage text the same way in any terminal.
   on a bounded square, m = 2 on the torus, and about 180 nodes with a
   5.9 m cutoff on a bounded square, which takes the cell grid.
 
-``oracle`` (132) checks the closed forms and the quadrature bit for bit:
+``oracle`` (133) checks the closed forms and the quadrature bit for bit:
 
 - the figure sweeps 2, 3, 5, 6 and 7 with ``--outputs analytic,quadrature``
   (``cli`` holds the figure-4 inversion in JSON);
@@ -64,8 +64,8 @@ its usage text the same way in any terminal.
 - ``eval`` where theta = m psi w/(k ptx) as a float product is 0,
   subnormal and inf, so that the closed form takes it in log space.
 - the shadowed law past the float range, with no numpy warning: m psi/y
-  at psi = 1e300 (both routes, in JSON), and sigma = 1e308 with
-  ``--m-real``, which exits 3.
+  at psi = 1e300 (both routes, in JSON, and ``--m-real`` in JSON), and
+  sigma = 1e308 with ``--m-real``, which exits 3.
 
 ``simulate`` (150) checks every estimate bit for bit over every regime of
 the pair search, each at seeds 5 and 20260809 with ``--jobs`` 1 and 2:
@@ -343,6 +343,8 @@ def oracle_suite() -> list[list[str]]:
     result.append(["eval", "--psi-db", "3000", "--m", "2", "--sigma", "1", "--lambda", "1e-4",
                    *BOTH, "--format", "json"])
     result.append(["eval", "--m-real", "1.5", "--sigma", "1e308", "--lambda", "1e-4"])
+    result.append(["eval", "--psi-db", "3000", "--m-real", "1.5", "--sigma", "1", "--lambda",
+                   "1e-4", "--format", "json"])
     return result
 
 
