@@ -31,7 +31,6 @@ from .quadrature import (
     expected_r2_numeric_fading_shadow,
     expected_r2_numeric_nofade,
     shadow_averaged_success,
-    success_prob_real_m,
 )
 from .simulator import (
     MonteCarloEstimate,

@@ -8,9 +8,10 @@ structure the isolation probability is
 
 with E[R^2] the mean squared communication range of the corresponding
 channel/diversity combination. Single-branch reception is MRC with one
-branch, so there are two fading forms: MRC (an Erlang series) and SC (an
-alternating sum over branch subsets). Both carry the lognormal shadowing
-factor exp(2 sigma^2 / alpha^2), which is exactly 1 at sigma = 0.
+branch, so there are two fading forms: MRC (one Gamma ratio, for real m)
+and SC (an alternating sum over branch subsets, for integer m). Both carry
+the lognormal shadowing factor exp(2 sigma^2 / alpha^2), which is exactly 1
+at sigma = 0.
 """
 
 from __future__ import annotations
@@ -99,11 +100,11 @@ def _er2_out_of_range(x0: float, cause: str | None = None) -> OverflowError:
 
 
 def _theta_scaled(params: ChannelParams, x0: float, *factors: float) -> float:
-    """x0 * theta^(-x0) times the factors, left to right; beyond the float
-    range the error names alpha."""
+    """theta^(-x0) times the factors, left to right; beyond the float range
+    the error names alpha."""
     up, down = (params.m, params.psi, params.w), (params.k, params.ptx)
     try:
-        er2 = x0 * _ratio_power(up, down, -x0)
+        er2 = _ratio_power(up, down, -x0)
     except OverflowError:
         # theta < 1 here, so theta itself is in range or underflows.
         theta = _ratio_power(up, down, 1.0)
@@ -143,16 +144,22 @@ def expected_r2_shadow_only(params: ChannelParams) -> float:
 def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
     """Mean squared range with maximal-ratio combining over M branches.
 
-    The combiner output is Gamma(m*M, y/m), so this is the single-branch
-    Nakagami form with the series run to m*M terms; M = 1 is single-branch
-    reception.
+    The combiner output is Gamma(n, y/m) with n = m*M, so E[R^2] =
+    theta^(-2/alpha) Gamma(n + 2/alpha)/Gamma(n) exp(2 sigma^2/alpha^2) for
+    any real m; the ratio is an lgamma difference, O(1) in n. M = 1 is
+    single-branch reception.
     """
     M = int(diversity_order)
     if M != diversity_order or M < 1:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
     x0 = _two_over_alpha(params)
-    series = math.fsum(_gamma_over_factorial_ladder(x0, params.m * M))
-    return _theta_scaled(params, x0, series, _shadow_factor(params))
+    n = params.m * M
+    try:
+        ratio = math.exp(math.lgamma(n + x0) - math.lgamma(n))
+    except OverflowError:
+        cause = f"Gamma(m*M + 2/alpha)/Gamma(m*M) = Gamma({n + x0:g})/Gamma({n:g}) overflows"
+        raise _er2_out_of_range(x0, cause) from None
+    return _theta_scaled(params, x0, ratio, _shadow_factor(params))
 
 
 def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
@@ -188,7 +195,7 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
             f"selection-combining sum lost more than 6 digits "
             f"(peak term {peak:.3e}, sum {inner:.3e})"
         )
-    return -_theta_scaled(params, x0, _shadow_factor(params), inner)
+    return -_theta_scaled(params, x0, x0, _shadow_factor(params), inner)
 
 
 def expected_r2(params: ChannelParams, scheme: DiversityScheme) -> float:

@@ -7,13 +7,15 @@ standard deviation of the *natural* logarithm of path loss; use
 
 Provides:
   - ChannelParams / DiversityScheme / BetaTable value types
-  - maximal-ratio and selection-combining success probabilities for
-    integer Nakagami severity; single-branch reception is MRC with M = 1
-  - the occupancy-probability table behind the selection-combining form
+  - maximal-ratio and selection-combining success probabilities for real
+    Nakagami severity m >= 0.5; single-branch reception is MRC with M = 1
+  - the occupancy-probability table behind the selection-combining form,
+    for integer m
 
 The value types, the occupancy table and the scalar SC expansion are
 pure Python, and so are the closed forms built on them. numpy is imported
-inside the array laws, so importing this module loads no numpy.
+inside the array laws, and scipy.special where the shape m*M is not an
+integer, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class ChannelParams:
     psi: float            # SNR threshold [linear]
     alpha: float          # path-loss exponent
     sigma: float = 0.0    # shadowing spread [natural-log units]
-    m: int = 1            # Nakagami severity, positive integer
+    m: float = 1          # Nakagami severity, real >= 0.5; an integral value is stored as int
 
     def __post_init__(self) -> None:
         for name in ("ptx", "w", "k", "psi", "alpha"):
@@ -93,9 +95,10 @@ class ChannelParams:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        if not 0.5 <= self.m < math.inf:
+            raise ValueError(f"m must be finite and >= 0.5, got {self.m}")
+        if int(self.m) == self.m:
+            object.__setattr__(self, "m", int(self.m))
 
     @property
     def theta(self) -> float:
@@ -130,7 +133,7 @@ class DiversityScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "mrc", "sc"):
             raise ValueError(f"unknown diversity kind {self.kind!r}")
-        if int(self.branches) != self.branches or self.branches < 1:
+        if not 1 <= self.branches < math.inf or int(self.branches) != self.branches:
             raise ValueError(f"branches must be a positive integer, got {self.branches}")
         object.__setattr__(self, "branches", int(self.branches))
         if self.kind == "none" and self.branches != 1:
@@ -177,7 +180,7 @@ def build_beta_table(m: int, diversity_order: int) -> BetaTable:
     nonnegative terms, so none near the mode underflows however long the row.
     """
     if int(m) != m or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+        raise ValueError(f"selection combining needs a positive integer m, got {m}")
     if int(diversity_order) != diversity_order or diversity_order < 1:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
     m = int(m)
@@ -217,17 +220,24 @@ def success_prob_mrc(y, diversity_order: int, params: ChannelParams):
 
     Branches are independent with identical mean SNR y; the combiner output
     is Gamma(m*M, y/m), so this is Q(m*M, m*psi/y). M = 1 is P(SNR >= psi)
-    on one Nakagami-m branch. ``y`` is a float or a numpy array; so is the
-    result.
+    on one Nakagami-m branch. An integral shape m*M sums the Erlang series;
+    any other is scipy's ``gammaincc``. ``y`` is a float or a numpy array;
+    so is the result.
     """
     if int(diversity_order) != diversity_order or diversity_order < 1:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
     import numpy as np
 
     y = _positive_snr(y)
-    with np.errstate(over="ignore"):    # x = inf where y is tiny, and Q(n, inf) = 0
+    with np.errstate(over="ignore"):    # x = inf where y is tiny, and Q(a, inf) = 0
         x = params.m * params.psi / y
-    return truncated_exp_series(x, params.m * int(diversity_order))
+    shape = params.m * int(diversity_order)
+    if int(shape) == shape:
+        return truncated_exp_series(x, int(shape))
+    from scipy.special import gammaincc
+
+    p = gammaincc(shape, x)
+    return float(p) if p.ndim == 0 else p
 
 
 def _poisson_average(row: tuple[float, ...], lam: float) -> float:

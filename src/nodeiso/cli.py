@@ -31,7 +31,6 @@ from .quadrature import (
     QuadratureError,
     expected_r2_numeric_fading,
     expected_r2_numeric_fading_shadow,
-    success_prob_real_m,
 )
 from .simulator import SimConfig, format_topology_export, run_monte_carlo, sample_topology
 
@@ -158,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     option(g, "--sigma", type=float, help="shadowing spread, natural-log units (default 0)")
     option(g, "--sigma-db", type=float, help="shadowing spread in dB")
     option(g, "--m", type=int, help="Nakagami severity, positive integer (default 1)")
-    option(g, "--m-real", type=float, help="real Nakagami severity >= 0.5 (numerical path only)")
+    option(g, "--m-real", type=float, help="Nakagami severity as a real number >= 0.5")
     option(g, "--scheme", choices=("none", "mrc", "sc"), help="receive diversity scheme")
     option(g, "--M", dest="diversity_order", type=int, help="number of diversity branches")
     g.add_argument("--config", help="key=value file mirroring the long flags; flags override it")
@@ -249,19 +248,32 @@ def _apply_defaults(args: argparse.Namespace) -> None:
                 args.given.add(dest)
 
 
-def _resolve_db_alternates(args: argparse.Namespace) -> None:
-    for base, db in (("k", "k_db"), ("psi", "psi_db"), ("sigma", "sigma_db")):
-        db_value = getattr(args, db, None)
-        if db_value is None:
+# Each alternate flag's dest by the dest it sets, and its conversion.
+_ALTERNATES = {"k": ("k_db", db_to_linear), "psi": ("psi_db", db_to_linear),
+               "sigma": ("sigma_db", sigma_from_db), "m": ("m_real", float)}
+
+
+def _alternate_flag(args: argparse.Namespace, base: str) -> str | None:
+    """The alternate flag, such as --sigma-db, that set ``base``, if one did."""
+    alt, _ = _ALTERNATES.get(base, (None, None))
+    if alt is None or getattr(args, alt, None) is None:
+        return None
+    return "--" + alt.replace("_", "-")
+
+
+def _resolve_alternates(args: argparse.Namespace) -> None:
+    """Set each base value that its alternate flag gives; the two flags are exclusive."""
+    for base, (alt, convert) in _ALTERNATES.items():
+        flag = _alternate_flag(args, base)
+        if flag is None:
             continue
-        flag = "--" + db.replace("_", "-")
         if getattr(args, base) is not None:
             raise UsageError(f"--{base} and {flag} are exclusive")
+        value = getattr(args, alt)
         try:
-            linear = sigma_from_db(db_value) if base == "sigma" else db_to_linear(db_value)
+            setattr(args, base, convert(value))
         except OverflowError as exc:
-            raise UsageError(f"{flag} {db_value:g} overflows as a linear value") from exc
-        setattr(args, base, linear)
+            raise UsageError(f"{flag} {value:g} overflows as a linear value") from exc
 
 
 def _build_params(args: argparse.Namespace, **overrides) -> ChannelParams:
@@ -377,12 +389,8 @@ def _render_table(columns: list[str], rows: list[list], out_format: str) -> str:
 # ============================================================================
 
 
-def _numeric_er2(params: ChannelParams, scheme: DiversityScheme, m_real: float | None) -> float:
-    if m_real is not None:
-        psi = params.psi
-        success = lambda y: success_prob_real_m(y, m_real, psi)  # noqa: E731
-    else:
-        success = make_success_fn(params, scheme)
+def _numeric_er2(params: ChannelParams, scheme: DiversityScheme) -> float:
+    success = make_success_fn(params, scheme)
     if params.sigma > 0:
         return expected_r2_numeric_fading_shadow(success, params)
     return expected_r2_numeric_fading(success, params)
@@ -424,10 +432,10 @@ def _point(
 
     With ``target_pi`` the point inverts the closed form for the density at
     that P_I. Otherwise it gives P_I at the ``lambda`` knob by the closed
-    form and by each route that ``outputs`` adds; under --m-real the
-    quadrature is the only route. A simulated point checks its campaign
-    before any E[R^2] route, runs it, and writes the run-0 topology where
-    ``args`` has an --export-topology path. E[R^2] does not depend on the
+    form and by each route that ``outputs`` adds, for a real m as for an
+    integer one. A simulated point checks its campaign before any E[R^2]
+    route, runs it, and writes the run-0 topology where ``args`` has an
+    --export-topology path. E[R^2] does not depend on the
     density, so ``er2_by_channel`` keeps each route's value per channel for
     the points that follow, or the exception of a route that failed, which
     is raised again, with the same message, at every point that needs it.
@@ -435,31 +443,20 @@ def _point(
     ``where`` begins each ``nodeiso: warning:`` line that the simulator's
     warnings become.
     """
-    for int_name in ("m", "M"):
-        if int(knobs[int_name]) != knobs[int_name]:
-            raise UsageError(f"{int_name} grid values must be integers, got {knobs[int_name]}")
-    scheme = _build_scheme(knobs["scheme"], int(knobs["M"]))
-    m_real = args.m_real
-    if m_real is not None and scheme.kind != "none":
-        raise UsageError("--m-real supports the no-diversity scheme only")
-    params = _build_params(args, m=1 if m_real is not None else int(knobs["m"]),
-                           sigma=knobs["sigma"], alpha=knobs["alpha"])
+    scheme = _build_scheme(knobs["scheme"], knobs["M"])
+    params = _build_params(args, m=knobs["m"], sigma=knobs["sigma"], alpha=knobs["alpha"])
     simulates = target_pi is None and "simulation" in outputs
     if simulates:
         config = SimConfig(params=params, scheme=scheme, node_density=knobs["lambda"],
                            area_side=args.area_side, boundary=args.boundary, runs=args.runs,
                            master_seed=args.master_seed)
-    er2 = er2_by_channel.setdefault((params, scheme, m_real), {})
-    if m_real is not None:
-        routes = ["quadrature"]
-    else:
-        routes = ["analytic", *(["quadrature"] if "quadrature" in outputs else [])]
+    er2 = er2_by_channel.setdefault((params, scheme), {})
     result = {}
-    for route in routes:
+    for route in ["analytic", *(["quadrature"] if "quadrature" in outputs else [])]:
         if route not in er2:
             try:
                 er2[route] = (expected_r2(params, scheme) if route == "analytic"
-                              else _numeric_er2(params, scheme, m_real))
+                              else _numeric_er2(params, scheme))
             except _POINT_FAILURES as exc:
                 er2[route] = exc
         if isinstance(er2[route], Exception):
@@ -506,8 +503,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.m_real is not None:
-        raise UsageError("sweeps use the closed-form path; --m-real is eval-only")
     outputs = _parse_outputs(args.outputs, _OUTPUT_CHOICES)
     target_pi = args.target_pi
     if target_pi is not None and not 0.0 < target_pi < 1.0:
@@ -542,11 +537,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # A flag or config value for a knob that the sweep sets would be silently
     # replaced.
     own = {variable, *pinned, *curves[0]}
-    clashes = [
-        "--sigma-db" if knob == "sigma" and args.sigma_db is not None else f"--{knob}"
-        for knob, dest in _KNOBS.items()
-        if knob in own and dest in args.given
-    ]
+    clashes = [_alternate_flag(args, knob) or f"--{knob}"
+               for knob, dest in _KNOBS.items() if knob in own and dest in args.given]
     if clashes:
         raise UsageError(f"{sweep} sets {', '.join(clashes)} itself")
     fixed.update(pinned)
@@ -595,8 +587,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.m_real is not None:
-        raise UsageError("the simulator requires integer m; --m-real is eval-only")
     if args.node_density is None:
         raise UsageError("simulate requires --lambda")
     _check_writable(args.export_topology, args.out)
@@ -615,8 +605,6 @@ def cmd_invert(args: argparse.Namespace) -> int:
         raise UsageError("invert requires --target-pi")
     if not 0.0 < args.target_pi < 1.0:
         raise UsageError(f"--target-pi must lie in (0, 1), got {args.target_pi}")
-    if args.m_real is not None:
-        raise UsageError("--m-real is eval-only")
     result = _point(args, _flag_knobs(args), ("analytic",), args.target_pi, {}, {}, "")
     _emit_point(result, ("lambda_min", "p_i_roundtrip", "er2_analytic"), args)
     return 0
@@ -627,7 +615,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args)
-        _resolve_db_alternates(args)
+        _resolve_alternates(args)
         _apply_defaults(args)
         return args.func(args)
     except (CancellationError, QuadratureError, OverflowError) as exc:

@@ -1,9 +1,9 @@
 """Numerical evaluation of the defining range integrals.
 
 This module is the independent check on every closed form in
-:mod:`nodeiso.analytic` and the only evaluation path for non-integer
-Nakagami severity. Nothing here reuses the closed-form algebra. After the
-substitution u = rho^alpha = e^t the radial integral is
+:mod:`nodeiso.analytic`, for real Nakagami severity as for integer.
+Nothing here reuses the closed-form algebra. After the substitution
+u = rho^alpha = e^t the radial integral is
 integral (2/alpha) e^{2t/alpha} P_S(budget e^{-t}) dt over the real line,
 whose analytic integrand decays exponentially to the left and doubly
 exponentially to the right; the trapezoid rule in t then converges
@@ -15,9 +15,9 @@ law with a jump, or one that does not decay, raises
 all share one absolute t grid. The simulator's link-mass grid is a
 ``_log_grid`` range of the same average, in t = ln rho. Success laws are
 called with numpy arrays of mean SNRs, in chunks of bounded size.
-scipy.special is imported inside the two routines that call it, the
-shadowing-only oracle and the real-severity law, and numpy inside each
-routine that builds an array, so importing this module loads neither.
+scipy.special is imported inside the shadowing-only oracle, its one user
+here, and numpy inside each routine that builds an array, so importing
+this module loads neither.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
-from .channel import ChannelParams, _positive_snr
+from .channel import ChannelParams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "expected_r2_numeric_fading_shadow",
     "expected_r2_numeric_nofade",
     "shadow_averaged_success",
-    "success_prob_real_m",
 ]
 
 # Grid points times Hermite nodes per call of the success law (128 KiB per
@@ -262,29 +261,8 @@ def expected_r2_numeric_nofade(params: ChannelParams) -> float:
 
 
 # ============================================================================
-#  Real-severity success probability and shadow averaging
+#  Shadow averaging
 # ============================================================================
-
-
-def success_prob_real_m(y, m: float, psi: float):
-    """Single-branch success probability for real Nakagami severity m >= 0.5.
-
-    Regularized upper incomplete gamma at (m, m*psi/y); the library routine
-    evaluates it by series/continued fraction to near machine precision.
-    ``y`` is a float or a numpy array; so is the result.
-    """
-    y = _positive_snr(y)
-    if not m >= 0.5:
-        raise ValueError(f"Nakagami severity must be >= 0.5, got {m}")
-    if not psi > 0:
-        raise ValueError(f"threshold must be positive, got {psi}")
-    import numpy as np
-    from scipy.special import gammaincc
-
-    with np.errstate(over="ignore"):    # x = inf where y is tiny, and Q(m, inf) = 0
-        x = m * psi / y
-    p = gammaincc(m, x)
-    return float(p) if p.ndim == 0 else p
 
 
 def shadow_averaged_success(success_prob: Callable, mean_snr: float, sigma: float) -> float:

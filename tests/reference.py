@@ -39,6 +39,17 @@ def occupancy_rows_fraction(m, order):
             for h, row in enumerate(beta_rows_fraction(m, order))]
 
 
+def mrc_er2_series(p, branches):
+    """MRC E[R^2] as the Erlang series x0 theta^(-x0) sum_{l<mM} Gamma(x0+l)/l!
+    times the shadowing factor, x0 = 2/alpha: the term-by-term sum that the
+    closed form's Gamma ratio Gamma(mM+x0)/Gamma(mM) replaces. Integer m only."""
+    x0 = 2.0 / p.alpha
+    terms = [math.gamma(x0)]
+    for l in range(1, p.m * branches):
+        terms.append(terms[-1] * (x0 + l - 1) / l)
+    return x0 * p.theta**-x0 * math.fsum(terms) * math.exp(2.0 * p.sigma**2 / p.alpha**2)
+
+
 def truncated_exp_series_full(x, num_terms):
     """Q(num_terms, x) with every term summed over the whole array: the
     plain loop that ``specialfn.truncated_exp_series`` must match bit for bit."""

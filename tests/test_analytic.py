@@ -1,5 +1,6 @@
 import math
 import re
+import timeit
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from nodeiso.analytic import (
 )
 from nodeiso.channel import ChannelParams, DiversityScheme, make_success_fn
 from nodeiso.quadrature import expected_r2_numeric_fading
-from reference import params
+from reference import mrc_er2_series, params
 
 
 # ============================================================================
@@ -101,6 +102,21 @@ def test_mrc_single_branch_reduction_exact():
             direct = x0 * p.theta**-x0 * series * math.exp(2.0 * sigma**2 / p.alpha**2)
             assert expected_r2_mrc(p, 1) == pytest.approx(direct, rel=1e-14)
             assert expected_r2(p, DiversityScheme.no_diversity()) == expected_r2_mrc(p, 1)
+
+
+@pytest.mark.parametrize("m, M", [(m, M) for m in (1, 2, 3, 7, 16, 64, 256, 1024)
+                                   for M in (1, 2, 4) if m * M <= 4096])
+def test_mrc_gamma_ratio_matches_the_series(m, M):
+    for alpha in (2.0, 2.5, 3.0, 4.0, 6.0, 8.0):
+        for sigma in (0.0, 0.5, 2.0, 4.0):
+            p = params(m=m, alpha=alpha, sigma=sigma)
+            assert expected_r2_mrc(p, M) == pytest.approx(mrc_er2_series(p, M), rel=1e-11)
+
+
+def test_mrc_cost_does_not_grow_with_m():
+    p = params(m=1024, alpha=2.0, sigma=0.5)
+    best = min(timeit.repeat(lambda: expected_r2_mrc(p, 4), number=1000, repeat=5)) / 1000
+    assert best < 10e-6
 
 
 def test_mrc_reference_values():

@@ -31,8 +31,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(ptx=1, w=0.01, k=10, psi=10, alpha=4, m=0)
     with pytest.raises(ValueError):
-        ChannelParams(ptx=1, w=0.01, k=10, psi=10, alpha=4, m=1.5)
-    base = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0, alpha=4.0, sigma=0.0)
+        ChannelParams(ptx=1, w=0.01, k=10, psi=10, alpha=4, m=0.49)
+    # m is real; an integral value is stored as int, so integer routes keep their bits.
+    assert ChannelParams(ptx=1, w=0.01, k=10, psi=10, alpha=4, m=1.5).m == 1.5
+    m = ChannelParams(ptx=1, w=0.01, k=10, psi=10, alpha=4, m=2.0).m
+    assert m == 2 and type(m) is int
+    base = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0, alpha=4.0, sigma=0.0, m=1.0)
     for name in base:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
@@ -55,6 +59,10 @@ def test_diversity_scheme_validation():
         DiversityScheme("mrc", 0)
     with pytest.raises(ValueError):
         DiversityScheme("rake", 2)
+    # A swept M reaches the scheme unchecked, so it refuses every non-integer.
+    for bad in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="branches must be a positive integer"):
+            DiversityScheme("mrc", bad)
 
 
 def test_single_branch_diversity_folds_to_none():

@@ -95,19 +95,71 @@ def test_eval_quadrature_output_agrees():
     )
 
 
-def test_eval_real_m_routes_through_quadrature():
+def test_eval_real_m_prints_the_closed_form():
     record = parse_record(
-        run_cli("eval", "--m-real", "1.5", "--lambda", "1e-4").stdout
+        run_cli("eval", "--m-real", "1.5", "--lambda", "1e-4", "--outputs", "analytic").stdout
     )
-    assert "p_i_analytic" not in record
-    assert 0.0 < float(record["p_i_quadrature"]) < 1.0
-    assert float(record["er2_quadrature"]) > 0.0
+    assert set(record) == {"p_i_analytic", "er2_analytic"}
+    assert float(record["er2_analytic"]) == pytest.approx(
+        analytic.expected_r2_mrc(params(m=1.5), 1), rel=1e-9)
 
 
-def test_eval_real_m_rejects_diversity():
-    proc = run_cli("eval", "--m-real", "1.5", "--scheme", "mrc", "--M", "2",
-                   "--lambda", "1e-4", check=False)
-    assert proc.returncode == 2
+@pytest.mark.parametrize("scheme", [[], ["--scheme", "mrc", "--M", "2"]], ids=["none", "mrc2"])
+def test_eval_real_m_takes_both_routes(scheme):
+    proc = run_cli("eval", "--m-real", "1.5", *scheme, "--lambda", "1e-4",
+                   "--outputs", "analytic,quadrature", "--format", "json")
+    record = json.loads(proc.stdout)
+    assert set(record) == {"p_i_analytic", "er2_analytic", "p_i_quadrature", "er2_quadrature"}
+    assert record["er2_quadrature"] == pytest.approx(record["er2_analytic"], rel=1e-10)
+
+
+def test_eval_real_m_refuses_selection_combining(capsys):
+    # The selection-combining table needs an integer m.
+    assert cli.main(["eval", "--m-real", "1.5", "--scheme", "sc", "--M", "2",
+                     "--lambda", "1e-4"]) == 2
+    assert capsys.readouterr().err == (
+        "nodeiso: error: selection combining needs a positive integer m, got 1.5\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--m", "2", "--m-real", "1.5", "--lambda", "1e-4"],
+    ["eval", "--m", "4", "--m-real", "1.5", "--lambda", "1e-4"],
+    ["simulate", "--m", "2", "--m-real", "1.5", "--lambda", "5e-3"],
+])
+def test_m_and_m_real_are_exclusive(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nodeiso: error: --m and --m-real are exclusive\n"
+
+
+def test_sweep_clash_names_m_real(capsys):
+    assert cli.main(["sweep", "--variable", "m", "--grid", "1,2", "--m-real", "1.5",
+                     "--lambda", "1e-4"]) == 2
+    assert capsys.readouterr().err == "nodeiso: error: --variable m sets --m-real itself\n"
+
+
+def test_real_m_sweeps_simulates_and_inverts():
+    rows = json.loads(run_cli("sweep", "--variable", "sigma", "--grid", "0,1", "--m-real", "1.5",
+                              "--lambda", "1e-4", "--format", "json").stdout)
+    assert rows[0]["er2_analytic"] == pytest.approx(
+        analytic.expected_r2_mrc(params(m=1.5), 1), rel=1e-15)
+    rows = json.loads(run_cli("sweep", "--variable", "m", "--grid", "1,1.5,2", "--lambda", "1e-4",
+                              "--format", "json").stdout)
+    assert [row["m"] for row in rows] == [1, 1.5, 2]
+    assert rows[0]["er2_analytic"] < rows[1]["er2_analytic"] < rows[2]["er2_analytic"]
+    record = json.loads(run_cli("invert", "--m-real", "1.5", "--target-pi", "0.5",
+                                "--format", "json").stdout)
+    assert record["p_i_roundtrip"] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_real_m_simulation_meets_the_closed_form():
+    # Runs and seed were fixed before the estimate was first looked at.
+    record = json.loads(run_cli("simulate", "--m-real", "1.5", "--lambda", "0.02", "--runs", "200",
+                                "--seed", "2026", "--format", "json").stdout)
+    assert record["p_i_analytic"] == pytest.approx(
+        math.exp(-0.02 * math.pi * analytic.expected_r2_mrc(params(m=1.5), 1)), rel=1e-15)
+    assert abs(record["z_score"]) <= 3.0
 
 
 def test_eval_real_m_checks_outputs(capsys):
@@ -139,11 +191,17 @@ def test_eval_rejects_bad_density_exit_2(density):
      "numerical failure: the minimum node density overflows"),
     (["invert", "--psi", "1e300", "--alpha", "0.5", "--target-pi", "0.5"], 3,
      "numerical failure: the minimum node density overflows"),
-    # The shadowed grid's start index leaves int64 (--m-real has no closed form to fail first).
+    # The closed form runs first under --m-real too, and names sigma.
     (["eval", "--m-real", "1.5", "--sigma", "1e20", "--lambda", "1e-4"], 3,
-     "numerical failure: the grid would start at t = -1.49e+21, beyond the integer range"),
+     "numerical failure: E[R^2] is outside the float range at alpha = 4, sigma = 1e+20: "
+     "the shadowing factor"),
+    (["eval", "--m-real", "1.5", "--sigma", "1e16", "--lambda", "1e-4",
+      "--outputs", "analytic,quadrature"], 3,
+     "numerical failure: E[R^2] is outside the float range at alpha = 4, sigma = 1e+16: "
+     "the shadowing factor"),
     (["eval", "--psi", "1e300", "--sigma", "1e200", "--m-real", "0.7", "--lambda", "0"], 3,
-     "numerical failure: the grid would start at t = -1.49e+201, beyond the integer range"),
+     "numerical failure: E[R^2] is outside the float range at alpha = 4, sigma = 1e+200: "
+     "the shadowing factor"),
     (["simulate", "--m", "2", "--lambda", "inf"], 2, "node density must be finite and >= 0"),
     (["simulate", "--m", "2", "--lambda", "-1"], 2, "node density must be finite and >= 0"),
     (["eval", "--alpha", "0.001", "--lambda", "1e-4"], 3,
@@ -152,6 +210,13 @@ def test_eval_rejects_bad_density_exit_2(density):
      "numerical failure: E[R^2] is outside the float range at alpha = 0.001"),
     (["eval", "--alpha", "0.001", "--scheme", "sc", "--M", "2", "--lambda", "1e-4"], 3,
      "numerical failure: E[R^2] is outside the float range at alpha = 0.001"),
+    # The MRC Gamma ratio itself overflows: its message names alpha, not errno.
+    (["eval", "--alpha", "0.01", "--lambda", "1e-4"], 3,
+     "numerical failure: E[R^2] is outside the float range at alpha = 0.01: "
+     "Gamma(m*M + 2/alpha)/Gamma(m*M) = Gamma(201)/Gamma(1) overflows"),
+    (["eval", "--alpha", "0.01", "--scheme", "mrc", "--M", "4", "--lambda", "1e-4"], 3,
+     "numerical failure: E[R^2] is outside the float range at alpha = 0.01: "
+     "Gamma(m*M + 2/alpha)/Gamma(m*M) = Gamma(204)/Gamma(4) overflows"),
     (["simulate", "--m", "2", "--lambda", "1e-2", "--area", "inf"], 2,
      "area side must be positive and finite, got inf"),
     (["simulate", "--m", "2", "--lambda", "1e-2", "--area", "1e200"], 2,
@@ -166,8 +231,10 @@ def test_eval_rejects_bad_density_exit_2(density):
 ], ids=["eval-ptx-inf", "eval-alpha-inf", "eval-sigma-nan", "eval-sigma-100", "invert-sigma-100",
         "eval-psi-db-4000", "eval-k-db-4000",
         "invert-subnormal-er2", "invert-zero-er2", "eval-m-real-sigma-1e20",
-        "eval-m-real-sigma-1e200", "simulate-lambda-inf", "simulate-lambda--1",
-        "eval-alpha-0.001", "invert-alpha-0.001", "eval-alpha-0.001-sc2", "simulate-area-inf",
+        "eval-m-real-sigma-1e16", "eval-m-real-sigma-1e200", "simulate-lambda-inf",
+        "simulate-lambda--1",
+        "eval-alpha-0.001", "invert-alpha-0.001", "eval-alpha-0.001-sc2",
+        "eval-alpha-0.01", "eval-alpha-0.01-mrc4", "simulate-area-inf",
         "simulate-area-1e200", "simulate-area-1e7-out-of-memory", "simulate-area-1e10-poisson"])
 def test_out_of_domain_channel_exits_with_message(capsys, argv, code, message):
     assert cli.main(argv) == code
@@ -794,7 +861,7 @@ def test_sweep_overflowing_point_fails_alone(capsys):
 def test_sweep_computes_each_channel_once_per_invocation(monkeypatch, capsys):
     calls = []
 
-    def counting(params, scheme, m_real):
+    def counting(params, scheme):
         calls.append((params, scheme))
         return cli.expected_r2(params, scheme)
 
@@ -811,7 +878,7 @@ def test_sweep_computes_each_channel_once_per_invocation(monkeypatch, capsys):
 def test_sweep_evaluates_a_failing_channel_once(monkeypatch, capsys):
     calls = []
 
-    def failing(params, scheme, m_real):
+    def failing(params, scheme):
         calls.append((params, scheme))
         raise cli.QuadratureError("the grid would start at t = -inf")
 

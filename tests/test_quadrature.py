@@ -8,14 +8,13 @@ from scipy import integrate
 import nodeiso.channel as channel
 import nodeiso.quadrature as quadrature
 from nodeiso.analytic import expected_r2_mrc, expected_r2_sc, expected_r2_shadow_only
-from nodeiso.channel import DiversityScheme, make_success_fn
+from nodeiso.channel import DiversityScheme, make_success_fn, success_prob_mrc
 from nodeiso.quadrature import (
     QuadratureError,
     expected_r2_numeric_fading,
     expected_r2_numeric_fading_shadow,
     expected_r2_numeric_nofade,
     shadow_averaged_success,
-    success_prob_real_m,
 )
 from reference import params
 
@@ -192,8 +191,8 @@ def test_non_decaying_integrand_raises():
 def test_grid_beyond_integer_indices_raises(sigma):
     # The Hermite nodes put ln(budget) - 1.49 sigma at the grid's start.
     with pytest.raises(QuadratureError, match="beyond the integer range of its indices"):
-        expected_r2_numeric_fading_shadow(lambda y: success_prob_real_m(y, 1.5, 10.0),
-                                          params(sigma=sigma))
+        p = params(m=1.5, sigma=sigma)
+        expected_r2_numeric_fading_shadow(make_success_fn(p, DiversityScheme.no_diversity()), p)
 
 
 def test_integrand_evaluated_only_at_interior_points():
@@ -261,13 +260,15 @@ def test_zero_law_gives_zero_and_subnormal_values_survive():
 
 
 def test_real_m_matches_integer_forms():
-    from nodeiso.channel import success_prob_mrc
+    # The real-shape law, scipy's gammaincc, meets the Erlang series at every
+    # integer shape, and an integral m*M with a real m takes the series.
+    from scipy.special import gammaincc
 
-    for m in (1, 2, 4):
+    for m, M in ((1, 1), (2, 1), (4, 1), (1.5, 2), (0.75, 4)):
         p = params(m=m)
         for y in np.logspace(-1, 3, 20):
-            assert success_prob_real_m(y, float(m), p.psi) == pytest.approx(
-                success_prob_mrc(y, 1, p), rel=1e-12
+            assert gammaincc(float(m * M), m * p.psi / y) == pytest.approx(
+                success_prob_mrc(y, M, p), rel=1e-12
             )
 
 
@@ -280,33 +281,49 @@ def test_real_m_reference_values(m, y_over_psi, expected):
     x = m * psi / (y_over_psi * psi)
     oracle, _ = integrate.quad(lambda t: t ** (m - 1) * math.exp(-t), x, np.inf)
     oracle /= math.gamma(m)
-    value = success_prob_real_m(y_over_psi * psi, m, psi)
+    value = success_prob_mrc(y_over_psi * psi, 1, params(m=m, psi=psi))
     assert value == pytest.approx(oracle, rel=1e-10)
     assert value == pytest.approx(expected, rel=1e-10)
 
 
 def test_real_m_domain():
     with pytest.raises(ValueError):
-        success_prob_real_m(0.0, 1.0, 10.0)
-    with pytest.raises(ValueError):
-        success_prob_real_m(1.0, 0.3, 10.0)
+        success_prob_mrc(0.0, 1, params(m=1.5))
+    for m in (0.3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="m must be finite and >= 0.5"):
+            params(m=m)
 
 
 def test_real_m_law_where_m_psi_over_y_overflows():
     # m psi / y leaves the float range: x is inf, Q(m, inf) = 0, and no numpy
     # overflow warning escapes (pyproject's filterwarnings make one an error).
     y = np.array([1e-300, 1e-10, 1e300])
-    got = success_prob_real_m(y, 1.5, 1e300)
+    got = success_prob_mrc(y, 1, params(m=1.5, psi=1e300))
     assert got[0] == 0.0 and got[1] == 0.0 and got[2] == pytest.approx(0.3916251762710877)
 
 
 def test_real_m_numeric_range_integral_runs():
-    p = params(m=1, sigma=1.0)
-    fn = lambda y: success_prob_real_m(y, 1.5, p.psi)  # noqa: E731
+    p = params(m=1.5, sigma=1.0)
+    fn = make_success_fn(p, DiversityScheme.no_diversity())
     shadowed = expected_r2_numeric_fading_shadow(fn, p)
-    unshadowed = expected_r2_numeric_fading(fn, params(m=1, sigma=0.0))
+    unshadowed = expected_r2_numeric_fading(fn, params(m=1.5, sigma=0.0))
     assert shadowed > unshadowed > 0.0
     assert shadowed / unshadowed == pytest.approx(math.exp(2 / 16), rel=1e-6)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("m", [0.5, 0.75, 1.5, 2.5, 7.3])
+@pytest.mark.parametrize("M, rel", [(1, 1e-10), (2, quadrature._REL_TOL)])
+def test_real_m_closed_form_meets_the_quadrature(M, rel, m, alpha, sigma):
+    # Real m takes both routes: the Gamma ratio, and the trapezoid rule over
+    # gammaincc (or the Erlang series where m*M is an integer). MRC2 is held
+    # to the oracle's own tolerance: at m*M = 14.6 and sigma = 2 its step
+    # halving stops after one chance agreement, up to 5e-10 off.
+    p = params(m=m, alpha=alpha, sigma=sigma)
+    fn = make_success_fn(p, DiversityScheme.mrc(M))
+    numeric = (expected_r2_numeric_fading_shadow if sigma else expected_r2_numeric_fading)(fn, p)
+    assert numeric == pytest.approx(expected_r2_mrc(p, M), rel=rel)
 
 
 def test_shadow_averaged_success_limits():

@@ -20,7 +20,7 @@ names in messages are the same on every run; a file that a run writes there
 is hashed and removed. Each run sees ``COLUMNS=80``, so that argparse wraps
 its usage text the same way in any terminal.
 
-``cli`` (134 invocations) covers:
+``cli`` (140 invocations) covers:
 
 - config files: a good one for each subcommand, one setting every key a
   simulation reads, an unknown key (including each long flag that is not a
@@ -28,15 +28,16 @@ its usage text the same way in any terminal.
   missing file;
 - every figure preset in every format, and the preset usage errors,
   flags and config values that a preset sets among them;
-- custom sweeps over m, M, sigma, alpha and lambda, with bad, non-integer
-  and huge grids, a sweep without --lambda, and the target-pi paths, one
-  with outputs that the inversion does not compute;
-- invert, eval with --m-real, the dB flags and their exclusivity, --M
-  without a diversity scheme, and a report written with --out or to a
-  missing directory;
-- theta^(-2/alpha) past the float range with theta a float 0, and an
-  alpha whose 2/alpha overflows in eval, invert, simulate and an alpha
-  sweep;
+- custom sweeps over m, M, sigma, alpha and lambda, with bad, real,
+  non-integer, infinite and huge grids, a sweep without --lambda, and the
+  target-pi paths, one with outputs that the inversion does not compute;
+- invert, eval and simulate with --m-real (MRC2 and an SC refusal among
+  them), the dB flags and --m-real, each exclusive with its base flag,
+  --M without a diversity scheme, and a report written with --out or to
+  a missing directory;
+- theta^(-2/alpha) past the float range with theta a float 0, an alpha
+  whose 2/alpha overflows in eval, invert, simulate and an alpha sweep,
+  and alpha = 0.01, where the MRC Gamma ratio overflows;
 - k ptx as a float product 0, in eval on both routes and in simulate;
 - argparse's own rejections: no subcommand, an unknown flag, and bad
   --format and --scheme choices;
@@ -47,7 +48,7 @@ its usage text the same way in any terminal.
   on a bounded square, m = 2 on the torus, and about 180 nodes with a
   5.9 m cutoff on a bounded square, which takes the cell grid.
 
-``oracle`` (133) checks the closed forms and the quadrature bit for bit:
+``oracle`` (134) checks the closed forms and the quadrature bit for bit:
 
 - the figure sweeps 2, 3, 5, 6 and 7 with ``--outputs analytic,quadrature``
   (``cli`` holds the figure-4 inversion in JSON);
@@ -55,8 +56,8 @@ its usage text the same way in any terminal.
   analytic,quadrature``;
 - ``eval --m 2 --outputs analytic,quadrature`` over alpha in {2, 3, 4, 6},
   sigma in {0, 0.5, 2, 4, 8, 12, 16} and no diversity, MRC4 and SC4;
-- the same grid for ``eval --m-real 1.5``, which takes single-branch
-  reception only and so contributes the no-diversity column;
+- the same grid for ``eval --m-real 1.5`` without diversity, and
+  ``--m-real 1.5`` with MRC2;
 - selection combining with long rows, M(m - 1) from 176 to 4080: m = 12,
   100 and 256 with SC16 and m = 200 with SC16 and SC2 at alpha = 4;
   m = 64 with SC4, m = 100 with SC8 and m = 171 with SC2 at alpha = 2;
@@ -210,6 +211,7 @@ def cli_suite() -> list[list[str]]:
         [*m_sweep, "--grid", "4096,4097", *LAM],
         [*big_m_sweep, "--grid", "1,2,3,4,5", "--scheme", "sc", "--m", "2", *LAM, "--format", "csv"],
         [*big_m_sweep, "--grid", "1.5,2", "--scheme", "mrc", *LAM, "--format", "json"],
+        [*big_m_sweep, "--grid", "1,inf", "--scheme", "mrc", *LAM],
         [*big_m_sweep, "--grid", "17,18", "--scheme", "sc", "--m", "2", *LAM],
         [*big_m_sweep, "--grid", "1,2", *LAM],
         [*sigma_sweep, "--grid", "0,1,2", "--m", "2", *LAM, "--outputs", "analytic,quadrature",
@@ -225,6 +227,7 @@ def cli_suite() -> list[list[str]]:
         [*sigma_sweep, "--grid", "1,100", "--m", "2", *LAM, "--format", "json"],
         [*sigma_sweep, "--grid", "0,1", "--m", "2", "--lambda", "-1", "--format", "json"],
         [*sigma_sweep, "--grid", "1,1.75", "--alpha", "0.1", *LAM],
+        [*m_sweep, "--grid", "1,2", "--m-real", "1.5", *LAM],
         ["sweep", "--variable", "alpha", "--grid", "2,3,4", "--m", "2", *LAM, "--format", "csv"],
         ["sweep", "--variable", "alpha", "--grid", "1e-320,4", *LAM],
         ["sweep", "--variable", "lambda", "--grid", "5e-4,2e-3", "--m", "1",
@@ -255,6 +258,8 @@ def cli_suite() -> list[list[str]]:
          "--format", "json"],
         ["eval", "--m-real", "1.5", "--scheme", "mrc", "--M", "2", *LAM],
         ["eval", "--m-real", "1.5", *LAM, "--outputs", "bogus"],
+        ["eval", "--m-real", "1.5", "--scheme", "sc", "--M", "2", *LAM],
+        ["eval", "--m", "2", "--m-real", "1.5", *LAM],
         ["eval", "--m", "2"],
         ["eval", "--m", "4097", *LAM],
         ["eval", "--k-db", "10", "--psi-db", "10", "--sigma-db", "5", "--m", "2", *LAM,
@@ -269,6 +274,8 @@ def cli_suite() -> list[list[str]]:
         ["eval", "--ptx", "1e308", "--k", "1e308", *LAM],
         ["eval", "--alpha", "1e-320", *LAM],
         ["eval", "--alpha", "1e-320", "--sigma", "1", *LAM],
+        ["eval", "--alpha", "0.01", *LAM],
+        ["eval", "--alpha", "0.01", "--scheme", "mrc", "--M", "4", *LAM],
         ["invert", "--alpha", "1e-320", "--target-pi", "0.5"],
         # k ptx as a float product is 0: ln(k ptx/w) is a sum of logs.
         ["eval", "--k", "1e-200", "--ptx", "1e-200", *LAM, "--outputs", "analytic,quadrature"],
@@ -328,6 +335,8 @@ def oracle_suite() -> list[list[str]]:
                 for scheme in schemes:
                     result.append(["eval", *severity, "--alpha", alpha, "--sigma", sigma, *scheme,
                                    "--lambda", "1e-4", *BOTH, "--format", "json"])
+    result.append(["eval", "--m-real", "1.5", *_MRC2, "--lambda", "1e-4", *BOTH,
+                   "--format", "json"])
     # Selection combining with long rows, M(m - 1) from 176 to 4080.
     for alpha, m, branches in (("4", "12", "16"), ("2", "64", "4"), ("2", "100", "8"),
                                ("2", "171", "2"), ("4", "100", "16"), ("4", "256", "16"),
