@@ -7,7 +7,6 @@ Nakagami-m fading with optional MRC/SC receive diversity.
 """
 
 from .analytic import (
-    CancellationError,
     expected_r2,
     expected_r2_mrc,
     expected_r2_sc,

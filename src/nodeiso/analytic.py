@@ -8,23 +8,21 @@ structure the isolation probability is
 
 with E[R^2] the mean squared communication range of the corresponding
 channel/diversity combination. Single-branch reception is MRC with one
-branch, so there are two fading forms: MRC (one Gamma ratio, for real m)
-and SC (an alternating sum over branch subsets, for integer m). Both carry
-the lognormal shadowing factor exp(2 sigma^2 / alpha^2), which is exactly 1
-at sigma = 0.
+branch, so there are two fading forms, both for real m: MRC (one Gamma
+ratio) and SC (a series of positive terms). Both carry the lognormal
+shadowing factor exp(2 sigma^2 / alpha^2), which is exactly 1 at sigma = 0.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from math import comb
+from itertools import accumulate
+from operator import mul, truediv
 
-from .channel import ChannelParams, DiversityScheme, _check_series_length, build_beta_table
+from .channel import ChannelParams, DiversityScheme, _check_series_length, _sc_occupancy
 
 __all__ = [
-    "CancellationError",
-    "SC_MAX_ORDER",
     "check_node_density",
     "expected_r2",
     "expected_r2_mrc",
@@ -35,17 +33,10 @@ __all__ = [
     "min_density_for_isolation",
 ]
 
-# The alternating selection-combining sum grows combinatorially with the
-# number of branches; beyond this order double precision cannot keep the
-# required six digits.
-SC_MAX_ORDER = 16
-
-# Raise once the alternating sum has lost more than six decimal digits.
-_MAX_DIGIT_LOSS = 1e6
-
-
-class CancellationError(ArithmeticError):
-    """Alternating-sum evaluation lost too many significant digits."""
+# The SC series costs about M^2 (sqrt(m) + 2/alpha) band sums. At M = 32 its
+# slowest cells (alpha just above where E[G^(2/alpha)] overflows) take 1.5 s
+# on a 2-vCPU Xeon; at M = 64, 5.8 s, past channel._MAX_SERIES_TERMS's 4 s.
+_SC_MAX_BRANCHES = 32
 
 
 def _shadow_factor(params: ChannelParams) -> float:
@@ -86,16 +77,7 @@ def _ratio_power(up: tuple[float, ...], down: tuple[float, ...], x: float) -> fl
     return math.exp(x * (sum(map(math.log, up)) - sum(map(math.log, down))))
 
 
-def _gamma_at(x0: float) -> float:
-    """Gamma(x0) for x0 = 2/alpha; an overflow names alpha."""
-    try:
-        return math.gamma(x0)
-    except OverflowError:
-        raise _er2_out_of_range(x0) from None
-
-
-def _er2_out_of_range(x0: float, cause: str | None = None) -> OverflowError:
-    cause = cause or f"Gamma(2/alpha) = Gamma({x0:g}) overflows"
+def _er2_out_of_range(x0: float, cause: str) -> OverflowError:
     return OverflowError(f"E[R^2] is outside the float range at alpha = {2.0 / x0:g}: {cause}")
 
 
@@ -115,15 +97,6 @@ def _theta_scaled(params: ChannelParams, x0: float, *factors: float) -> float:
     if not math.isfinite(er2):
         raise _er2_out_of_range(x0, "the Gamma series times theta^(-2/alpha) overflows")
     return er2
-
-
-def _gamma_over_factorial_ladder(x0: float, count: int, scale: float = 1.0) -> list[float]:
-    """[scale * Gamma(x0+l)/l! for l < count]; the ratio grows only like
-    l^(x0-1), so the ladder stays in range for arbitrarily long series."""
-    values = [scale * _gamma_at(x0)]
-    for l in range(1, count):
-        values.append(values[-1] * (x0 + l - 1) / l)
-    return values
 
 
 # ============================================================================
@@ -165,37 +138,36 @@ def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
 def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
     """Mean squared range with selection combining over M branches.
 
-    Alternating sum over branch subsets h of
-    C(M,h) h^(-2/alpha) c_{h,l} Gamma(2/alpha + l)/l!, with c the occupancy
-    table for (m, M), whose entries lie in [0, 1] for any m; the sum is
-    compensated, and one that lost more than six digits raises.
+    theta^(-s) E[max_i G_i^s] exp(2 sigma^2/alpha^2), s = 2/alpha, G_i i.i.d.
+    Gamma(m, 1) for a real m. Expanding Gupta's M int x^s P(m,x)^(M-1) f_m(x) dx
+    (*Technometrics* 2(2), 1960) over N = (M-1)m + l balls in M-1 bins gives
+    sum_l v_l U_l, U_l = M (M-1)^N Gamma(mM+s+l) / (Gamma(m) N! M^(mM+s+l)),
+    v_l in [0, 1] (:func:`channel._sc_occupancy`): no term is negative. Past
+    U's peak, U_{l+1}/U_l is monotone and tends to (M-1)/M, so the tail is at
+    most U_{l+1}/(1 - max(U_{l+2}/U_{l+1}, (M-1)/M)); the sum stops once that
+    is below half an ulp of E[G^s] <= E[max_i G_i^s]. M = 1 is one term.
     """
     M = int(diversity_order)
-    if M != diversity_order or M < 1:
-        raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
-    if M > SC_MAX_ORDER:
-        raise ValueError(
-            f"selection-combining order {M} exceeds the supported maximum "
-            f"{SC_MAX_ORDER}; the alternating sum loses too much precision beyond it"
-        )
-    table = build_beta_table(params.m, M)
-    x0 = _two_over_alpha(params)
-    terms: list[float] = []
-    for h in range(1, M + 1):
-        # Scaled by h^(-x0), each ladder stays within the h = 1 terms' range.
-        ladder = _gamma_over_factorial_ladder(x0, len(table.rows[h]), h ** -x0)
-        if ladder[-1] == math.inf:    # monotone from a finite Gamma(x0)
-            raise _er2_out_of_range(x0, "the Gamma series times theta^(-2/alpha) overflows")
-        weight = (-1.0 if h % 2 else 1.0) * comb(M, h)
-        terms.extend(weight * c * g for c, g in zip(table.rows[h], ladder))
-    inner = math.fsum(terms)
-    peak = max(abs(t) for t in terms)
-    if inner >= 0.0 or peak > _MAX_DIGIT_LOSS * abs(inner):
-        raise CancellationError(
-            f"selection-combining sum lost more than 6 digits "
-            f"(peak term {peak:.3e}, sum {inner:.3e})"
-        )
-    return -_theta_scaled(params, x0, x0, _shadow_factor(params), inner)
+    if M != diversity_order or not 1 <= M <= _SC_MAX_BRANCHES:
+        raise ValueError(f"selection combining needs an integer 1 <= M <= {_SC_MAX_BRANCHES}, "
+                         f"got {diversity_order}; the series takes too long beyond it")
+    m, s = params.m, _two_over_alpha(params)
+    ln_single, ln_max = math.lgamma(m + s) - math.lgamma(m), math.log(sys.float_info.max)
+    if ln_single > ln_max:
+        return _theta_scaled(params, s, math.inf)
+    def ratio(l):  # U_{l+1} / U_l
+        return (M - 1) / M * (1.0 + (m + s - 1.0) / ((M - 1) * m + l + 1.0))
+    top = max(0, math.floor((M - 1) * s - M) + 1)  # U rises while ratio(l) >= 1
+    n = (M - 1) * m + top
+    ln_top = (math.log(M) + n * math.log(M - 1 or 1) + math.lgamma(m * M + s + top)
+              - math.lgamma(m) - math.lgamma(n + 1.0) - (m * M + s + top) * math.log(M))
+    u = list(accumulate(map(ratio, range(top - 1, -1, -1)), truediv, initial=1.0))[::-1]
+    tol = 2.0**-54 * math.exp(ln_single - ln_top)
+    while (nxt := u[-1] * ratio(len(u) - 1)) >= tol * (1.0 - max(ratio(len(u)), (M - 1) / M)):
+        u.append(nxt)
+    ln_moment = ln_top + math.log(math.fsum(map(mul, u, _sc_occupancy(m, M - 1, len(u)))))
+    moment = math.exp(ln_moment) if ln_moment <= ln_max else math.inf
+    return _theta_scaled(params, s, moment, _shadow_factor(params))
 
 
 def expected_r2(params: ChannelParams, scheme: DiversityScheme) -> float:

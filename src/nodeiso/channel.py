@@ -9,17 +9,18 @@ Provides:
   - ChannelParams / DiversityScheme / BetaTable value types
   - maximal-ratio and selection-combining success probabilities for real
     Nakagami severity m >= 0.5; single-branch reception is MRC with M = 1
-  - the occupancy-probability table behind the selection-combining form,
-    for integer m
+  - the occupancy probabilities behind the selection-combining law (a
+    table, for integer m) and closed form (series weights, for real m)
 
 The value types, the occupancy table and the scalar SC expansion are
-pure Python, and so are the closed forms built on them. numpy is imported
-inside the array laws, and scipy.special where the shape m*M is not an
-integer, so importing this module loads neither.
+pure Python. numpy is imported inside the array laws and the series
+weights, and scipy.special where the shape m*M is not an integer, so
+importing this module loads neither.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,10 +53,9 @@ def sigma_from_db(sigma_db: float) -> float:
     return sigma_db * math.log(10.0) / 10.0
 
 
-# Every route sums an Erlang series one term at a time in Python (m*M terms
-# for MRC, m for the SC law, M*(m-1) for the SC table); longer ones are
-# refused. At m = 4096 the slowest route, the shadowed quadrature, takes
-# 4.4 s on a 2-vCPU Xeon; every other route takes under 4 s.
+# The success laws sum an Erlang series one term at a time in Python (m*M
+# terms for MRC, m for SC); longer ones are refused on every route. At m = 4096
+# the shadowed quadrature takes 4.4 s on a 2-vCPU Xeon, every other route < 4 s.
 _MAX_SERIES_TERMS = 1 << 12
 
 
@@ -183,8 +183,7 @@ def build_beta_table(m: int, diversity_order: int) -> BetaTable:
         raise ValueError(f"selection combining needs a positive integer m, got {m}")
     if int(diversity_order) != diversity_order or diversity_order < 1:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
-    m = int(m)
-    diversity_order = int(diversity_order)
+    m, diversity_order = int(m), int(diversity_order)
     rows: list[tuple[float, ...]] = [(1.0,)]
     for h in range(1, diversity_order + 1):
         prev = rows[-1]
@@ -198,6 +197,36 @@ def build_beta_table(m: int, diversity_order: int) -> BetaTable:
             row.append(sum(map(mul, weights[lo:hi + 1], reversed(prev[l - hi:l - lo + 1]))))
         rows.append(tuple(row))
     return BetaTable(m=m, diversity_order=diversity_order, rows=tuple(rows))
+
+
+@functools.lru_cache(maxsize=32)
+def _sc_occupancy(m: float, bins: int, count: int) -> tuple[float, ...]:
+    """(v_l for l < count): the chance that bins*m + l balls dropped uniformly
+    into ``bins`` bins leave every bin with at least m, for real m >= 0.5.
+
+    Of n = g*m + l balls in g bins the last holds m + k with probability
+    Bin(m+k; n, 1/g) (Gamma functions for factorials), so v_{g,l} = sum_k
+    Bin(m+k; n, 1/g) v_{g-1,l-k} from v_{1,l} = 1, over the k within a
+    Bernstein bound of e^-40 of the mean l/g, 2^16 terms at a time.
+    """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view as windows
+
+    l, v = np.arange(count), np.ones(count)
+    ln_kept = ln_rest = np.fromiter(map(math.lgamma, (m + 1.0 + l).tolist()), float, count)
+    for g in range(2, bins + 1):
+        ln_n = np.fromiter(map(math.lgamma, (g * m + 1.0 + l).tolist()), float, count)
+        half = int(40 / 3 + math.sqrt(1600 / 9 + 80 * (m + count / g) * (1 - 1 / g))) + 1
+        pad = np.full(min(2 * half + 1, count), np.inf)
+        # Bin(m+k; n, 1/g) v_{g-1,l-k} = exp(head[l] - kept[k] - rest[l-k]), rest reversed
+        head = ln_n + (g * m + l) * math.log1p(-1.0 / g)
+        kept = windows(np.concatenate([ln_kept + (m + l) * math.log(g - 1), pad]), pad.size)
+        rest = windows(np.concatenate([pad, ln_rest - np.log(v)])[::-1], pad.size)
+        for i in np.array_split(l, -(-count * pad.size // (1 << 16))):
+            k0 = np.maximum(i // g - half, 0)
+            v[i] = np.exp(head[i, None] - kept[k0] - rest[count - 1 - i + k0]).sum(1)
+        ln_rest = ln_n
+    return tuple(v.tolist())
 
 
 # ============================================================================
@@ -258,10 +287,9 @@ def success_prob_sc(
     """Success probability after selection combining of M branches.
 
     Complement of all M branches falling below threshold, expanded
-    binomially with the occupancy table:
-        -sum_{n=1}^{M} (-1)^n C(M,n) sum_k c_{n,k} Poisson(k; n x),  x = m psi / y,
-    the expansion the closed form integrates. Identically equal to
-    1 - (1 - Q(m, x))^M, the form :func:`make_success_fn` evaluates.
+    binomially with the occupancy table c, an integer-m reference for
+    1 - (1 - Q(m, x))^M, the form :func:`make_success_fn` evaluates:
+        -sum_{n=1}^{M} (-1)^n C(M,n) sum_k c_{n,k} Poisson(k; n x),  x = m psi / y.
     """
     if not y > 0:
         raise ValueError(f"average SNR must be positive, got {y}")

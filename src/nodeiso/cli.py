@@ -25,7 +25,7 @@ import sys
 import warnings
 from typing import Sequence
 
-from .analytic import CancellationError, _density_from_er2, expected_r2, isolation_from_er2
+from .analytic import _density_from_er2, expected_r2, isolation_from_er2
 from .channel import ChannelParams, DiversityScheme, db_to_linear, make_success_fn, sigma_from_db
 from .quadrature import (
     QuadratureError,
@@ -415,7 +415,7 @@ def _flag_knobs(args: argparse.Namespace) -> dict:
 
 # What a point of a sweep may fail with: its row stays empty and the sweep
 # goes on.
-_POINT_FAILURES = (ValueError, OverflowError, CancellationError, QuadratureError)
+_POINT_FAILURES = (ValueError, OverflowError, QuadratureError)
 
 
 def _point(
@@ -618,7 +618,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _resolve_alternates(args)
         _apply_defaults(args)
         return args.func(args)
-    except (CancellationError, QuadratureError, OverflowError) as exc:
+    except (QuadratureError, OverflowError) as exc:
         print(f"nodeiso: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

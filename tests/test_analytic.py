@@ -8,7 +8,6 @@ import pytest
 
 import nodeiso.analytic as analytic
 from nodeiso.analytic import (
-    SC_MAX_ORDER,
     expected_r2,
     expected_r2_mrc,
     expected_r2_sc,
@@ -17,9 +16,9 @@ from nodeiso.analytic import (
     isolation_probability,
     min_density_for_isolation,
 )
-from nodeiso.channel import ChannelParams, DiversityScheme, make_success_fn
-from nodeiso.quadrature import expected_r2_numeric_fading
-from reference import mrc_er2_series, params
+from nodeiso.channel import ChannelParams, DiversityScheme, _sc_occupancy, make_success_fn
+from nodeiso.quadrature import expected_r2_numeric_fading, expected_r2_numeric_fading_shadow
+from reference import mrc_er2_series, params, sc_er2_alternating
 
 
 # ============================================================================
@@ -125,10 +124,11 @@ def test_mrc_reference_values():
 
 
 def test_sc_single_branch_reduction():
-    for m in (1, 2, 4):
-        p = params(m=m)
-        got = expected_r2_sc(p, 1)
-        assert got == pytest.approx(expected_r2_mrc(p, 1), rel=1e-12)
+    # One branch is the series' single term Gamma(m + 2/alpha)/Gamma(m).
+    for m in (0.5, 1, 1.5, 2, 4, 171):
+        for sigma in (0.0, 2.0):
+            p = params(m=m, sigma=sigma)
+            assert expected_r2_sc(p, 1) == expected_r2_mrc(p, 1)
 
 
 def test_sc_reference_value():
@@ -140,16 +140,17 @@ def test_sc_reference_value():
     (2.0, 64, 4), (2.0, 100, 8), (2.0, 171, 2), (4.0, 100, 16), (4.0, 256, 16), (8.0, 64, 8),
 ])
 def test_sc_long_series_meets_the_oracle(alpha, m, M):
-    # Rows where many coefficients beta_{h,l} underflow as floats: every
-    # occupancy probability c_{h,l} is in range, so no term is dropped.
+    # Series of 190 to 2540 terms, whose first occupancy probabilities are
+    # as small as 1e-22: every term is positive, so none is lost to cancellation.
     p = params(m=m, alpha=alpha)
     oracle = expected_r2_numeric_fading(make_success_fn(p, DiversityScheme.sc(M)), p)
     assert expected_r2_sc(p, M) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_sc_ladder_in_range_where_its_terms_are():
-    # Gamma(2/alpha + l)/l! alone overflows at alpha = 0.02 and l = 1584;
-    # scaled by h^(-2/alpha) it stays as small as the h = 1 terms.
+    # E[max G^s] at s = 100 is about 7e217: every series term is scaled by the
+    # largest, so none leaves the float range before the sum does. At m = 200,
+    # s = 133.3, E[G^s] alone is 5e322 and the series is named as overflowing.
     assert expected_r2_sc(params(m=100, alpha=0.02), 16) == pytest.approx(
         6.760439881531912e217, rel=1e-9)
     with pytest.raises(OverflowError, match="the Gamma series times theta"):
@@ -165,14 +166,96 @@ def test_sc_below_mrc():
 
 
 def test_sc_order_cap(monkeypatch):
-    # The cap fires before any coefficient table is built.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a coefficient table was built above the order cap")
+    # Beyond the old cap of 16 branches the series meets the oracle; beyond
+    # its own cap of 32 the order is refused before any weight is built.
+    for alpha in (2.0, 4.0):
+        p = params(m=2, alpha=alpha)
+        for M in (17, 32):
+            oracle = expected_r2_numeric_fading(make_success_fn(p, DiversityScheme.sc(M)), p)
+            assert expected_r2_sc(p, M) == pytest.approx(oracle, rel=1e-9)
 
-    monkeypatch.setattr(analytic, "build_beta_table", refuse)
-    p = params(m=2)
-    with pytest.raises(ValueError, match="exceeds the supported maximum"):
-        expected_r2_sc(p, SC_MAX_ORDER + 1)
+    def refuse(*args, **kwargs):
+        raise AssertionError("series weights were built above the order cap")
+
+    monkeypatch.setattr(analytic, "_sc_occupancy", refuse)
+    cap = analytic._SC_MAX_BRANCHES
+    with pytest.raises(ValueError, match=f"1 <= M <= {cap}, got {cap + 1}"):
+        expected_r2_sc(params(m=2), cap + 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12])
+def test_sc_series_matches_the_alternating_sum(m):
+    # Integer m, where the alternating sum still keeps about ten digits.
+    for M in (2, 3, 4, 8, 16):
+        for alpha in (2.0, 3.0, 4.0, 8.0):
+            for sigma in (0.0, 2.0):
+                p = params(m=m, alpha=alpha, sigma=sigma)
+                assert expected_r2_sc(p, M) == pytest.approx(sc_er2_alternating(p, M), rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [0.5, 0.75, 1.5, 2.5, 7.3])
+def test_sc_real_m_meets_the_quadrature(monkeypatch, m):
+    # Every occupancy probability that the series builds lies in [0, 1],
+    # which its stopping rule relies on, up to the rounding of its lgamma
+    # differences: near 1 the entries overshoot by up to about 4e-13.
+    built = []
+
+    def recording(*args):
+        built.append(_sc_occupancy(*args))
+        return built[-1]
+
+    monkeypatch.setattr(analytic, "_sc_occupancy", recording)
+    for alpha in (2.0, 3.0, 4.0, 6.0):
+        for sigma in (0.0, 0.5):
+            p = params(m=m, alpha=alpha, sigma=sigma)
+            for M in (2, 4):
+                law = make_success_fn(p, DiversityScheme.sc(M))
+                oracle = (expected_r2_numeric_fading_shadow(law, p) if sigma
+                          else expected_r2_numeric_fading(law, p))
+                assert expected_r2_sc(p, M) == pytest.approx(oracle, rel=1e-9)
+    assert len(built) == 16
+    assert all(0.0 <= v <= 1.0 + 1e-12 for row in built for v in row)
+
+
+# E[max_i G_i^s], s = 2/alpha, over M i.i.d. Gamma(m, 1) gains at 30 digits:
+# s int x^(s-1) (1 - P(m,x)^M) dx with u = x^s, which takes the x^(s-1)
+# singularity at 0 out, split at the mode m - 1 (m/2 for m <= 1), from
+#   s = mp.mpf(2) / alpha
+#   mp.quad(lambda u: 1 - mp.gammainc(m, 0, u**(1 / s), regularized=True)**M,
+#           [0, mode**s, (2 * m + 40)**s, mp.inf])
+# with mpmath 1.3.0 at mp.dps = 60; a run at dps = 45 agrees to 46 digits.
+_SC_TRUTH = {
+    (12, 16, 2.0): "18.8752993508992941971058436662",
+    (12, 16, 4.0): "4.33469643793434069485661617663",
+    (171, 16, 2.0): "194.886443834959662446854654249",
+    (171, 16, 4.0): "13.957408258411675512111943647",
+    (256, 16, 2.0): "285.051123847043572961680368092",
+    (256, 16, 4.0): "16.8811888847953622053301444394",
+    (100, 8, 2.0): "114.687163433144684390356793772",
+    (100, 8, 4.0): "10.7046414236104106512646185055",
+    (1.5, 4, 2.0): "2.83787144109297405378806774563",
+    (1.5, 4, 4.0): "1.63915694633291386847418391417",
+    (0.5, 2, 2.0): "0.818309886183790671537767526745",
+    (0.5, 2, 4.0): "0.797884560802865355879892119869",
+}
+
+
+@pytest.mark.parametrize("m, M, alpha", list(_SC_TRUTH))
+def test_sc_series_meets_the_30_digit_truth(m, M, alpha):
+    # theta = 1 here, so E[R^2] is the gain moment itself.
+    p = ChannelParams(ptx=m, w=1.0, k=1.0, psi=1.0, alpha=alpha, m=m)
+    assert p.theta == 1.0
+    assert expected_r2_sc(p, M) == pytest.approx(float(_SC_TRUTH[m, M, alpha]), rel=1e-11)
+
+
+def test_sc_series_cost_at_sixteen_branches():
+    # Both cells took 0.43 s and 0.92 s with the alternating sum on a 2-vCPU
+    # Xeon; each is timed without the cached occupancy probabilities.
+    for m in (171, 256):
+        _sc_occupancy.cache_clear()
+        start = timeit.default_timer()
+        expected_r2_sc(params(m=m), 16)
+        assert timeit.default_timer() - start < 0.5
 
 
 def test_dispatch_reductions():

@@ -113,12 +113,25 @@ def test_eval_real_m_takes_both_routes(scheme):
     assert record["er2_quadrature"] == pytest.approx(record["er2_analytic"], rel=1e-10)
 
 
-def test_eval_real_m_refuses_selection_combining(capsys):
-    # The selection-combining table needs an integer m.
-    assert cli.main(["eval", "--m-real", "1.5", "--scheme", "sc", "--M", "2",
-                     "--lambda", "1e-4"]) == 2
-    assert capsys.readouterr().err == (
-        "nodeiso: error: selection combining needs a positive integer m, got 1.5\n")
+def test_eval_real_m_takes_selection_combining():
+    proc = run_cli("eval", "--m-real", "1.5", "--scheme", "sc", "--M", "4", "--lambda", "1e-4",
+                   "--outputs", "analytic,quadrature", "--format", "json")
+    record = json.loads(proc.stdout)
+    assert record["er2_quadrature"] == pytest.approx(record["er2_analytic"], rel=1e-9)
+
+
+def test_simulate_real_m_selection_combining_meets_the_closed_form():
+    # Runs and seed were fixed before the estimate was looked at.
+    proc = run_cli("simulate", "--m-real", "1.5", "--scheme", "sc", "--M", "4",
+                   "--lambda", "5e-3", "--runs", "400", "--seed", "27", "--format", "json")
+    assert abs(json.loads(proc.stdout)["z_score"]) <= 3.0
+
+
+def test_sweep_selection_combining_beyond_sixteen_branches():
+    proc = run_cli("sweep", "--variable", "M", "--grid", "17,18", "--scheme", "sc", "--m", "2",
+                   "--lambda", "1e-4", "--outputs", "analytic,quadrature", "--format", "json")
+    for row in json.loads(proc.stdout):
+        assert row["p_i_quadrature"] == pytest.approx(row["p_i_analytic"], rel=1e-9)
 
 
 @pytest.mark.parametrize("argv", [
@@ -453,10 +466,12 @@ def test_import_loads_no_numpy_or_scipy(module):
 
 
 def test_closed_form_routes_load_no_numpy():
+    # The selection-combining series sums its bands in numpy arrays; every
+    # other closed form is pure Python.
     code = "\n".join([
         "from nodeiso import cli",
         "assert cli.main(['eval', '--m', '2', '--lambda', '1e-4']) == 0",
-        "assert cli.main(['eval', '--m', '2', '--lambda', '1e-4', '--scheme', 'sc', '--M', '4',"
+        "assert cli.main(['eval', '--m', '2', '--lambda', '1e-4', '--scheme', 'mrc', '--M', '4',"
         " '--sigma', '2']) == 0",
         "assert cli.main(['invert', '--target-pi', '0.5']) == 0",
         "assert cli.main(['sweep', '--variable', 'sigma', '--grid', '0,1,2', '--lambda', '1e-4'])"
@@ -817,11 +832,11 @@ def test_sweep_rows_show_the_grid_value_asked_for(capsys):
 
 
 def test_sweep_all_points_failing_exits_3():
-    # Selection combining beyond the supported order fails at every point;
-    # the rows are emitted with empty fields and the exit code is nonzero.
+    # Every point's series is longer than the supported m*M; the rows are
+    # emitted with empty fields and the exit code is nonzero.
     proc = run_cli(
-        "sweep", "--variable", "M", "--grid", "17,18", "--scheme", "sc",
-        "--m", "2", "--lambda", "1e-4", "--format", "csv", check=False,
+        "sweep", "--variable", "m", "--grid", "4097,4098", "--lambda", "1e-4",
+        "--format", "csv", check=False,
     )
     assert proc.returncode == 3
     assert "failed" in proc.stderr

@@ -213,15 +213,16 @@ def test_integrand_evaluated_only_at_interior_points():
 
 @pytest.mark.parametrize("sigma", [0.0, 2.0])
 def test_sc_quadrature_needs_no_beta_table(monkeypatch, sigma):
-    # The SC oracle integrates 1 - (1 - Q)^M; the coefficient table belongs
-    # to the closed form it checks, so the check must not lean on it.
+    # The SC oracle integrates 1 - (1 - Q)^M; the occupancy tables belong to
+    # the closed form and the reference law it checks, so it must not lean on them.
     p = params(m=2, sigma=sigma)
     closed = expected_r2_sc(p, 4)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the quadrature route built a coefficient table")
+        raise AssertionError("the quadrature route built an occupancy table")
 
     monkeypatch.setattr(channel, "build_beta_table", refuse)
+    monkeypatch.setattr(channel, "_sc_occupancy", refuse)
     fn = make_success_fn(p, DiversityScheme.sc(4))
     if sigma > 0:
         numeric = expected_r2_numeric_fading_shadow(fn, p)

@@ -4,26 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from nodeiso.analytic import _gamma_over_factorial_ladder
 from nodeiso.specialfn import log_factorial, truncated_exp_series
 from reference import truncated_exp_series_full
-
-
-def test_gamma_known_values():
-    # The closed forms take Gamma(x0 + l)/l! from one math.gamma call per ladder.
-    # Gamma(2 + l)/l! = l + 1.
-    assert _gamma_over_factorial_ladder(2.0, 5) == pytest.approx([1, 2, 3, 4, 5], rel=1e-12)
-    root_pi = math.sqrt(math.pi)
-    expected = [root_pi, root_pi / 2, 3 * root_pi / 8]
-    assert _gamma_over_factorial_ladder(0.5, 3) == pytest.approx(expected, rel=1e-12)
-    assert _gamma_over_factorial_ladder(1.0, 6) == pytest.approx([1.0] * 6, rel=1e-12)
-
-
-def test_gamma_recurrence():
-    rng = np.random.default_rng(20240901)
-    for x in rng.uniform(1e-3, 100.0, size=200):
-        lhs = math.gamma(x + 1.0)
-        assert abs(lhs - _gamma_over_factorial_ladder(x, 2)[1]) / lhs < 1e-12
 
 
 def test_log_factorial_small_exact():

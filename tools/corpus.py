@@ -20,7 +20,7 @@ names in messages are the same on every run; a file that a run writes there
 is hashed and removed. Each run sees ``COLUMNS=80``, so that argparse wraps
 its usage text the same way in any terminal.
 
-``cli`` (140 invocations) covers:
+``cli`` (141 invocations) covers:
 
 - config files: a good one for each subcommand, one setting every key a
   simulation reads, an unknown key (including each long flag that is not a
@@ -31,8 +31,8 @@ its usage text the same way in any terminal.
 - custom sweeps over m, M, sigma, alpha and lambda, with bad, real,
   non-integer, infinite and huge grids, a sweep without --lambda, and the
   target-pi paths, one with outputs that the inversion does not compute;
-- invert, eval and simulate with --m-real (MRC2 and an SC refusal among
-  them), the dB flags and --m-real, each exclusive with its base flag,
+- invert, eval and simulate with --m-real (MRC2 and SC2 among them, and
+  a 40-run SC2 simulation), the dB flags and --m-real, each exclusive with its base flag,
   --M without a diversity scheme, and a report written with --out or to
   a missing directory;
 - theta^(-2/alpha) past the float range with theta a float 0, an alpha
@@ -48,7 +48,7 @@ its usage text the same way in any terminal.
   on a bounded square, m = 2 on the torus, and about 180 nodes with a
   5.9 m cutoff on a bounded square, which takes the cell grid.
 
-``oracle`` (134) checks the closed forms and the quadrature bit for bit:
+``oracle`` (136) checks the closed forms and the quadrature bit for bit:
 
 - the figure sweeps 2, 3, 5, 6 and 7 with ``--outputs analytic,quadrature``
   (``cli`` holds the figure-4 inversion in JSON);
@@ -57,11 +57,11 @@ its usage text the same way in any terminal.
 - ``eval --m 2 --outputs analytic,quadrature`` over alpha in {2, 3, 4, 6},
   sigma in {0, 0.5, 2, 4, 8, 12, 16} and no diversity, MRC4 and SC4;
 - the same grid for ``eval --m-real 1.5`` without diversity, and
-  ``--m-real 1.5`` with MRC2;
-- selection combining with long rows, M(m - 1) from 176 to 4080: m = 12,
-  100 and 256 with SC16 and m = 200 with SC16 and SC2 at alpha = 4;
-  m = 64 with SC4, m = 100 with SC8 and m = 171 with SC2 at alpha = 2;
-  and m = 64 with SC8 at alpha = 8;
+  ``--m-real 1.5`` with MRC2 and SC4;
+- selection combining with long series: m = 12, 100 and 256 with SC16
+  and m = 200 with SC16 and SC2 at alpha = 4; m = 64 with SC4, m = 100
+  with SC8 and m = 171 with SC2 at alpha = 2; m = 64 with SC8 at
+  alpha = 8; and m = 2 with SC32 at alpha = 4;
 - ``eval`` where theta = m psi w/(k ptx) as a float product is 0,
   subnormal and inf, so that the closed form takes it in log space.
 - the shadowed law past the float range, with no numpy warning: m psi/y
@@ -89,7 +89,7 @@ The first acceptance cell also runs at seeds 0 and 2**64 - 1, with
 ``--jobs`` 1 and 2: the master seeds that enter the seeding as the single
 word [0] and as two 32-bit words. SC8 at m = 100 and alpha = 2 (lambda
 5e-3, 300 runs) runs at seed 1 with ``--jobs`` 1 and 2, against a closed
-form that sums rows of 793 terms.
+form whose series has 840 terms.
 """
 
 from __future__ import annotations
@@ -259,6 +259,8 @@ def cli_suite() -> list[list[str]]:
         ["eval", "--m-real", "1.5", "--scheme", "mrc", "--M", "2", *LAM],
         ["eval", "--m-real", "1.5", *LAM, "--outputs", "bogus"],
         ["eval", "--m-real", "1.5", "--scheme", "sc", "--M", "2", *LAM],
+        ["simulate", "--m-real", "1.5", "--scheme", "sc", "--M", "2", "--lambda", "5e-3",
+         "--runs", "40", "--seed", "3"],
         ["eval", "--m", "2", "--m-real", "1.5", *LAM],
         ["eval", "--m", "2"],
         ["eval", "--m", "4097", *LAM],
@@ -335,14 +337,17 @@ def oracle_suite() -> list[list[str]]:
                 for scheme in schemes:
                     result.append(["eval", *severity, "--alpha", alpha, "--sigma", sigma, *scheme,
                                    "--lambda", "1e-4", *BOTH, "--format", "json"])
-    result.append(["eval", "--m-real", "1.5", *_MRC2, "--lambda", "1e-4", *BOTH,
-                   "--format", "json"])
-    # Selection combining with long rows, M(m - 1) from 176 to 4080.
+    for scheme in (_MRC2, _SC4):
+        result.append(["eval", "--m-real", "1.5", *scheme, "--lambda", "1e-4", *BOTH,
+                       "--format", "json"])
+    # Selection combining with long series.
     for alpha, m, branches in (("4", "12", "16"), ("2", "64", "4"), ("2", "100", "8"),
                                ("2", "171", "2"), ("4", "100", "16"), ("4", "256", "16"),
                                ("8", "64", "8"), ("4", "200", "16"), ("4", "200", "2")):
         result.append(["eval", "--m", m, *_SC4[:2], "--M", branches, "--alpha", alpha,
                        "--sigma", "0", "--lambda", "1e-4", *BOTH, "--format", "json"])
+    result.append(["eval", "--m", "2", "--scheme", "sc", "--M", "32", "--lambda", "1e-4", *BOTH,
+                   "--format", "json"])
     # theta = m psi w / (k ptx) as a float product is 0, subnormal and inf.
     for channel in (["--psi", "1e-200", "--w", "1e-200"], ["--psi", "1e-160", "--w", "1e-160"],
                     ["--psi-db", "3000", "--w", "1e10"]):
