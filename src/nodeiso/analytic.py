@@ -81,10 +81,25 @@ def _er2_out_of_range(x0: float, cause: str) -> OverflowError:
     return OverflowError(f"E[R^2] is outside the float range at alpha = {2.0 / x0:g}: {cause}")
 
 
-def _theta_scaled(params: ChannelParams, x0: float, *factors: float) -> float:
-    """theta^(-x0) times the factors, left to right; beyond the float range
-    the error names alpha."""
+def _theta_scaled(params: ChannelParams, x0: float, ln_factor: float,
+                  cause: str | None = None) -> float:
+    """theta^(-x0) e^ln_factor exp(2 sigma^2/alpha^2), the product formed
+    left to right; where e^ln_factor alone overflows, one exp of ln E[R^2] =
+    -x0 ln theta + ln_factor + 2 sigma^2/alpha^2. Beyond the float range the
+    error names alpha, and ``cause`` (by default the product) where
+    e^ln_factor overflows."""
     up, down = (params.m, params.psi, params.w), (params.k, params.ptx)
+    product = "the Gamma series times theta^(-2/alpha) overflows"
+    try:
+        factor = math.exp(ln_factor)
+    except OverflowError:
+        spread = params.sigma * x0
+        ln_er2 = x0 * (sum(map(math.log, down)) - sum(map(math.log, up))) + ln_factor
+        ln_er2 += 0.5 * spread * spread
+        if ln_er2 <= math.log(sys.float_info.max):
+            return math.exp(ln_er2)
+        raise _er2_out_of_range(x0, cause or product) from None
+    shadow = _shadow_factor(params)
     try:
         er2 = _ratio_power(up, down, -x0)
     except OverflowError:
@@ -92,10 +107,9 @@ def _theta_scaled(params: ChannelParams, x0: float, *factors: float) -> float:
         theta = _ratio_power(up, down, 1.0)
         cause = f"theta^(-2/alpha) = {theta:g}^(-{x0:g}) overflows"
         raise _er2_out_of_range(x0, cause) from None
-    for factor in factors:
-        er2 *= factor
+    er2 = er2 * factor * shadow
     if not math.isfinite(er2):
-        raise _er2_out_of_range(x0, "the Gamma series times theta^(-2/alpha) overflows")
+        raise _er2_out_of_range(x0, product)
     return er2
 
 
@@ -127,12 +141,8 @@ def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
     x0 = _two_over_alpha(params)
     n = params.m * M
-    try:
-        ratio = math.exp(math.lgamma(n + x0) - math.lgamma(n))
-    except OverflowError:
-        cause = f"Gamma(m*M + 2/alpha)/Gamma(m*M) = Gamma({n + x0:g})/Gamma({n:g}) overflows"
-        raise _er2_out_of_range(x0, cause) from None
-    return _theta_scaled(params, x0, ratio, _shadow_factor(params))
+    cause = f"Gamma(m*M + 2/alpha)/Gamma(m*M) = Gamma({n + x0:g})/Gamma({n:g}) overflows"
+    return _theta_scaled(params, x0, math.lgamma(n + x0) - math.lgamma(n), cause)
 
 
 def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
@@ -152,9 +162,10 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
         raise ValueError(f"selection combining needs an integer 1 <= M <= {_SC_MAX_BRANCHES}, "
                          f"got {diversity_order}; the series takes too long beyond it")
     m, s = params.m, _two_over_alpha(params)
-    ln_single, ln_max = math.lgamma(m + s) - math.lgamma(m), math.log(sys.float_info.max)
-    if ln_single > ln_max:
-        return _theta_scaled(params, s, math.inf)
+    ln_single = math.lgamma(m + s) - math.lgamma(m)
+    # E[G^s] <= E[max_i G_i^s]: where E[R^2] at E[G^s] is refused, the
+    # series, whose length grows with s, is not built.
+    _theta_scaled(params, s, ln_single)
     def ratio(l):  # U_{l+1} / U_l
         return (M - 1) / M * (1.0 + (m + s - 1.0) / ((M - 1) * m + l + 1.0))
     top = max(0, math.floor((M - 1) * s - M) + 1)  # U rises while ratio(l) >= 1
@@ -166,8 +177,7 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
     while (nxt := u[-1] * ratio(len(u) - 1)) >= tol * (1.0 - max(ratio(len(u)), (M - 1) / M)):
         u.append(nxt)
     ln_moment = ln_top + math.log(math.fsum(map(mul, u, _sc_occupancy(m, M - 1, len(u)))))
-    moment = math.exp(ln_moment) if ln_moment <= ln_max else math.inf
-    return _theta_scaled(params, s, moment, _shadow_factor(params))
+    return _theta_scaled(params, s, ln_moment)
 
 
 def expected_r2(params: ChannelParams, scheme: DiversityScheme) -> float:

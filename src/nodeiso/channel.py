@@ -56,6 +56,10 @@ def sigma_from_db(sigma_db: float) -> float:
 # The success laws sum an Erlang series one term at a time in Python (m*M
 # terms for MRC, m for SC); longer ones are refused on every route. At m = 4096
 # the shadowed quadrature takes 4.4 s on a 2-vCPU Xeon, every other route < 4 s.
+# The cap also bounds the error of the MRC closed form's Gamma ratio
+# exp(lgamma(n + s) - lgamma(n)), n = m*M: at s = 1/2, against 40-digit
+# mpmath, it is 2.7e-12 relative at n = 4096, 2.4e-10 at 1e5, 7.3e-10 at
+# 1e6, 1.1e-7 at 1e8 and 9.0e-4 at 1e12.
 _MAX_SERIES_TERMS = 1 << 12
 
 

@@ -10,8 +10,8 @@ link-mass grid per campaign, a range of quadrature's ``_log_grid``, gives
 the pair cutoff r_eps and the torus cell's own P_I, with a warning when
 the cell cannot hold the link law.
 Pairs within r_eps come from one cell-list search (``_pairs_within``)
-over each batch of consecutive replications; it returns them in all-pairs
-order, and each replication then draws its channels from its own stream.
+over each batch of consecutive replications, in an order that each
+replication's own positions fix; it draws its channels in that order.
 
 Replication r has two streams, its topology (domain 0) and its channel
 draws (domain 1). Each is a PCG64 generator equal bit for bit to
@@ -128,13 +128,16 @@ class SimConfig:
         if not 0.0 < self.area_side < math.inf:
             raise ValueError(f"area side must be positive and finite, got {self.area_side}")
         try:
-            expected_nodes = self.node_density * self.area_side**2
+            square = self.area_side**2
         except OverflowError:
-            expected_nodes = math.inf
-        if not math.isfinite(expected_nodes):
+            square = math.inf
+        expected_nodes = self.node_density * square
+        # The pair search squares distances up to a bounded square's diagonal.
+        if not (math.isfinite(expected_nodes) and 2.0 * square < math.inf):
             raise ValueError(
                 f"area side {self.area_side:g} m gives a non-finite expected node count "
-                f"lambda * side^2 at node density {self.node_density:g}"
+                f"lambda * side^2 at node density {self.node_density:g} or squared "
+                f"diagonal 2 side^2"
             )
         if expected_nodes > _POISSON_MAX_MEAN:
             raise ValueError(
@@ -308,12 +311,15 @@ def sample_topology(
     return Topology(positions=positions, area_side=config.area_side, boundary=config.boundary)
 
 
-def _reach(cutoff: float, extent: float) -> float:
-    """The cutoff plus a slack for rounding in hypot (relative to the cutoff)
-    and in cell or window bounds (relative to the largest coordinate,
-    ``extent``), so that a search by reach finds every pair the exact test
-    keeps; the exact test then drops the extras."""
-    return cutoff * (1.0 + 1e-9) + 8.0 * math.ulp(1.0) * extent
+def _cells(area_side: float, cutoff: float, nodes: int) -> int:
+    """Cells per axis of the pair search for a replication of ``nodes`` nodes:
+    floor(side / reach), at most 2 isqrt(nodes) (more than about four cells
+    per node only adds empty ones to visit) and at least 3. The reach is the
+    cutoff plus a slack for rounding in the distance and in cell bounds, so
+    that a search by reach finds every pair the exact test keeps. Below 3,
+    at any node count, the search takes the whole window."""
+    reach = cutoff * (1.0 + 1e-9) + 8.0 * math.ulp(1.0) * area_side
+    return min(math.floor(area_side / reach), max(3, 2 * math.isqrt(nodes)))
 
 
 def _pairs_within(
@@ -323,44 +329,34 @@ def _pairs_within(
     cutoff: float,
     offsets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unordered pairs (i < j) at distance <= cutoff, in row-major order.
+    """Unordered pairs at distance <= cutoff, each once, in search order.
 
     ``positions`` holds the nodes of consecutive replications, those of
     replication r at rows ``offsets[r]:offsets[r + 1]`` (one replication
-    when ``offsets`` is None); pairs never join two replications. Returns
-    index arrays ``i`` and ``j`` into ``positions`` and the distances, in
-    (replication, i, j) order: for each replication exactly the order of
-    ``np.triu_indices`` restricted to its kept pairs. Distances use per-axis
-    wraparound in toroidal mode.
+    when ``offsets`` is None), all in [0, area_side); pairs never join two
+    replications. Returns index arrays ``i`` (the searching node, which
+    ascends) and ``j`` into ``positions`` and the distances sqrt(dx^2 +
+    dy^2), with per-axis wraparound in toroidal mode. A replication's order
+    depends on its own positions, the side, boundary and cutoff alone.
 
     A cell list (Allen & Tildesley, Computer Simulation of Liquids, 2nd ed.,
-    sec. 5.3) finds the candidates. Each axis has nc = floor(side / reach)
-    cells, so a cell is at least the cutoff (plus slack) wide, but no more
-    than about four cells per node of a replication. A node's candidates
-    are the later nodes of its own cell and every node of the cells (0, 1),
-    (1, -1), (1, 0) and (1, 1) from it, a half stencil that meets each pair
-    of neighbouring cells once. On the torus the neighbours across an edge
-    are periodic images: column 0 is entered again as a margin column nc,
-    then rows 0 and nc - 1 as margin rows nc and -1; on a bounded square
-    the margin stays empty. With the cells in column-major order the
-    stencil is two runs of sorted entries per node. Below three cells per
-    axis (an infinite cutoff included) a torus cell would be its own
-    neighbour, so every later node of the same replication is a candidate
-    and no sort is needed.
+    sec. 5.3) finds the candidates, with ``_cells`` cells per axis for each
+    replication. A node's candidates are the later entries of its own cell
+    and every entry of the cells (0, 1), (1, -1), (1, 0) and (1, 1) from it,
+    a half stencil that meets each pair of neighbouring cells once. On the
+    torus the neighbours across an edge are periodic images: column 0 is
+    entered again as a margin column nc, then rows 0 and nc - 1 as margin
+    rows nc and -1; on a bounded square the margin stays empty. With the
+    cells in column-major order the stencil is two runs of sorted entries
+    per node. Below three cells per axis (an infinite cutoff included) a
+    torus cell would be its own neighbour, so every later node of the same
+    replication is a candidate, the pairs come in row-major order (j > i)
+    and nothing is sorted.
 
     Candidates are expanded in chunks of at most about ``_BLOCK_PAIRS``; a
-    squared-distance prefilter with a little slack discards far ones
-    cheaply, and the survivors are decided by the same elementwise
-    operations as an all-pairs enumeration (``abs``, the torus ``minimum``,
-    ``hypot``, ``<= cutoff``), so the pair set and every distance equal that
-    enumeration's.
-
-    Each kept pair is held as one int64 key ``i * n + j`` and its distance,
-    16 bytes. On the cell grid one in-place sort of ``key * 2^bits +
-    position``, ``bits`` the bit length of the pair count, restores the
-    order, with each pair's position in the low bits for one gather of the
-    distances; where that would leave int64 (``_packs``), an argsort of the
-    keys does. ``divmod(key, n)`` gives i and j.
+    squared-distance prefilter with a little slack discards far ones. Each
+    pair kept, where sqrt(dx^2 + dy^2) <= cutoff, is held as one int64 key
+    ``i * n + j`` (``divmod`` gives i and j) and its distance, 16 bytes.
     """
     import numpy as np
 
@@ -370,43 +366,54 @@ def _pairs_within(
     if offsets is None:
         offsets = np.array([0, n])
     sizes = np.diff(offsets)
-    reps = len(sizes)
     x = np.ascontiguousarray(positions[:, 0])
     y = np.ascontiguousarray(positions[:, 1])
-    reach = _reach(cutoff, max(area_side, float(np.abs(positions).max())))
-    # More cells than about four per node only add empty ones to visit.
-    nc = int(min(area_side / reach, 2 * math.isqrt(n // reps)))
-    if nc < 3:
+    nc = np.array([_cells(area_side, cutoff, int(size)) for size in sizes])
+    if nc[0] < 3:
         node, xs, ys, segments = None, x, y, 1
         starts = np.arange(1, n + 1)
         lengths = np.repeat(offsets[1:], sizes) - starts
     else:
-        # Cell (cx, cy) of replication r has the key r * width * height +
-        # cx * height + cy + 1, which leaves room for the margin.
-        height, width = nc + 2, nc + 1
+        # Replication r has (nc + 1) * (nc + 2) keys from first[r]: cell
+        # (cx, cy) has the key first[r] + cx * (nc + 2) + cy + 1, which
+        # leaves room for the margin.
+        blocks = (nc + 1) * (nc + 2)
+        first = np.cumsum(blocks) - blocks
+        nc = np.repeat(nc, sizes)
+        height = nc + 2
         scale = nc / area_side
         cx = np.minimum((x * scale).astype(np.intp), nc - 1)
         cy = np.minimum((y * scale).astype(np.intp), nc - 1)
-        key = np.repeat(np.arange(1, reps * width * height, width * height), sizes)
+        key = np.repeat(first + 1, sizes)
         key += cx * height + cy
         node = np.arange(n)
         if boundary == "toroidal":
             wrap = np.flatnonzero(cx == 0)
             node = np.concatenate((node, wrap))
-            key = np.concatenate((key, key[wrap] + nc * height))
+            key = np.concatenate((key, key[wrap] + nc[wrap] * height[wrap]))
             cy = np.concatenate((cy, cy[wrap]))
-            low, high = np.flatnonzero(cy == 0), np.flatnonzero(cy == nc - 1)
+            low, high = np.flatnonzero(cy == 0), np.flatnonzero(cy == nc[node] - 1)
+            key = np.concatenate((key, key[low] + nc[node[low]], key[high] - nc[node[high]]))
             node = np.concatenate((node, node[low], node[high]))
-            key = np.concatenate((key, key[low] + nc, key[high] - nc))
-        # Any order within a cell serves: the final sort of the keys
-        # restores the pairs' order.
-        order = np.argsort(key)
-        slot = np.empty(len(key), dtype=np.intp)
-        slot[order] = np.arange(len(key))
+        # One in-place sort of key * 2^bits + entry (bits: the entry count's
+        # bit length) orders the cells, and each cell's entries by node in any
+        # batch (np.argsort is not stable). With about four keys per node and
+        # at most twice as many entries, it leaves int64 near 1e9 nodes.
+        count, bits = len(key), len(key).bit_length()
+        cells = sum(blocks.tolist())
+        if cells << bits > 2**63:
+            raise OverflowError(f"{n} nodes in one pair search need cell keys beyond int64")
+        own = key[:n].copy()
+        key <<= bits
+        key += np.arange(count)
+        key.sort()
+        order = key & ((1 << bits) - 1)
+        key >>= bits
+        slot = np.empty(count, dtype=np.intp)
+        slot[order] = np.arange(count)
         node = node[order]
         xs, ys = x[node], y[node]
-        cell_end = np.cumsum(np.bincount(key, minlength=reps * width * height))
-        own = key[:n]
+        cell_end = np.cumsum(np.bincount(key, minlength=cells))
         # Run 0: the later entries of the node's cell, then the cell above.
         # Run 1: the cells (cx + 1, cy - 1 .. cy + 1).
         segments = 2
@@ -445,14 +452,13 @@ def _pairs_within(
         d2 = dx * dx
         d2 += dy * dy
         cand = np.flatnonzero(d2 <= limit)
-        dist = np.hypot(dx[cand], dy[cand])
+        dist = np.sqrt(d2[cand])
         exact = dist <= cutoff
         keep = cand[exact]
         dist = dist[exact]
         i, j = np.repeat(np.arange(p0, p1), counts)[keep], q[keep]
         if node is not None:
             j = node[j]
-            i, j = np.minimum(i, j), np.maximum(i, j)
         i *= n
         i += j
         out_key.append(i)
@@ -463,30 +469,9 @@ def _pairs_within(
     del out_key
     dist = np.concatenate(out_d)
     del out_d
-    count = len(key)
-    if node is not None:
-        bits = count.bit_length()
-        if _packs(n, bits):
-            # key * 2^bits + position: sorting it in place puts the pairs in
-            # key order and carries each one's position in the low bits.
-            key <<= bits
-            key += np.arange(count)
-            key.sort()
-            rank = key & ((1 << bits) - 1)
-            key >>= bits
-        else:
-            rank = np.argsort(key)
-            key = key[rank]
-        dist = dist[rank]
-        del rank
     j = np.empty_like(key)
     np.divmod(key, n, out=(key, j))
     return key, j, dist
-
-
-def _packs(n: int, bits: int) -> bool:
-    """Whether a pair key below n^2, shifted left by ``bits``, fits in int64."""
-    return n * n << bits <= 2**63
 
 
 def _links_up(
@@ -646,13 +631,13 @@ def isolation_count(
 
     Links are reciprocal: a single draw decides both directions of each
     unordered pair. Pairs beyond the range cutoff are skipped without
-    consuming randomness. The kept pairs come in ``np.triu_indices`` order
-    (row-major over i < j) and all draws are made after enumeration, so the
-    result is deterministic in the generator state and bit-identical to an
-    all-pairs enumeration. ``pairs`` is the topology's ``(i, j, dist)`` from
-    a search already made (``_simulate_block`` searches a batch of
-    replications at once); without it ``_pairs_within`` searches this
-    topology. The distances are clamped in place.
+    consuming randomness. The kept pairs come in ``_pairs_within``'s search
+    order, fixed by the topology and the cutoff, and all draws are made
+    after the search, so the result is deterministic in the generator state.
+    ``pairs`` is the topology's ``(i, j, dist)`` from a search already made
+    (``_simulate_block`` searches a batch of replications at once); without
+    it ``_pairs_within`` searches this topology. The distances are clamped
+    in place.
     """
     import numpy as np
 
@@ -678,18 +663,18 @@ def _batches(config: SimConfig, range_cutoff: float, start: int, stop: int):
     holding at most about ``_BATCH_PAIRS`` candidate pairs of the search.
 
     The estimate for n nodes is n(n-1)/2 below three cells per axis and
-    4.5 n^2 / nc^2 on the cell grid (half of a cell's nodes and four whole
-    cells around each node), and at least max(n, 1), so that tiny cutoffs
-    and empty replications cannot gather without bound. A replication above
-    the budget forms a batch of its own.
+    4.5 n^2 / nc^2 on the cell grid of nc = ``_cells`` cells per axis (half
+    of a cell's nodes and four whole cells around each node), and at least
+    max(n, 1), so that tiny cutoffs and empty replications cannot gather
+    without bound. A replication above the budget forms a batch of its own.
     """
-    nc = math.floor(config.area_side / _reach(range_cutoff, config.area_side))
     batch: list[tuple[int, Topology]] = []
     load = 0.0
     streams = _streams(config.master_seed, _TOPOLOGY_DOMAIN, start, stop)
     for run, rng in zip(range(start, stop), streams):
         topology = sample_topology(config, run, rng=rng)
         n = len(topology)
+        nc = _cells(config.area_side, range_cutoff, n)
         estimate = n * (n - 1) / 2 if nc < 3 else 4.5 * n * n / (nc * nc)
         cost = max(estimate, n, 1)
         if batch and load + cost > _BATCH_PAIRS:

@@ -150,11 +150,24 @@ def test_sc_long_series_meets_the_oracle(alpha, m, M):
 def test_sc_ladder_in_range_where_its_terms_are():
     # E[max G^s] at s = 100 is about 7e217: every series term is scaled by the
     # largest, so none leaves the float range before the sum does. At m = 200,
-    # s = 133.3, E[G^s] alone is 5e322 and the series is named as overflowing.
+    # s = 133.3, E[G^s] alone is 5e322, yet theta^(-s) = 2^(-133.3) brings
+    # E[R^2] back into range (40-digit mpmath).
     assert expected_r2_sc(params(m=100, alpha=0.02), 16) == pytest.approx(
         6.760439881531912e217, rel=1e-9)
-    with pytest.raises(OverflowError, match="the Gamma series times theta"):
-        expected_r2_sc(params(m=200, alpha=0.015), 2)
+    assert expected_r2_sc(params(m=200, alpha=0.015), 2) == pytest.approx(
+        7.9497265238599763e282, rel=1e-10)
+
+
+def test_mrc_in_range_where_the_gamma_ratio_overflows():
+    # Gamma(333.3)/Gamma(200) is about 5e322, theta^(-s) = 2^(-133.3): one
+    # exp of the summed logs gives E[R^2] (40-digit mpmath), while every
+    # value whose ratio is a float keeps the product's bits.
+    assert expected_r2_mrc(params(m=200, alpha=0.015), 1) == pytest.approx(
+        3.9748632744267007e282, rel=1e-10)
+    p = params(m=200, alpha=0.02)
+    theta = 200 * 10.0 * 0.01 / (10.0 * 1.0)
+    ratio = math.exp(math.lgamma(300.0) - math.lgamma(200.0))
+    assert expected_r2_mrc(p, 1) == theta**-100.0 * ratio
 
 
 def test_sc_below_mrc():

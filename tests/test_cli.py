@@ -256,6 +256,17 @@ def test_out_of_domain_channel_exits_with_message(capsys, argv, code, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("scheme, er2", [([], 3.9748632744267007e282),
+                                         (["--scheme", "sc", "--M", "2"], 7.9497265238599763e282)],
+                         ids=["none", "sc2"])
+def test_eval_in_range_where_the_gamma_factor_overflows(scheme, er2):
+    # The Gamma factor alone leaves the float range, theta^(-2/alpha) brings
+    # E[R^2] back (40-digit mpmath values).
+    proc = run_cli("eval", "--m", "200", "--alpha", "0.015", *scheme, "--lambda", "1e-4",
+                   "--format", "json")
+    assert json.loads(proc.stdout)["er2_analytic"] == pytest.approx(er2, rel=1e-10)
+
+
 @pytest.mark.parametrize("branches", ["16", "2"])
 def test_sc_at_m_200_meets_the_quadrature(branches):
     proc = run_cli("eval", "--m", "200", "--scheme", "sc", "--M", branches, "--lambda", "1e-4",

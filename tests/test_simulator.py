@@ -122,6 +122,17 @@ def test_expected_node_count_above_poisson_limit_names_area():
                       node_density=lam, area_side=side)
 
 
+def test_side_whose_squared_diagonal_overflows_is_refused():
+    # 1.2e154^2 is a float, but the squared diagonal 2 side^2, which the
+    # pair search reaches on a bounded square, is not.
+    for lam in (0.0, 1e-300):
+        with pytest.raises(ValueError, match=r"area side 1\.2e\+154 m .*squared diagonal"):
+            SimConfig(params=params(m=2), scheme=DiversityScheme.no_diversity(),
+                      node_density=lam, area_side=1.2e154)
+    SimConfig(params=params(m=2), scheme=DiversityScheme.no_diversity(), node_density=0.0,
+              area_side=9e153)
+
+
 def test_poisson_limit_is_numpys_int64_bound():
     limit = np.iinfo(np.int64).max
     assert simulator._POISSON_MAX_MEAN == limit - 10.0 * math.sqrt(limit)
@@ -147,14 +158,25 @@ def test_topology_mean_one_node():
 
 
 def _triu_reference(positions, side, boundary, cutoff):
-    """All pairs at once in ``triu_indices`` order: what ``_pairs_within`` must equal."""
+    """All pairs at once in ``triu_indices`` order: the pair set ``_pairs_within`` must find."""
     i, j = np.triu_indices(len(positions), k=1)
     delta = np.abs(positions[i] - positions[j])
     if boundary == "toroidal":
         delta = np.minimum(delta, side - delta)
-    dist = np.hypot(delta[:, 0], delta[:, 1])
+    dist = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
     keep = dist <= cutoff
     return i[keep], j[keep], dist[keep]
+
+
+def _assert_same_pairs(got, want):
+    """``got`` holds the pairs of ``want`` (in ``triu_indices`` order) with
+    the same distances, each once, and its searching node i ascends."""
+    i, j, dist = got
+    assert np.all(np.diff(i) >= 0)
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((high, low))
+    for g, w in zip((low[order], high[order], dist[order]), want):
+        assert np.array_equal(g, w)
 
 
 def test_pairs_within_euclidean():
@@ -198,10 +220,8 @@ def _with_seam_nodes(pos):
 
 def _assert_matches_reference(pos, boundary, cutoffs):
     for cutoff in cutoffs:
-        want = _triu_reference(pos, 100.0, boundary, cutoff)
-        got = _pairs_within(pos, 100.0, boundary, cutoff)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        _assert_same_pairs(_pairs_within(pos, 100.0, boundary, cutoff),
+                           _triu_reference(pos, 100.0, boundary, cutoff))
 
 
 @pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
@@ -214,21 +234,6 @@ def test_pairs_within_matches_all_pairs_enumeration(monkeypatch, boundary, n):
     # square.
     monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
     _check_pairs_within_against_all_pairs(boundary, n)
-
-
-@pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 17, 18, 33, 100])
-def test_pairs_within_argsort_order_matches_all_pairs_enumeration(monkeypatch, boundary, n):
-    # The order where key * 2^bits would leave int64: an argsort of the keys.
-    monkeypatch.setattr(simulator, "_BLOCK_PAIRS", 16)
-    monkeypatch.setattr(simulator, "_packs", lambda n, bits: False)
-    _check_pairs_within_against_all_pairs(boundary, n)
-
-
-def test_packed_keys_fit_int64_exactly():
-    # Keys run up to n^2 - 1 and positions up to 2^bits - 1.
-    assert simulator._packs(2**20, 23) and not simulator._packs(2**20, 24)
-    assert simulator._packs(3, 59) and not simulator._packs(3, 60)
 
 
 def _check_pairs_within_against_all_pairs(boundary, n):
@@ -280,17 +285,51 @@ def test_pairs_within_batch_matches_each_replication(monkeypatch, boundary):
     offsets = np.cumsum([0] + [len(p) for p in parts])
     positions = np.concatenate(parts)
     for cutoff in (0.0, 3.0, 12.0, 24.9, 25.0, 33.3, 40.0, 49.9, 50.0, math.inf):
-        want = _batch_reference(parts, boundary, cutoff)
-        got = simulator._pairs_within(positions, 100.0, boundary, cutoff, offsets)
-        for g, w in zip(got, want):
+        _assert_same_pairs(simulator._pairs_within(positions, 100.0, boundary, cutoff, offsets),
+                           _batch_reference(parts, boundary, cutoff))
+
+
+@pytest.mark.parametrize("boundary", ["toroidal", "bounded"])
+@pytest.mark.parametrize("block", [16, None])
+def test_pairs_within_batch_keeps_each_replications_order_alone(monkeypatch, boundary, block):
+    # At a 5.9 m cutoff the replications of 0 to about 200 nodes get from 3
+    # to 16 cells per axis; each one's pairs, in order, are those it finds
+    # searched alone.
+    if block is not None:
+        monkeypatch.setattr(simulator, "_BLOCK_PAIRS", block)
+    rng = np.random.default_rng(28)
+    parts = [rng.random((k, 2)) * 100.0 for k in (0, 1, 2, 5, 9, 17, 40, 0, 80, 203, 3, 150)]
+    parts[6][:4] = [[0.0, 0.0], [0.0, 99.9], [99.9, 0.0], [99.9, 99.9]]
+    cutoff = 5.9
+    assert len({simulator._cells(100.0, cutoff, len(p)) for p in parts}) >= 6
+    offsets = np.cumsum([0] + [len(p) for p in parts])
+    i, j, dist = _pairs_within(np.concatenate(parts), 100.0, boundary, cutoff, offsets)
+    bounds = np.searchsorted(i, offsets)
+    for k, part in enumerate(parts):
+        a, b = bounds[k], bounds[k + 1]
+        alone = _pairs_within(part, 100.0, boundary, cutoff)
+        for g, w in zip((i[a:b] - offsets[k], j[a:b] - offsets[k], dist[a:b]), alone):
             assert np.array_equal(g, w)
 
 
+def test_pairs_within_refuses_cell_keys_beyond_int64(monkeypatch):
+    # 2^31 cells per axis give about 2^62 cell keys, so key * 2^bits leaves
+    # int64; the CLI reports it as a numerical failure.
+    monkeypatch.setattr(simulator, "_cells", lambda *args: 2**31)
+    with pytest.raises(OverflowError, match="need cell keys beyond int64"):
+        _pairs_within(np.zeros((3, 2)), 100.0, "bounded", 1.0)
+    from nodeiso import cli
+
+    argv = ["simulate", "--m", "2", "--lambda", "1e-3", "--boundary", "bounded", "--runs", "2"]
+    assert cli.main(argv) == 3
+
+
 def test_pairs_within_keeps_pairs_at_tiny_scales():
-    # Squared distances here are subnormal and dx^2 + dy^2 rounds above
-    # cutoff^2, yet hypot keeps the pair; the prefilter must not drop it.
+    # Squared distances here are subnormal, so cutoff^2 need not round back
+    # to dx^2 + dy^2; the prefilter must keep the pair the exact test keeps.
     pos = np.array([[0.0, 0.0], [6.855419844806947e-162, 3.7249494740262556e-162]])
-    cutoff = float(np.hypot(*pos[1]))
+    dx, dy = pos[1]
+    cutoff = float(np.sqrt(dx * dx + dy * dy))
     got = _pairs_within(pos, 100.0, "bounded", cutoff)
     assert (got[0].tolist(), got[1].tolist(), got[2].tolist()) == ([0], [1], [cutoff])
 
@@ -583,17 +622,22 @@ def test_simulate_block_matches_each_replication_alone(monkeypatch, boundary, si
     assert np.array_equal(np.stack([iso, tot], axis=1), _per_replication_reference(cfg, 7, 60))
 
 
+def _batch_cost(topology, cutoff):
+    n = len(topology)
+    nc = simulator._cells(topology.area_side, cutoff, n)
+    return max(n * (n - 1) / 2 if nc < 3 else 4.5 * n * n / (nc * nc), n, 1)
+
+
 def test_batches_hold_consecutive_replications_within_the_budget(monkeypatch):
-    # About 8 nodes and one cell per 6 m: each replication costs its node
-    # count, so a budget of 12 pairs some of them and leaves the ones above
-    # 12 nodes alone.
+    # About 8 nodes, each replication with about 2 sqrt(n) cells per axis:
+    # a budget of 12 pairs some of them and leaves the costliest alone.
     monkeypatch.setattr(simulator, "_BATCH_PAIRS", 12)
     cfg = config(lam=8e-4, runs=300, seed=8)
     cutoff = effective_range_cutoff(cfg.params, cfg.scheme)
     batches = list(simulator._batches(cfg, cutoff, 3, 300))
     assert [run for batch in batches for run, _ in batch] == list(range(3, 300))
     # An empty replication costs as much as one node.
-    costs = [[max(len(topology), 1) for _, topology in batch] for batch in batches]
+    costs = [[_batch_cost(topology, cutoff) for _, topology in batch] for batch in batches]
     assert all(sum(c) <= 12 or len(c) == 1 for c in costs)
     assert any(len(c) == 1 and c[0] > 12 for c in costs)
     assert any(len(c) >= 2 for c in costs)
