@@ -9,8 +9,12 @@ structure the isolation probability is
 with E[R^2] the mean squared communication range of the corresponding
 channel/diversity combination. Single-branch reception is MRC with one
 branch, so there are two fading forms, both for real m: MRC (one Gamma
-ratio) and SC (a series of positive terms). Both carry the lognormal
-shadowing factor exp(2 sigma^2 / alpha^2), which is exactly 1 at sigma = 0.
+ratio) and SC (a series of positive terms). Each is one exp of
+
+    ln E[R^2] = (2/alpha) (ln_margin - ln m) + ln E[G^(2/alpha)] + 2 sigma^2/alpha^2,
+
+ln_margin = ln(k ptx / (w psi)) from :class:`ChannelParams`; the shadowing
+summand is exactly 0 at sigma = 0.
 """
 
 from __future__ import annotations
@@ -39,20 +43,6 @@ __all__ = [
 _SC_MAX_BRANCHES = 32
 
 
-def _shadow_factor(params: ChannelParams) -> float:
-    """exp(2 sigma^2 / alpha^2), exactly 1 at sigma = 0; beyond the float
-    range, alpha^2 underflowing to 0 included, the error names both."""
-    if params.sigma == 0.0:
-        return 1.0
-    try:
-        return math.exp(2.0 * params.sigma**2 / params.alpha**2)
-    except (OverflowError, ZeroDivisionError):
-        raise OverflowError(
-            f"E[R^2] is outside the float range at alpha = {params.alpha:g}, "
-            f"sigma = {params.sigma:g}: the shadowing factor exp(2 sigma^2/alpha^2) overflows"
-        ) from None
-
-
 def _two_over_alpha(params: ChannelParams) -> float:
     """x0 = 2/alpha, the exponent of every closed form; an alpha so small
     that x0 overflows is named as given."""
@@ -64,53 +54,18 @@ def _two_over_alpha(params: ChannelParams) -> float:
     return x0
 
 
-def _ratio_power(up: tuple[float, ...], down: tuple[float, ...], x: float) -> float:
-    """(prod(up) / prod(down)) ** x. Where either product or their ratio is
-    not a normal float (0, subnormal or inf), the power is taken in log
-    space, exp(x * (sum of ln up - sum of ln down)); an overflow raises
-    OverflowError either way."""
-    numerator, denominator = math.prod(up), math.prod(down)
-    tiny = sys.float_info.min
-    if tiny <= numerator < math.inf and tiny <= denominator < math.inf:
-        if tiny <= numerator / denominator < math.inf:
-            return (numerator / denominator) ** x
-    return math.exp(x * (sum(map(math.log, up)) - sum(map(math.log, down))))
-
-
-def _er2_out_of_range(x0: float, cause: str) -> OverflowError:
-    return OverflowError(f"E[R^2] is outside the float range at alpha = {2.0 / x0:g}: {cause}")
-
-
-def _theta_scaled(params: ChannelParams, x0: float, ln_factor: float,
-                  cause: str | None = None) -> float:
-    """theta^(-x0) e^ln_factor exp(2 sigma^2/alpha^2), the product formed
-    left to right; where e^ln_factor alone overflows, one exp of ln E[R^2] =
-    -x0 ln theta + ln_factor + 2 sigma^2/alpha^2. Beyond the float range the
-    error names alpha, and ``cause`` (by default the product) where
-    e^ln_factor overflows."""
-    up, down = (params.m, params.psi, params.w), (params.k, params.ptx)
-    product = "the Gamma series times theta^(-2/alpha) overflows"
-    try:
-        factor = math.exp(ln_factor)
-    except OverflowError:
-        spread = params.sigma * x0
-        ln_er2 = x0 * (sum(map(math.log, down)) - sum(map(math.log, up))) + ln_factor
-        ln_er2 += 0.5 * spread * spread
-        if ln_er2 <= math.log(sys.float_info.max):
-            return math.exp(ln_er2)
-        raise _er2_out_of_range(x0, cause or product) from None
-    shadow = _shadow_factor(params)
-    try:
-        er2 = _ratio_power(up, down, -x0)
-    except OverflowError:
-        # theta < 1 here, so theta itself is in range or underflows.
-        theta = _ratio_power(up, down, 1.0)
-        cause = f"theta^(-2/alpha) = {theta:g}^(-{x0:g}) overflows"
-        raise _er2_out_of_range(x0, cause) from None
-    er2 = er2 * factor * shadow
-    if not math.isfinite(er2):
-        raise _er2_out_of_range(x0, product)
-    return er2
+def _er2(params: ChannelParams, x0: float, ln_gain: float, m: float) -> float:
+    """exp(x0 (ln_margin - ln m) + ln_gain + 2 sigma^2/alpha^2), x0 = 2/alpha and ln_gain
+    = ln E[G^x0], G the combiner gain over y/m (m = 1, ln_gain = 0 without fading).
+    Beyond the float range the error names alpha, sigma and the three summands."""
+    spread = params.sigma * x0
+    budget, shadow = x0 * (params.ln_margin - math.log(m)), 0.5 * spread * spread
+    ln_er2 = budget + ln_gain + shadow
+    if ln_er2 <= math.log(sys.float_info.max):    # False for nan
+        return math.exp(ln_er2)
+    raise OverflowError(f"E[R^2] is outside the float range at alpha = {params.alpha:g}, sigma = "
+                        f"{params.sigma:g}: ln E[R^2] = {budget:.6g} (budget) + {ln_gain:.6g} "
+                        f"(gain) + {shadow:.6g} (shadowing)")
 
 
 # ============================================================================
@@ -121,11 +76,10 @@ def _theta_scaled(params: ChannelParams, x0: float, ln_factor: float,
 def expected_r2_shadow_only(params: ChannelParams) -> float:
     """Mean squared range with path loss and shadowing only (no fading).
 
-    Equals (k*ptx/(psi*w))^(2/alpha) * exp(2 sigma^2/alpha^2); the
+    Equals exp((2/alpha) ln_margin + 2 sigma^2/alpha^2); the
     no-fading baseline that every fading form approaches as m grows.
     """
-    disk = _ratio_power((params.k, params.ptx), (params.psi, params.w), _two_over_alpha(params))
-    return disk * _shadow_factor(params)
+    return _er2(params, _two_over_alpha(params), 0.0, 1.0)
 
 
 def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
@@ -141,8 +95,7 @@ def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
     x0 = _two_over_alpha(params)
     n = params.m * M
-    cause = f"Gamma(m*M + 2/alpha)/Gamma(m*M) = Gamma({n + x0:g})/Gamma({n:g}) overflows"
-    return _theta_scaled(params, x0, math.lgamma(n + x0) - math.lgamma(n), cause)
+    return _er2(params, x0, math.lgamma(n + x0) - math.lgamma(n), params.m)
 
 
 def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
@@ -165,7 +118,7 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
     ln_single = math.lgamma(m + s) - math.lgamma(m)
     # E[G^s] <= E[max_i G_i^s]: where E[R^2] at E[G^s] is refused, the
     # series, whose length grows with s, is not built.
-    _theta_scaled(params, s, ln_single)
+    _er2(params, s, ln_single, m)
     def ratio(l):  # U_{l+1} / U_l
         return (M - 1) / M * (1.0 + (m + s - 1.0) / ((M - 1) * m + l + 1.0))
     top = max(0, math.floor((M - 1) * s - M) + 1)  # U rises while ratio(l) >= 1
@@ -177,7 +130,7 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
     while (nxt := u[-1] * ratio(len(u) - 1)) >= tol * (1.0 - max(ratio(len(u)), (M - 1) / M)):
         u.append(nxt)
     ln_moment = ln_top + math.log(math.fsum(map(mul, u, _sc_occupancy(m, M - 1, len(u)))))
-    return _theta_scaled(params, s, ln_moment)
+    return _er2(params, s, ln_moment, m)
 
 
 def expected_r2(params: ChannelParams, scheme: DiversityScheme) -> float:

@@ -82,7 +82,8 @@ def _check_series_length(params: ChannelParams, scheme: DiversityScheme) -> None
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Static link-budget and fading parameters, all linear units."""
+    """Static link-budget and fading parameters, all linear units. Every route
+    takes the budget from ``ln_budget``, the one place that forms k ptx."""
 
     ptx: float            # transmit power [mW]
     w: float              # receiver noise power [mW]
@@ -105,11 +106,6 @@ class ChannelParams:
             object.__setattr__(self, "m", int(self.m))
 
     @property
-    def theta(self) -> float:
-        """m * psi * w / (k * ptx), the recurring threshold-to-budget ratio."""
-        return self.m * self.psi * self.w / (self.k * self.ptx)
-
-    @property
     def ln_budget(self) -> float:
         """ln(k * ptx / w); a sum of logs where the float product or ratio is not normal."""
         product, tiny = self.k * self.ptx, sys.float_info.min
@@ -117,9 +113,20 @@ class ChannelParams:
             return math.log(product / self.w)
         return math.log(self.k) + math.log(self.ptx) - math.log(self.w)
 
-    def mean_snr(self, rho: float) -> float:
-        """Distance-law average SNR k * ptx * rho^-alpha / w (no shadowing)."""
-        return self.k * self.ptx * rho ** -self.alpha / self.w
+    @property
+    def ln_margin(self) -> float:
+        """ln of the budget over the threshold, ``ln_budget`` - ln psi."""
+        return self.ln_budget - math.log(self.psi)
+
+    def mean_snr(self, rho):
+        """Mean SNR exp(ln_budget - alpha ln rho) without shadowing, in place on one array."""
+        import numpy as np
+
+        with np.errstate(over="ignore"):    # inf past the float range: the link is up
+            y = np.log(rho)
+            y *= -self.alpha
+            y += self.ln_budget
+            return np.exp(y, out=y) if y.ndim else np.exp(y)
 
 
 @dataclass(frozen=True)
@@ -263,7 +270,7 @@ def success_prob_mrc(y, diversity_order: int, params: ChannelParams):
 
     y = _positive_snr(y)
     with np.errstate(over="ignore"):    # x = inf where y is tiny, and Q(a, inf) = 0
-        x = params.m * params.psi / y
+        x = params.m * (params.psi / y)     # m * psi alone may overflow
     shape = params.m * int(diversity_order)
     if int(shape) == shape:
         return truncated_exp_series(x, int(shape))

@@ -23,6 +23,7 @@ this module loads neither.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
@@ -55,7 +56,7 @@ _MAX_POINTS = 1 << 22
 _BLOCK_WIDTH = 8.0
 _TAIL_SHARE = 1e-3
 
-# Mean SNRs stay within e^(+-_LN_LIMIT) and the Jacobian e^{rate t} below
+# Mean SNRs stay above e^-_LN_LIMIT and the Jacobian e^{rate t} below
 # e^_LN_LIMIT, so every law argument and integrand value is a finite float.
 _LN_LIMIT = 700.0
 
@@ -111,8 +112,9 @@ def _log_grid(
     right until a block holds at most ``_TAIL_SHARE * tol`` of the sum and
     no more than the block before it, then to the left until the bound
     e^{rate t} on the left tail (f <= 1) is below the same share. Returns
-    (lo, hi, h * sum). A point beyond ``t_max``, or a start whose index
-    could leave int64 in the halvings, raises QuadratureError.
+    (lo, hi, h * sum). A point beyond ``t_max``, a start whose index could
+    leave int64 in the halvings, or over ``_MAX_POINTS`` points raises
+    QuadratureError.
     """
     tail = _TAIL_SHARE * tol
     block = max(1, round(_BLOCK_WIDTH / h))
@@ -132,8 +134,10 @@ def _log_grid(
             break
         previous = current
     # Ends at the latest where e^{rate t} underflows, also for a zero law.
-    while math.exp(rate * (origin + lo * h)) > tail * total:
-        if hi - lo > _MAX_POINTS:
+    while (edge := math.exp(rate * (origin + lo * h))) > tail * total:
+        # The tail adds at most edge, so the loop cannot end right of t_end.
+        t_end = (math.log(tail) + math.log(total + edge)) / rate
+        if hi - lo > _MAX_POINTS or hi - (t_end - origin) / h > _MAX_POINTS + block:
             raise QuadratureError(f"the left tail needs more than {_MAX_POINTS} points")
         total += h * _grid_sum(f, rate, origin, h, lo - block, lo, points)
         lo -= block
@@ -141,19 +145,17 @@ def _log_grid(
 
 
 def _log_trapezoid(
-    success_of_t: Callable, rate: float, t_start: float, t_max: float, first_step: float,
+    success_of_t: Callable, rate: float, grid: tuple[int, int, float], first_step: float,
     points: int,
 ) -> float:
     """Integral over the real line of rate * e^{rate t} * S(t) dt.
 
     ``success_of_t`` maps an array of at most ``points`` values of t to S(t)
-    in [0, 1]. The range is :func:`_log_grid`'s on the grid t = k * h,
-    anchored at zero, never at a feature of S; then h halves, reusing every
-    point, until two sums agree to ``_REL_TOL``.
+    in [0, 1]. ``grid`` is :func:`_log_grid`'s range and sum on the grid
+    t = k * first_step, anchored at zero, never at a feature of S; then the
+    step halves, reusing every point, until two sums agree to ``_REL_TOL``.
     """
-    rel_tol = _REL_TOL
-    h = first_step
-    lo, hi, total = _log_grid(success_of_t, rate, 0.0, t_start, t_max, h, points, rel_tol)
+    (lo, hi, total), h, rel_tol = grid, first_step, _REL_TOL
     for _ in range(_MAX_HALVINGS):
         midpoints = _grid_sum(success_of_t, rate, 0.5 * h, h, lo, hi - 1, points)
         refined = 0.5 * total + 0.5 * h * midpoints
@@ -172,12 +174,12 @@ def _log_trapezoid(
 
 def _shadowed_law(
     success_prob: Callable, ln_budget: float, sigma: float
-) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, np.ndarray]:
     """t -> Gauss-Hermite mean over shadowing gains e^g of P_S(e^{ln_budget + g - t}).
 
-    Also returns the logs ln_budget + g (ln_budget alone when sigma is 0).
-    The law sees mean SNRs clipped to e^(+-700), always finite and positive;
-    above e^700 every law is 1.
+    Also returns the logs ln_budget + g (ln_budget alone when sigma is 0) and
+    their weights. The law sees mean SNRs clipped to [e^-700, the largest
+    float]; :func:`_check_window` bounds what the upper clip hides.
     """
     import numpy as np
 
@@ -190,20 +192,45 @@ def _shadowed_law(
         ln_scales = ln_budget + sigma * math.sqrt(2.0) * nodes
 
     def law(t: np.ndarray) -> np.ndarray:
-        y = np.exp(np.clip(ln_scales - t[:, None], -_LN_LIMIT, _LN_LIMIT))
+        y = np.exp(np.clip(ln_scales - t[:, None], -_LN_LIMIT, math.log(sys.float_info.max)))
         return np.broadcast_to(np.asarray(success_prob(y), dtype=float), y.shape) @ weights
 
-    return law, ln_scales
+    return law, ln_scales, weights
+
+
+def _check_window(success_prob: Callable, params: ChannelParams, ln_scales: np.ndarray,
+                  weights: np.ndarray, total: float, tol: float) -> None:
+    """Refuse a sum of E[R^2] of which the clip of mean SNRs may hide over tol.
+
+    Node g sees P_S(Y), Y the largest float, where its mean SNR exceeds Y: on
+    e^{(2/alpha)(ln y_g - ln Y)} of E[R^2]'s measure, where the law misses at
+    most 1 - P_S(Y). The bound reads the law alone, never the closed form; a
+    law that is 0 even at Y is 0 at every float SNR and passes.
+    """
+    import numpy as np
+
+    top = sys.float_info.max
+    with np.errstate(over="ignore"):
+        span = float(weights @ np.exp(2.0 / params.alpha * (ln_scales - math.log(top))))
+    # The law is read at Y only where the span alone could exceed the tolerance.
+    p_top = float(np.ravel(success_prob(np.full(1, top)))[0]) if span > tol * total else 1.0
+    if (hidden := (1.0 - p_top) * span) > tol * total and p_top > 0:
+        raise QuadratureError(
+            f"at psi = {params.psi:g} the link law rises beyond the largest mean SNR a float "
+            f"holds: up to {hidden:.3g} m^2 of E[R^2] = {total:.3g} m^2 is not seen"
+        )
 
 
 def _radial_integral(success_prob: Callable, params: ChannelParams, sigma: float) -> float:
     """E[R^2] for the law averaged over shadowing of spread sigma."""
     ln_budget = params.ln_budget
-    law, ln_scales = _shadowed_law(success_prob, ln_budget, sigma)
+    law, ln_scales, weights = _shadowed_law(success_prob, ln_budget, sigma)
     rate = 2.0 / params.alpha
     t_max = min(float(ln_scales.min()) + _LN_LIMIT, _LN_LIMIT / rate)
     points = max(1, _CHUNK // len(ln_scales))
-    return _log_trapezoid(law, rate, ln_budget, t_max, _FIRST_STEP, points)
+    grid = _log_grid(law, rate, 0.0, ln_budget, t_max, _FIRST_STEP, points, _REL_TOL)
+    _check_window(success_prob, params, ln_scales, weights, grid[2], _REL_TOL)
+    return _log_trapezoid(law, rate, grid, _FIRST_STEP, points)
 
 
 # ============================================================================
@@ -246,8 +273,7 @@ def expected_r2_numeric_nofade(params: ChannelParams) -> float:
         raise ValueError("the shadowing-only integral requires sigma > 0")
     from scipy.special import erfc
 
-    ln_margin = params.ln_budget - math.log(params.psi)
-    scale = 1.0 / (params.sigma * math.sqrt(2.0))
+    ln_margin, scale = params.ln_margin, 1.0 / (params.sigma * math.sqrt(2.0))
 
     def tail_mass(t: np.ndarray) -> np.ndarray:
         return 0.5 * erfc((0.5 * params.alpha * t - ln_margin) * scale)
@@ -257,7 +283,8 @@ def expected_r2_numeric_nofade(params: ChannelParams) -> float:
     t_disk = 2.0 * ln_margin / params.alpha
     width = 2.0 * params.sigma / params.alpha
     first_step = min(_FIRST_STEP, 2.0 ** math.floor(math.log2(width)))
-    return _log_trapezoid(tail_mass, 1.0, t_disk, _LN_LIMIT, first_step, _CHUNK)
+    grid = _log_grid(tail_mass, 1.0, 0.0, t_disk, _LN_LIMIT, first_step, _CHUNK, _REL_TOL)
+    return _log_trapezoid(tail_mass, 1.0, grid, first_step, _CHUNK)
 
 
 # ============================================================================
@@ -269,11 +296,11 @@ def shadow_averaged_success(success_prob: Callable, mean_snr: float, sigma: floa
     """Average the success probability over the lognormal shadowing gain.
 
     One call of the law over the oracle's Hermite nodes, on the mean SNRs
-    that the oracle clips to e^(+-700).
+    that the oracle clips to [e^-700, the largest float].
     """
     if sigma == 0.0 or not mean_snr > 0:  # the law itself rejects a mean SNR <= 0
         return success_prob(mean_snr)
     import numpy as np
 
-    law, _ = _shadowed_law(success_prob, math.log(mean_snr), sigma)
+    law, _, _ = _shadowed_law(success_prob, math.log(mean_snr), sigma)
     return float(law(np.zeros(1))[0])

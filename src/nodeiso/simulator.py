@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from .analytic import check_node_density, isolation_from_er2
 from .channel import ChannelParams, DiversityScheme, make_success_fn
-from .quadrature import _LN_LIMIT, QuadratureError, _log_grid, _shadowed_law
+from .quadrature import _LN_LIMIT, QuadratureError, _check_window, _log_grid, _shadowed_law
 
 if TYPE_CHECKING:
     import numpy as np
@@ -541,13 +541,13 @@ def _link_mass_grid(
     ``_log_grid`` range in t = ln rho, to tolerance ``_CUTOFF_MASS``, and
     ascend. The law is called once per chunk of at most ``_MASS_CHUNK``
     grid points times Hermite nodes. None when the integrand does not decay
-    before e^{2t} leaves the float range.
+    before e^{2t} leaves the float range; ``_check_window`` refuses the rest.
     """
     import numpy as np
 
-    ln_budget = params.ln_budget
-    pbar_of, ln_scales = _shadowed_law(make_success_fn(params, scheme), ln_budget, params.sigma)
-    t_psi = (ln_budget - math.log(params.psi)) / params.alpha
+    success_prob = make_success_fn(params, scheme)
+    pbar_of, ln_scales, weights = _shadowed_law(success_prob, params.ln_budget, params.sigma)
+    t_psi = params.ln_margin / params.alpha
     points = max(1, _MASS_CHUNK // len(ln_scales))
     chunks: dict[float, np.ndarray] = {}
 
@@ -558,11 +558,12 @@ def _link_mass_grid(
 
     try:
         # rho^2 = e^{2t} must stay a finite float.
-        lo, hi, _ = _log_grid(
+        lo, hi, total = _log_grid(
             pbar, 2.0, t_psi, t_psi, 0.5 * _LN_LIMIT, _MASS_STEP, points, _CUTOFF_MASS
         )
     except QuadratureError:
         return None
+    _check_window(success_prob, params, ln_scales, weights, total, _CUTOFF_MASS)
     t = t_psi + np.arange(lo, hi) * _MASS_STEP
     pbar_t = np.concatenate([chunks[k] for k in sorted(chunks)])
     return np.exp(t), 2.0 * _MASS_STEP * np.exp(2.0 * t) * pbar_t

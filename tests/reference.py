@@ -18,6 +18,11 @@ def params(m=1, sigma=0.0, alpha=4.0, **over):
     return ChannelParams(**dict(BASE, alpha=alpha, sigma=sigma, m=m, **over))
 
 
+def theta(p):
+    """m psi w / (k ptx), the threshold-to-budget ratio, as a plain float product."""
+    return p.m * p.psi * p.w / (p.k * p.ptx)
+
+
 def beta_rows_fraction(m, order):
     """Exact beta rows: repeated polynomial self-convolution in rationals."""
     kernel = [Fraction(1, math.factorial(k)) for k in range(m)]
@@ -47,7 +52,7 @@ def mrc_er2_series(p, branches):
     terms = [math.gamma(x0)]
     for l in range(1, p.m * branches):
         terms.append(terms[-1] * (x0 + l - 1) / l)
-    return x0 * p.theta**-x0 * math.fsum(terms) * math.exp(2.0 * p.sigma**2 / p.alpha**2)
+    return x0 * theta(p)**-x0 * math.fsum(terms) * math.exp(2.0 * p.sigma**2 / p.alpha**2)
 
 
 def sc_er2_alternating(p, branches):
@@ -63,7 +68,7 @@ def sc_er2_alternating(p, branches):
             ladder.append(ladder[-1] * (x0 + l - 1) / l)
         weight = (-1.0 if h % 2 else 1.0) * math.comb(branches, h)
         terms.extend(weight * c * g for c, g in zip(table.rows[h], ladder))
-    return -x0 * p.theta**-x0 * math.fsum(terms) * math.exp(2.0 * p.sigma**2 / p.alpha**2)
+    return -x0 * theta(p)**-x0 * math.fsum(terms) * math.exp(2.0 * p.sigma**2 / p.alpha**2)
 
 
 def truncated_exp_series_full(x, num_terms):

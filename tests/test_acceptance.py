@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nodeiso.analytic import (
-    _shadow_factor,
+    _er2,
     expected_r2,
     expected_r2_mrc,
     expected_r2_sc,
@@ -108,7 +108,9 @@ def test_criterion_2_reduction_identities():
                 if abs(p_mrc1 - p_none) > 1e-12 or abs(p_sc1 - p_none) > 1e-12:
                     ok, detail = False, f"M=1 reductions differ at m={m} a={alpha} s={sigma}"
             p0 = params(m=m, sigma=0.0, alpha=alpha)
-            if _shadow_factor(p0) != 1.0:
+            # sigma = 0 adds exactly 0 to ln E[R^2].
+            x0 = 2.0 / alpha
+            if _er2(p0, x0, 0.0, m) != math.exp(x0 * (p0.ln_margin - math.log(m))):
                 ok, detail = False, f"sigma=0 shadow form differs at m={m} a={alpha}"
             for sigma in (1.0, 2.0):
                 psh = params(m=m, sigma=sigma, alpha=alpha)

@@ -17,8 +17,12 @@ from nodeiso.analytic import (
     min_density_for_isolation,
 )
 from nodeiso.channel import ChannelParams, DiversityScheme, _sc_occupancy, make_success_fn
-from nodeiso.quadrature import expected_r2_numeric_fading, expected_r2_numeric_fading_shadow
-from reference import mrc_er2_series, params, sc_er2_alternating
+from nodeiso.quadrature import (
+    QuadratureError,
+    expected_r2_numeric_fading,
+    expected_r2_numeric_fading_shadow,
+)
+from reference import mrc_er2_series, params, sc_er2_alternating, theta
 
 
 # ============================================================================
@@ -47,6 +51,32 @@ def test_shadow_only_budget_beyond_the_float_range():
     assert expected_r2_shadow_only(p) == pytest.approx(10**200.5, rel=1e-13)
 
 
+# k ptx/(w psi) = 100 in each, as in the reference channel, with the float
+# products k ptx = inf, 0 and 1e308 (then k ptx/w = inf and psi = 1e308).
+_RESCALED_BUDGETS = [dict(k=1e200, ptx=1e200, w=1e100, psi=1e298),
+                     dict(k=1e-200, ptx=1e-200, w=1e-300, psi=1e-102),
+                     dict(k=1e300, ptx=1e8, w=0.01, psi=1e308)]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("scheme", [DiversityScheme.no_diversity(), DiversityScheme.mrc(2),
+                                    DiversityScheme.sc(2)], ids=["none", "mrc2", "sc2"])
+def test_er2_depends_on_the_budget_only_through_its_ratio(scheme, sigma):
+    # The closed form meets the reference scale to 1e-12; the quadrature meets
+    # it to 1e-9 wherever it answers, and at psi = 1e308, whose law rises
+    # beyond the largest mean SNR a float holds, it refuses.
+    reference = expected_r2(params(m=2, sigma=sigma), scheme)
+    oracle = expected_r2_numeric_fading_shadow if sigma else expected_r2_numeric_fading
+    for budget in _RESCALED_BUDGETS:
+        p = params(m=2, sigma=sigma, **budget)
+        assert expected_r2(p, scheme) == pytest.approx(reference, rel=1e-12)
+        if p.psi < 1e300:
+            assert oracle(make_success_fn(p, scheme), p) == pytest.approx(reference, rel=1e-9)
+        else:
+            with pytest.raises(QuadratureError, match="at psi = 1e"):
+                oracle(make_success_fn(p, scheme), p)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
 def test_alpha_whose_inverse_overflows_is_named(sigma):
     message = re.escape(f"at alpha = {1e-320:g}: 2/alpha overflows")
@@ -56,9 +86,15 @@ def test_alpha_whose_inverse_overflows_is_named(sigma):
 
 
 def test_shadow_factor_is_one_without_shadowing_and_names_an_alpha_squared_of_zero():
-    assert analytic._shadow_factor(params(alpha=1e-200)) == 1.0
-    with pytest.raises(OverflowError, match="at alpha = 1e-200, sigma = 1: the shadowing factor"):
-        analytic._shadow_factor(params(alpha=1e-200, sigma=1.0))
+    # sigma = 0 adds exactly 0 to ln E[R^2], also where alpha^2 underflows to 0
+    # (psi = 1000 makes ln_margin 0); beyond the float range the error names
+    # alpha and sigma and each summand.
+    x0 = 2.0 / 1e-200
+    assert analytic._er2(params(alpha=1e-200, psi=1000.0), x0, 0.5, 1.0) == math.exp(0.5)
+    with pytest.raises(OverflowError, match=re.escape(
+            "at alpha = 1e-200, sigma = 1: ln E[R^2] = 9.21034e+200 (budget) + 0 (gain) "
+            "+ inf (shadowing)")):
+        analytic._er2(params(alpha=1e-200, sigma=1.0), x0, 0.0, 1.0)
 
 
 # ============================================================================
@@ -68,7 +104,7 @@ def test_shadow_factor_is_one_without_shadowing_and_names_an_alpha_squared_of_ze
 
 def test_nakagami_m1_alpha2_is_inverse_theta():
     p = params(m=1, alpha=2.0)
-    assert expected_r2_mrc(p, 1) == pytest.approx(1.0 / p.theta, rel=1e-14)
+    assert expected_r2_mrc(p, 1) == pytest.approx(1.0 / theta(p), rel=1e-14)
 
 
 def test_nakagami_reference_values():
@@ -77,7 +113,9 @@ def test_nakagami_reference_values():
 
 
 def test_nakagami_shadow_reduction_and_values():
-    assert analytic._shadow_factor(params(m=2, sigma=0.0)) == 1.0
+    p = params(m=2, sigma=0.0)
+    x0, ln_gain = 0.5, math.lgamma(2.5) - math.lgamma(2.0)
+    assert analytic._er2(p, x0, ln_gain, 2) == math.exp(x0 * (p.ln_margin - math.log(2)) + ln_gain)
     assert expected_r2_mrc(params(m=2, sigma=2.0), 1) == pytest.approx(
         15.497742577959349, rel=1e-12
     )
@@ -98,7 +136,7 @@ def test_mrc_single_branch_reduction_exact():
             p = params(m=m, sigma=sigma)
             x0 = 2.0 / p.alpha
             series = math.fsum(math.gamma(x0 + l) / math.factorial(l) for l in range(m))
-            direct = x0 * p.theta**-x0 * series * math.exp(2.0 * sigma**2 / p.alpha**2)
+            direct = x0 * theta(p)**-x0 * series * math.exp(2.0 * sigma**2 / p.alpha**2)
             assert expected_r2_mrc(p, 1) == pytest.approx(direct, rel=1e-14)
             assert expected_r2(p, DiversityScheme.no_diversity()) == expected_r2_mrc(p, 1)
 
@@ -160,14 +198,12 @@ def test_sc_ladder_in_range_where_its_terms_are():
 
 def test_mrc_in_range_where_the_gamma_ratio_overflows():
     # Gamma(333.3)/Gamma(200) is about 5e322, theta^(-s) = 2^(-133.3): one
-    # exp of the summed logs gives E[R^2] (40-digit mpmath), while every
-    # value whose ratio is a float keeps the product's bits.
+    # exp of the summed logs gives E[R^2] (40-digit mpmath), as it does
+    # where the ratio is a float.
     assert expected_r2_mrc(params(m=200, alpha=0.015), 1) == pytest.approx(
         3.9748632744267007e282, rel=1e-10)
-    p = params(m=200, alpha=0.02)
-    theta = 200 * 10.0 * 0.01 / (10.0 * 1.0)
-    ratio = math.exp(math.lgamma(300.0) - math.lgamma(200.0))
-    assert expected_r2_mrc(p, 1) == theta**-100.0 * ratio
+    assert expected_r2_mrc(params(m=200, alpha=0.02), 1) == pytest.approx(
+        2.0409087060230189e209, rel=1e-12)
 
 
 def test_sc_below_mrc():
@@ -257,7 +293,7 @@ _SC_TRUTH = {
 def test_sc_series_meets_the_30_digit_truth(m, M, alpha):
     # theta = 1 here, so E[R^2] is the gain moment itself.
     p = ChannelParams(ptx=m, w=1.0, k=1.0, psi=1.0, alpha=alpha, m=m)
-    assert p.theta == 1.0
+    assert theta(p) == 1.0
     assert expected_r2_sc(p, M) == pytest.approx(float(_SC_TRUTH[m, M, alpha]), rel=1e-11)
 
 

@@ -44,10 +44,23 @@ def test_params_validation():
 
 
 def test_theta_and_mean_snr():
+    # theta = m psi w/(k ptx) is m e^-ln_margin; the mean SNR comes from ln_budget.
     p = params(m=2)
-    assert p.theta == pytest.approx(2 * 10 * 0.01 / (10 * 1), rel=1e-15)
+    assert p.m * math.exp(-p.ln_margin) == pytest.approx(2 * 10 * 0.01 / (10 * 1), rel=1e-15)
     assert p.mean_snr(1.0) == pytest.approx(1000.0, rel=1e-15)
     assert p.mean_snr(10.0) == pytest.approx(0.1, rel=1e-12)
+    rho = np.array([1.0, 10.0])
+    assert p.mean_snr(rho).tolist() == [p.mean_snr(1.0), p.mean_snr(10.0)]
+
+
+def test_mean_snr_where_the_budget_product_leaves_the_float_range():
+    # k ptx is inf as a float product and 0 in the second channel; the mean
+    # SNR is formed from ln(k ptx/w) and stays finite, or is inf only where it
+    # is itself beyond the float range.
+    for k, ptx, w, at_ten in ((1e200, 1e200, 1e100, 1e296), (1e-200, 1e-200, 1e-300, 1e-104)):
+        # exp(ln y) is exact to about |ln y| ulps: 681 here.
+        assert params(k=k, ptx=ptx, w=w).mean_snr(10.0) == pytest.approx(at_ten, rel=1e-12)
+    assert params(k=1e200, ptx=1e100, w=1e-8).mean_snr(np.array([1e-3])).tolist() == [math.inf]
 
 
 def test_diversity_scheme_validation():
@@ -138,7 +151,7 @@ def test_mrc_single_branch_reduction():
     p = params(m=3)
     single = make_success_fn(p, DiversityScheme.no_diversity())
     for y in (0.5, 5.0, 50.0):
-        assert success_prob_mrc(y, 1, p) == truncated_exp_series(3 * p.psi / y, 3)
+        assert success_prob_mrc(y, 1, p) == truncated_exp_series(3 * (p.psi / y), 3)
         assert single(y) == success_prob_mrc(y, 1, p)
 
 

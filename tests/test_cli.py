@@ -207,14 +207,14 @@ def test_eval_rejects_bad_density_exit_2(density):
     # The closed form runs first under --m-real too, and names sigma.
     (["eval", "--m-real", "1.5", "--sigma", "1e20", "--lambda", "1e-4"], 3,
      "numerical failure: E[R^2] is outside the float range at alpha = 4, sigma = 1e+20: "
-     "the shadowing factor"),
+     "ln E[R^2] = 2.09985 (budget) + 0.120782 (gain) + 1.25e+39 (shadowing)\n"),
     (["eval", "--m-real", "1.5", "--sigma", "1e16", "--lambda", "1e-4",
       "--outputs", "analytic,quadrature"], 3,
      "numerical failure: E[R^2] is outside the float range at alpha = 4, sigma = 1e+16: "
-     "the shadowing factor"),
+     "ln E[R^2] = 2.09985 (budget) + 0.120782 (gain) + 1.25e+31 (shadowing)\n"),
     (["eval", "--psi", "1e300", "--sigma", "1e200", "--m-real", "0.7", "--lambda", "0"], 3,
      "numerical failure: E[R^2] is outside the float range at alpha = 4, sigma = 1e+200: "
-     "the shadowing factor"),
+     "ln E[R^2] = -341.756 (budget) + -0.346241 (gain) + inf (shadowing)\n"),
     (["simulate", "--m", "2", "--lambda", "inf"], 2, "node density must be finite and >= 0"),
     (["simulate", "--m", "2", "--lambda", "-1"], 2, "node density must be finite and >= 0"),
     (["eval", "--alpha", "0.001", "--lambda", "1e-4"], 3,
@@ -225,11 +225,11 @@ def test_eval_rejects_bad_density_exit_2(density):
      "numerical failure: E[R^2] is outside the float range at alpha = 0.001"),
     # The MRC Gamma ratio itself overflows: its message names alpha, not errno.
     (["eval", "--alpha", "0.01", "--lambda", "1e-4"], 3,
-     "numerical failure: E[R^2] is outside the float range at alpha = 0.01: "
-     "Gamma(m*M + 2/alpha)/Gamma(m*M) = Gamma(201)/Gamma(1) overflows"),
+     "numerical failure: E[R^2] is outside the float range at alpha = 0.01, sigma = 0: "
+     "ln E[R^2] = 921.034 (budget) + 863.232 (gain) + 0 (shadowing)\n"),
     (["eval", "--alpha", "0.01", "--scheme", "mrc", "--M", "4", "--lambda", "1e-4"], 3,
-     "numerical failure: E[R^2] is outside the float range at alpha = 0.01: "
-     "Gamma(m*M + 2/alpha)/Gamma(m*M) = Gamma(204)/Gamma(4) overflows"),
+     "numerical failure: E[R^2] is outside the float range at alpha = 0.01, sigma = 0: "
+     "ln E[R^2] = 921.034 (budget) + 877.365 (gain) + 0 (shadowing)\n"),
     (["simulate", "--m", "2", "--lambda", "1e-2", "--area", "inf"], 2,
      "area side must be positive and finite, got inf"),
     (["simulate", "--m", "2", "--lambda", "1e-2", "--area", "1e200"], 2,
@@ -267,6 +267,55 @@ def test_eval_in_range_where_the_gamma_factor_overflows(scheme, er2):
     assert json.loads(proc.stdout)["er2_analytic"] == pytest.approx(er2, rel=1e-10)
 
 
+def test_eval_where_the_budget_brings_the_shadowing_summand_back_into_range():
+    # 2 sigma^2/alpha^2 = 800 alone leaves the float range; ln E[R^2] does not
+    # (40- and 60-digit mpmath agree on the value).
+    proc = run_cli("eval", "--psi", "1e300", "--sigma", "80", "--lambda", "1e-300",
+                   "--format", "json")
+    assert json.loads(proc.stdout)["er2_analytic"] == pytest.approx(7.640652764650798430e198,
+                                                                    rel=1e-12)
+
+
+def test_simulate_counts_depend_on_the_budget_only_through_its_ratio():
+    # k ptx/(w psi) = 1e10 in each channel; k ptx is inf and 0 as float
+    # products in the first two. Every draw compares the same mean SNRs.
+    counts = []
+    for k, w, psi in (("1", "1e-10", "1"), ("1e200", "1e100", "1e290"),
+                      ("1e-200", "1e-300", "1e-110")):
+        proc = run_cli("simulate", "--k", k, "--ptx", k, "--w", w, "--psi", psi,
+                       "--lambda", "1e-5", "--area", "1000", "--runs", "100", "--seed", "3",
+                       "--format", "json")
+        record = json.loads(proc.stdout)
+        counts.append((record["total_nodes"], record["total_isolated"]))
+    assert counts == [(995, 64)] * 3
+
+
+@pytest.mark.parametrize("command", [["eval", "--outputs", "analytic,quadrature"],
+                                     ["simulate", "--runs", "200", "--seed", "3"]],
+                         ids=["eval", "simulate"])
+def test_law_rising_beyond_the_largest_float_snr_exits_3_naming_psi(capsys, command):
+    # The quadrature printed E[R^2] = 0 and the simulator P_I = 1 with exit 0.
+    argv = [command[0], "--m", "2", "--psi", "1e308", "--k", "1e300", "--ptx", "1e10",
+            "--lambda", "3e-3", *command[1:]]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "nodeiso: numerical failure: at psi = 1e+308 the link law rises beyond the largest "
+        "mean SNR a float holds: up to 22.8 m^2 of E[R^2] = 76.8 m^2 is not seen")
+
+
+def test_left_tail_beyond_the_point_cap_is_refused_at_once(capsys):
+    # At alpha = 1e300 the left tail of e^{2t/alpha} could not end inside the
+    # grid's point cap: the grid used to grow to the cap for 8 s first.
+    start = time.perf_counter()
+    assert cli.main(["eval", "--alpha", "1e300", "--lambda", "1e-4",
+                     "--outputs", "analytic,quadrature"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "nodeiso: numerical failure: the left tail needs more than 4194304 points\n")
+
+
 @pytest.mark.parametrize("branches", ["16", "2"])
 def test_sc_at_m_200_meets_the_quadrature(branches):
     proc = run_cli("eval", "--m", "200", "--scheme", "sc", "--M", branches, "--lambda", "1e-4",
@@ -300,21 +349,31 @@ _COMMANDS = pytest.mark.parametrize("command", [["eval", "--lambda", "1e-4"],
                                     ids=["eval", "invert"])
 
 
-@pytest.mark.parametrize("alpha, cause", [
-    ("0.012", "theta^(-2/alpha) = 0.01^(-166.667) overflows"),
-    ("0.02", "the Gamma series times theta^(-2/alpha) overflows"),
+def _er2_overflow(alpha, sigma, budget, gains, shadow, scheme):
+    """The one overflow message of E[R^2]; ``gains`` holds ln E[G^(2/alpha)]
+    for one branch (also SC's check before its series) and for MRC2."""
+    gain = gains[1] if "mrc" in scheme else gains[0]
+    return (f"E[R^2] is outside the float range at alpha = {alpha}, sigma = {sigma}: "
+            f"ln E[R^2] = {budget} (budget) + {gain} (gain) + {shadow} (shadowing)")
+
+
+# Each id names the factor of E[R^2] that leaves the float range.
+@pytest.mark.parametrize("alpha, budget, gains", [
+    pytest.param("0.012", "767.528", ("689.477", "694.599"),
+                 id="0.012-theta^(-2/alpha) = 0.01^(-166.667) overflows"),
+    pytest.param("0.02", "460.517", ("363.739", "368.354"),
+                 id="0.02-the Gamma series times theta^(-2/alpha) overflows"),
 ])
 @_SCHEMES
 @_COMMANDS
-def test_er2_beyond_float_range_names_alpha(capsys, alpha, cause, scheme, command):
+def test_er2_beyond_float_range_names_alpha(capsys, alpha, budget, gains, scheme, command):
     # Just above the Gamma overflow E[R^2] itself leaves the float range:
     # neither an inf nor a bare errno message may come out.
     assert cli.main([command[0], "--alpha", alpha, *scheme, *command[1:]]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"nodeiso: numerical failure: E[R^2] is outside the float range at alpha = {alpha}: "
-        f"{cause}\n"
+        f"nodeiso: numerical failure: {_er2_overflow(alpha, 0, budget, gains, 0, scheme)}\n"
     )
 
 
@@ -328,16 +387,15 @@ def test_shadow_factor_beyond_float_range_names_sigma_and_alpha(
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
+    summands = {"4": ("2.30259", ("-0.120782", "0.284683"), "1250"),
+                "0.05": ("184.207", ("110.321", "114.034"), "3200")}[alpha]
     assert captured.err == (
-        f"nodeiso: numerical failure: E[R^2] is outside the float range at alpha = {alpha}, "
-        f"sigma = {sigma}: the shadowing factor exp(2 sigma^2/alpha^2) overflows\n"
+        f"nodeiso: numerical failure: {_er2_overflow(alpha, sigma, *summands, scheme)}\n"
     )
 
 
-_ALPHA_0_1_CAUSE = (
-    "E[R^2] is outside the float range at alpha = 0.1: "
-    "the Gamma series times theta^(-2/alpha) overflows"
-)
+def _alpha_0_1_cause(scheme):
+    return _er2_overflow("0.1", "1.75", "92.1034", ("42.3356", "45.3801"), "612.5", scheme)
 
 
 @_SCHEMES
@@ -349,7 +407,7 @@ def test_shadowed_er2_beyond_float_range_names_alpha(capsys, scheme, command):
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"nodeiso: numerical failure: {_ALPHA_0_1_CAUSE}\n"
+    assert captured.err == f"nodeiso: numerical failure: {_alpha_0_1_cause(scheme)}\n"
 
 
 @_SCHEMES
@@ -361,7 +419,9 @@ def test_sigma_sweep_fails_points_whose_er2_leaves_float_range(capsys, scheme):
     rows = json.loads(captured.out)
     assert 0.0 <= rows[0]["p_i_analytic"] <= 1.0 and rows[0]["er2_analytic"] > 0.0
     assert rows[1]["p_i_analytic"] is None and rows[1]["er2_analytic"] is None
-    assert captured.err == f"nodeiso: sweep point sigma=1.75 failed: {_ALPHA_0_1_CAUSE}\n"
+    assert captured.err == (
+        f"nodeiso: sweep point sigma=1.75 failed: {_alpha_0_1_cause(scheme)}\n"
+    )
 
 
 # theta = m psi w / (k ptx) as a float product: 0, subnormal and inf; and
@@ -390,20 +450,19 @@ def test_invert_where_theta_overflows():
     assert record["lambda_min"] == pytest.approx(math.log(2) / (math.pi * 2.8025e-155), rel=1e-4)
 
 
-@pytest.mark.parametrize("channel, alpha, cause", [
-    # k ptx = inf, so the float theta is 0; its value 1e-617 gives theta^(-1/2) = 3.2e308.
-    (["--ptx", "1e308", "--k", "1e308"], "4", "0^(-0.5)"),
-    # m psi w and k ptx both underflow to 0, so the float quotient has no value; theta is 1e-200.
+@pytest.mark.parametrize("channel, alpha, budget, gain", [
+    # k ptx = inf as a float; theta = 1e-617 gives theta^(-1/2) = 3.2e308.
+    (["--ptx", "1e308", "--k", "1e308"], "4", "710.348", "-0.120782"),
+    # m psi w and k ptx both underflow to 0 as floats; theta is 1e-200.
     (["--psi", "1e-300", "--w", "1e-300", "--k", "1e-200", "--ptx", "1e-200"], "1",
-     "1e-200^(-2)"),
+     "921.034", "0.693147"),
 ], ids=["theta-0", "theta-0-over-0"])
-def test_theta_power_beyond_float_range_names_alpha(capsys, channel, alpha, cause):
+def test_theta_power_beyond_float_range_names_alpha(capsys, channel, alpha, budget, gain):
     assert cli.main(["eval", *channel, "--alpha", alpha, "--lambda", "1e-4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"nodeiso: numerical failure: E[R^2] is outside the float range at alpha = {alpha}: "
-        f"theta^(-2/alpha) = {cause} overflows\n"
+        f"nodeiso: numerical failure: {_er2_overflow(alpha, 0, budget, (gain,), 0, [])}\n"
     )
 
 
@@ -880,7 +939,8 @@ def test_sweep_overflowing_point_fails_alone(capsys):
     assert rows[0]["p_i_analytic"] > 0 and rows[1]["p_i_analytic"] is None
     assert captured.err == (
         "nodeiso: sweep point sigma=100 failed: E[R^2] is outside the float range at "
-        "alpha = 4, sigma = 100: the shadowing factor exp(2 sigma^2/alpha^2) overflows\n"
+        "alpha = 4, sigma = 100: ln E[R^2] = 1.95601 (budget) + 0.284683 (gain) "
+        "+ 1250 (shadowing)\n"
     )
 
 

@@ -17,6 +17,7 @@ from nodeiso.quadrature import (
     shadow_averaged_success,
 )
 from reference import params
+from reference import theta as reference_theta
 
 
 # ============================================================================
@@ -66,7 +67,7 @@ def test_fading_reference_point():
     numeric = expected_r2_numeric_fading(make_success_fn(p, DiversityScheme.no_diversity()), p)
     assert numeric == pytest.approx(9.399856029866251, rel=1e-8)
 
-    theta = p.theta
+    theta = reference_theta(p)
 
     def ps(rho):
         x = theta * rho**4

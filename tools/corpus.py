@@ -20,7 +20,7 @@ names in messages are the same on every run; a file that a run writes there
 is hashed and removed. Each run sees ``COLUMNS=80``, so that argparse wraps
 its usage text the same way in any terminal.
 
-``cli`` (141 invocations) covers:
+``cli`` (146 invocations) covers:
 
 - config files: a good one for each subcommand, one setting every key a
   simulation reads, an unknown key (including each long flag that is not a
@@ -39,6 +39,10 @@ its usage text the same way in any terminal.
   whose 2/alpha overflows in eval, invert, simulate and an alpha sweep,
   and alpha = 0.01, where the MRC Gamma ratio overflows;
 - k ptx as a float product 0, in eval on both routes and in simulate;
+- simulate where k ptx is inf and 0 as a float product, each against the
+  reference channel with the same budget-to-threshold ratio, eval with a
+  shadowing summand of 800 in ln E[R^2], and simulate at psi = 1e308,
+  where the link law rises beyond the largest mean SNR a float holds;
 - argparse's own rejections: no subcommand, an unknown flag, and bad
   --format and --scheme choices;
 - short simulate runs, bounded and toroidal, one exporting its topology,
@@ -48,7 +52,7 @@ its usage text the same way in any terminal.
   on a bounded square, m = 2 on the torus, and about 180 nodes with a
   5.9 m cutoff on a bounded square, which takes the cell grid.
 
-``oracle`` (136) checks the closed forms and the quadrature bit for bit:
+``oracle`` (138) checks the closed forms and the quadrature bit for bit:
 
 - the figure sweeps 2, 3, 5, 6 and 7 with ``--outputs analytic,quadrature``
   (``cli`` holds the figure-4 inversion in JSON);
@@ -63,10 +67,13 @@ its usage text the same way in any terminal.
   with SC8 and m = 171 with SC2 at alpha = 2; m = 64 with SC8 at
   alpha = 8; and m = 2 with SC32 at alpha = 4;
 - ``eval`` where theta = m psi w/(k ptx) as a float product is 0,
-  subnormal and inf, so that the closed form takes it in log space.
+  subnormal and inf, which the closed form, taken in logs, never forms;
 - the shadowed law past the float range, with no numpy warning: m psi/y
   at psi = 1e300 (both routes, in JSON, and ``--m-real`` in JSON), and
-  sigma = 1e308 with ``--m-real``, which exits 3.
+  sigma = 1e308 with ``--m-real``, which exits 3;
+- two refusals with exit 3: psi = 1e308, where the law rises beyond the
+  largest mean SNR a float holds, and alpha = 1e300, whose left tail
+  cannot fit in the grid's point cap.
 
 ``simulate`` (150) checks every estimate bit for bit over every regime of
 the pair search, each at seeds 5 and 20260809 with ``--jobs`` 1 and 2:
@@ -282,6 +289,18 @@ def cli_suite() -> list[list[str]]:
         # k ptx as a float product is 0: ln(k ptx/w) is a sum of logs.
         ["eval", "--k", "1e-200", "--ptx", "1e-200", *LAM, "--outputs", "analytic,quadrature"],
         ["simulate", "--k", "1e-200", "--ptx", "1e-200", *LAM, "--runs", "5"],
+        # The budget taken in logs: k ptx = inf and k ptx = 0 as float products,
+        # each with the budget-to-threshold ratio of the reference channel,
+        # which simulates the same counts; and a shadowing summand of 800 in
+        # ln E[R^2] that the budget brings back into range.
+        *[["simulate", "--k", k, "--ptx", k, "--w", w, "--psi", psi, "--lambda", "1e-5",
+           "--area", "1000", "--runs", "100", "--seed", "3"]
+          for k, w, psi in (("1e200", "1e100", "1e290"), ("1e-200", "1e-300", "1e-110"),
+                            ("1", "1e-10", "1"))],
+        ["eval", "--psi", "1e300", "--sigma", "80", "--lambda", "1e-300"],
+        # The link law rises beyond the largest mean SNR a float holds.
+        ["simulate", "--m", "2", "--psi", "1e308", "--k", "1e300", "--ptx", "1e10",
+         "--lambda", "3e-3", "--runs", "200", "--seed", "3"],
     ]
     # argparse's own rejections.
     result += [[], ["eval", "--bogus"], ["eval", "--format", "xml"], ["eval", "--scheme", "bogus"]]
@@ -359,6 +378,11 @@ def oracle_suite() -> list[list[str]]:
     result.append(["eval", "--m-real", "1.5", "--sigma", "1e308", "--lambda", "1e-4"])
     result.append(["eval", "--psi-db", "3000", "--m-real", "1.5", "--sigma", "1", "--lambda",
                    "1e-4", "--format", "json"])
+    # The law rises beyond the largest mean SNR a float holds, and a grid whose
+    # left tail cannot fit in the point cap: both refused, the second at once.
+    result.append(["eval", "--m", "2", "--psi", "1e308", "--k", "1e300", "--ptx", "1e10",
+                   "--lambda", "1e-4", *BOTH])
+    result.append(["eval", "--alpha", "1e300", "--lambda", "1e-4", *BOTH])
     return result
 
 
