@@ -54,6 +54,16 @@ def _two_over_alpha(params: ChannelParams) -> float:
     return x0
 
 
+def _ln_gain(params: ChannelParams, shape: float, x0: float) -> float:
+    """ln E[G^x0] = ln Gamma(shape + x0) - ln Gamma(shape), G ~ Gamma(shape, 1);
+    where ln Gamma itself overflows (x0 past about 2.5e305) alpha is named."""
+    try:
+        return math.lgamma(shape + x0) - math.lgamma(shape)
+    except OverflowError:
+        raise OverflowError(f"ln E[G^(2/alpha)] is outside the float range at alpha = "
+                            f"{params.alpha:g}") from None
+
+
 def _er2(params: ChannelParams, x0: float, ln_gain: float, m: float) -> float:
     """exp(x0 (ln_margin - ln m) + ln_gain + 2 sigma^2/alpha^2), x0 = 2/alpha and ln_gain
     = ln E[G^x0], G the combiner gain over y/m (m = 1, ln_gain = 0 without fading).
@@ -95,7 +105,7 @@ def expected_r2_mrc(params: ChannelParams, diversity_order: int) -> float:
         raise ValueError(f"diversity order must be a positive integer, got {diversity_order}")
     x0 = _two_over_alpha(params)
     n = params.m * M
-    return _er2(params, x0, math.lgamma(n + x0) - math.lgamma(n), params.m)
+    return _er2(params, x0, _ln_gain(params, n, x0), params.m)
 
 
 def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
@@ -115,7 +125,7 @@ def expected_r2_sc(params: ChannelParams, diversity_order: int) -> float:
         raise ValueError(f"selection combining needs an integer 1 <= M <= {_SC_MAX_BRANCHES}, "
                          f"got {diversity_order}; the series takes too long beyond it")
     m, s = params.m, _two_over_alpha(params)
-    ln_single = math.lgamma(m + s) - math.lgamma(m)
+    ln_single = _ln_gain(params, m, s)
     # E[G^s] <= E[max_i G_i^s]: where E[R^2] at E[G^s] is refused, the
     # series, whose length grows with s, is not built.
     _er2(params, s, ln_single, m)

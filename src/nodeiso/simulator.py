@@ -539,9 +539,13 @@ def _link_mass_grid(
     to a trapezoid value of E[R^2] = integral 2 rho^2 pbar(rho) d(ln rho),
     computed without the closed form. The radii are quadrature's
     ``_log_grid`` range in t = ln rho, to tolerance ``_CUTOFF_MASS``, and
-    ascend. The law is called once per chunk of at most ``_MASS_CHUNK``
-    grid points times Hermite nodes. None when the integrand does not decay
-    before e^{2t} leaves the float range; ``_check_window`` refuses the rest.
+    ascend; pbar at each is the value ``_log_grid`` kept while growing them.
+    Each law call holds at most ``_MASS_CHUNK`` grid points times Hermite
+    nodes. A growth block is 256 points: without shadowing one call covers
+    up to four blocks on the right and every block the left tail needs,
+    while a shadowed law (128 points a call) takes two calls per block.
+    None when the integrand does not decay before e^{2t} leaves the float
+    range; ``_check_window`` refuses the rest.
     """
     import numpy as np
 
@@ -549,23 +553,16 @@ def _link_mass_grid(
     pbar_of, ln_scales, weights = _shadowed_law(success_prob, params.ln_budget, params.sigma)
     t_psi = params.ln_margin / params.alpha
     points = max(1, _MASS_CHUNK // len(ln_scales))
-    chunks: dict[float, np.ndarray] = {}
-
-    def pbar(t: np.ndarray) -> np.ndarray:
-        # The law's t is ln rho^alpha; each chunk is kept under its first t.
-        chunks[float(t[0])] = p = pbar_of(params.alpha * t)
-        return p
-
     try:
-        # rho^2 = e^{2t} must stay a finite float.
-        lo, hi, total = _log_grid(
-            pbar, 2.0, t_psi, t_psi, 0.5 * _LN_LIMIT, _MASS_STEP, points, _CUTOFF_MASS
+        # The law's t is ln rho^alpha; rho^2 = e^{2t} must stay a finite float.
+        lo, hi, total, pbar_t = _log_grid(
+            lambda t: pbar_of(params.alpha * t), 2.0, t_psi, t_psi, 0.5 * _LN_LIMIT, _MASS_STEP,
+            points, _CUTOFF_MASS,
         )
     except QuadratureError:
         return None
     _check_window(success_prob, params, ln_scales, weights, total, _CUTOFF_MASS)
     t = t_psi + np.arange(lo, hi) * _MASS_STEP
-    pbar_t = np.concatenate([chunks[k] for k in sorted(chunks)])
     return np.exp(t), 2.0 * _MASS_STEP * np.exp(2.0 * t) * pbar_t
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import nodeiso.quadrature as quadrature
 import nodeiso.simulator as simulator
 from nodeiso.channel import ChannelParams, build_beta_table
 from nodeiso.specialfn import log_factorial
@@ -91,6 +92,39 @@ def truncated_exp_series_full(x, num_terms):
         out = np.where(far, np.where(np.isinf(x), 0.0, acc), out)
     out = np.minimum(out, 1.0)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def log_grid_one_block_per_call(f, rate, origin, t_start, t_max, h, points, tol):
+    """(lo, hi, h * sum) of ``quadrature._log_grid`` with one law call per chunk of
+    each block: the plain growth loop that the batched one must match bit for bit."""
+    q = quadrature
+    tail, block = q._TAIL_SHARE * tol, max(1, round(q._BLOCK_WIDTH / h))
+
+    def block_sum(start):
+        acc = 0.0
+        for a in range(start, start + block, points):
+            t = origin + np.arange(a, min(a + points, start + block)) * h
+            acc += float(np.sum(rate * np.exp(rate * t) * f(t)))
+        return h * acc
+
+    lo = hi = math.floor((min(t_start, t_max) - origin) / h)
+    total, previous = 0.0, math.inf
+    while True:
+        if origin + (hi + block) * h > t_max:
+            raise q.QuadratureError("the integrand does not decay inside the float range")
+        current = block_sum(hi)
+        hi += block
+        total += current
+        if current <= tail * total and current <= previous:
+            break
+        previous = current
+    while (edge := math.exp(rate * (origin + lo * h))) > tail * total:
+        t_end = (math.log(tail) + math.log(total + edge)) / rate
+        if hi - lo > q._MAX_POINTS or hi - (t_end - origin) / h > q._MAX_POINTS + block:
+            raise q.QuadratureError(f"the left tail needs more than {q._MAX_POINTS} points")
+        total += block_sum(lo - block)
+        lo -= block
+    return lo, hi, total
 
 
 def count_link_mass_grids(monkeypatch):

@@ -85,6 +85,15 @@ def test_alpha_whose_inverse_overflows_is_named(sigma):
             er2(params(alpha=1e-320, sigma=sigma))
 
 
+@pytest.mark.parametrize("scheme", [DiversityScheme.no_diversity(), DiversityScheme.mrc(4),
+                                    DiversityScheme.sc(2)], ids=["none", "mrc4", "sc2"])
+def test_alpha_whose_gamma_overflows_is_named(scheme):
+    # 2/alpha = 2e307 is a float, but ln Gamma(m + 2/alpha) is not.
+    message = re.escape(f"ln E[G^(2/alpha)] is outside the float range at alpha = {1e-307:g}")
+    with pytest.raises(OverflowError, match=message):
+        expected_r2(params(alpha=1e-307), scheme)
+
+
 def test_shadow_factor_is_one_without_shadowing_and_names_an_alpha_squared_of_zero():
     # sigma = 0 adds exactly 0 to ln E[R^2], also where alpha^2 underflows to 0
     # (psi = 1000 makes ln_margin 0); beyond the float range the error names

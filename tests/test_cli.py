@@ -485,6 +485,16 @@ def test_alpha_whose_inverse_overflows_exits_3_naming_it(capsys, command, sigma,
     assert captured.err == f"nodeiso: numerical failure: {_ALPHA_UNDERFLOW_CAUSE}\n"
 
 
+@_SCHEMES
+def test_alpha_whose_gamma_overflows_exits_3_naming_it(capsys, scheme):
+    # 2/alpha is finite; ln Gamma(m + 2/alpha) is the first value to overflow.
+    assert cli.main(["eval", "--alpha", "1e-307", *scheme, "--lambda", "1e-4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("nodeiso: numerical failure: ln E[G^(2/alpha)] is outside the float "
+                            f"range at alpha = {1e-307:g}\n")
+
+
 def test_alpha_sweep_fails_the_point_whose_inverse_overflows(capsys):
     argv = ["sweep", "--variable", "alpha", "--grid", "1e-320,4", "--lambda", "1e-4",
             "--format", "json"]

@@ -7,6 +7,7 @@ from scipy import integrate
 
 import nodeiso.channel as channel
 import nodeiso.quadrature as quadrature
+import nodeiso.simulator as simulator
 from nodeiso.analytic import expected_r2_mrc, expected_r2_sc, expected_r2_shadow_only
 from nodeiso.channel import DiversityScheme, make_success_fn, success_prob_mrc
 from nodeiso.quadrature import (
@@ -16,7 +17,7 @@ from nodeiso.quadrature import (
     expected_r2_numeric_nofade,
     shadow_averaged_success,
 )
-from reference import params
+from reference import log_grid_one_block_per_call, params
 from reference import theta as reference_theta
 
 
@@ -204,7 +205,7 @@ def test_integrand_evaluated_only_at_interior_points():
     seen = []
 
     def recording(y):
-        seen.append(y)
+        seen.append(y.copy())    # the law reuses y's buffer on its next call
         return inner(y)
 
     expected_r2_numeric_fading_shadow(recording, p)
@@ -365,3 +366,115 @@ def test_shadow_averaged_success_is_one_array_call():
     nodes, weights = np.polynomial.hermite.hermgauss(64)
     loop = sum(w * fn(20.0 * math.exp(math.sqrt(2.0) * x)) for x, w in zip(nodes, weights))
     assert value == pytest.approx(loop / math.sqrt(math.pi), rel=1e-14)
+
+
+# ============================================================================
+#  Range growth in batches
+# ============================================================================
+
+
+_LAWS = pytest.mark.parametrize(
+    "scheme", [DiversityScheme.no_diversity(), DiversityScheme.mrc(2), DiversityScheme.sc(4)],
+    ids=["none", "mrc2", "sc4"])
+
+
+@_LAWS
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+def test_law_value_does_not_depend_on_its_call(scheme, sigma):
+    # One growth call covers several blocks, whose sums must be those of a
+    # call per block: the Hermite mean of a row may not depend on the rows
+    # beside it.
+    p = params(m=2, sigma=sigma)
+    law, _, _ = quadrature._shadowed_law(make_success_fn(p, scheme), p.ln_budget, sigma)
+    t = p.ln_budget + np.arange(-60.0, 40.0, 0.5)
+    whole = law(t)
+    for size in (1, 7, 16):
+        parts = np.concatenate([law(t[a : a + size]) for a in range(0, t.size, size)])
+        assert np.array_equal(parts, whole)
+
+
+def _grid_arguments(p, scheme, step, points=None):
+    """_log_grid's arguments as the oracle (step 0.5) or the link-mass grid
+    (step 1/32) pass them, at the chunk they pick unless ``points`` is given."""
+    law, ln_scales, _ = quadrature._shadowed_law(make_success_fn(p, scheme), p.ln_budget, p.sigma)
+    if step == quadrature._FIRST_STEP:
+        rate = 2.0 / p.alpha
+        t_max = min(float(ln_scales.min()) + quadrature._LN_LIMIT, quadrature._LN_LIMIT / rate)
+        chunk = max(1, quadrature._CHUNK // ln_scales.size)
+        return law, rate, 0.0, p.ln_budget, t_max, step, points or chunk, quadrature._REL_TOL
+    t_psi = p.ln_margin / p.alpha
+    chunk = max(1, simulator._MASS_CHUNK // ln_scales.size)
+    return (lambda t: law(p.alpha * t), 2.0, t_psi, t_psi, 0.5 * quadrature._LN_LIMIT, step,
+            points or chunk, simulator._CUTOFF_MASS)
+
+
+_STEPS = pytest.mark.parametrize("step", [0.5, 1.0 / 32.0], ids=["oracle", "mass"])
+
+
+@_LAWS
+@_STEPS
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+@pytest.mark.parametrize("points", [None, 40], ids=["chunk", "40"])
+def test_batched_growth_matches_one_block_per_call(scheme, step, sigma, points):
+    # 40 points split each 256-point block of the mass grid into short
+    # chunks, and hold two 16-point blocks of the oracle.
+    args = _grid_arguments(params(m=2, sigma=sigma), scheme, step, points)
+    lo, hi, total, values = quadrature._log_grid(*args)
+    assert (lo, hi, total) == log_grid_one_block_per_call(*args)
+    f, origin = args[0], args[2]
+    assert np.array_equal(values, f(origin + np.arange(lo, hi) * step))
+
+
+@pytest.mark.parametrize("p", [params(m=1, alpha=1.0, psi=1e163), params(m=2, alpha=8.0),
+                               params(m=2, psi=1e-12), params(m=1.5, alpha=2.0, sigma=6.0)],
+                         ids=["subnormal-er2", "alpha-8", "psi-small", "real-m-sigma-6"])
+@_STEPS
+def test_batched_growth_matches_one_block_per_call_at_the_edges(p, step):
+    args = _grid_arguments(p, DiversityScheme.no_diversity(), step)
+    assert quadrature._log_grid(*args)[:3] == log_grid_one_block_per_call(*args)
+    zero = (lambda t: np.zeros_like(t),) + args[1:]
+    assert quadrature._log_grid(*zero)[:3] == log_grid_one_block_per_call(*zero)
+
+
+def _same_failure(args):
+    """The message with which both growth loops refuse the same arguments."""
+    with pytest.raises(QuadratureError) as batched:
+        quadrature._log_grid(*args)
+    with pytest.raises(QuadratureError) as looped:
+        log_grid_one_block_per_call(*args)
+    assert str(batched.value) == str(looped.value)
+    return str(batched.value)
+
+
+@_STEPS
+def test_batched_growth_fails_where_one_block_per_call_does(monkeypatch, step):
+    p = params(m=2, sigma=2.0)
+    args = _grid_arguments(p, DiversityScheme.mrc(2), step)
+    origin = args[2]
+    flat = (lambda t: np.full(t.size, 0.5),) + args[1:]
+    assert "does not decay" in _same_failure(flat)
+    # t_max one point short of the block that ends the right growth, and a
+    # point bound that the last block of the left growth crosses.
+    lo, hi, _ = log_grid_one_block_per_call(*args)
+    short = args[:4] + (origin + (hi - 1) * step,) + args[5:]
+    assert "does not decay" in _same_failure(short)
+    monkeypatch.setattr(quadrature, "_MAX_POINTS", hi - lo - round(8.0 / step) - 1)
+    assert "left tail needs more than" in _same_failure(args)
+
+
+@pytest.mark.parametrize("sigma, scheme, most", [
+    (2.0, DiversityScheme.mrc(4), 5), (4.0, DiversityScheme.sc(4), 8),
+    (0.0, DiversityScheme.no_diversity(), 6)], ids=["mrc4-sigma-2", "sc4-sigma-4", "none"])
+def test_range_growth_batches_law_calls(sigma, scheme, most):
+    # One call per 16-point growth block made 11, 16 and 12 calls here.
+    p = params(m=2, sigma=sigma)
+    inner = make_success_fn(p, scheme)
+    calls = []
+
+    def counting(y):
+        calls.append(np.shape(y))
+        return inner(y)
+
+    oracle = expected_r2_numeric_fading_shadow if sigma else expected_r2_numeric_fading
+    oracle(counting, p)
+    assert len(calls) <= most

@@ -20,7 +20,7 @@ names in messages are the same on every run; a file that a run writes there
 is hashed and removed. Each run sees ``COLUMNS=80``, so that argparse wraps
 its usage text the same way in any terminal.
 
-``cli`` (146 invocations) covers:
+``cli`` (147 invocations) covers:
 
 - config files: a good one for each subcommand, one setting every key a
   simulation reads, an unknown key (including each long flag that is not a
@@ -37,7 +37,8 @@ its usage text the same way in any terminal.
   a missing directory;
 - theta^(-2/alpha) past the float range with theta a float 0, an alpha
   whose 2/alpha overflows in eval, invert, simulate and an alpha sweep,
-  and alpha = 0.01, where the MRC Gamma ratio overflows;
+  alpha = 1e-307, where ln Gamma(m + 2/alpha) overflows, and alpha =
+  0.01, where the MRC Gamma ratio overflows;
 - k ptx as a float product 0, in eval on both routes and in simulate;
 - simulate where k ptx is inf and 0 as a float product, each against the
   reference channel with the same budget-to-threshold ratio, eval with a
@@ -283,6 +284,8 @@ def cli_suite() -> list[list[str]]:
         ["eval", "--ptx", "1e308", "--k", "1e308", *LAM],
         ["eval", "--alpha", "1e-320", *LAM],
         ["eval", "--alpha", "1e-320", "--sigma", "1", *LAM],
+        # 2/alpha is finite, but ln Gamma(m + 2/alpha) overflows.
+        ["eval", "--alpha", "1e-307", *LAM],
         ["eval", "--alpha", "0.01", *LAM],
         ["eval", "--alpha", "0.01", "--scheme", "mrc", "--M", "4", *LAM],
         ["invert", "--alpha", "1e-320", "--target-pi", "0.5"],
