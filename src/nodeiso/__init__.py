@@ -39,6 +39,5 @@ from .simulator import (
     run_monte_carlo,
     sample_topology,
 )
-from .specialfn import log_factorial
 
 __version__ = "0.1.0"

@@ -9,16 +9,16 @@ whose analytic integrand decays exponentially to the left and doubly
 exponentially to the right; the trapezoid rule in t then converges
 geometrically in the step (Trefethen & Weideman, SIAM Review 56(3), 2014).
 The range grows in blocks of 8 in t until both tails are negligible
-(``_log_grid``): one law call evaluates several blocks, and the stopping
-rule then takes them one at a time, so the range and the sum are those of
-one call per block. Then the step halves, reusing every point, until two
-sums agree to ``_REL_TOL``; a law with a jump, or one that does not decay,
-raises :class:`QuadratureError`. Shadowing is a Gauss-Hermite average whose
-nodes all share one absolute t grid, and a t's average does not depend on
-the other t of its call. The simulator's link-mass grid is a ``_log_grid``
-range of the same average, in t = ln rho, with the law values it kept.
-Success laws are called with numpy arrays of mean SNRs, in chunks of
-bounded size.
+(``_log_grid``). Then the step halves, reusing every point, until two sums
+agree to ``_REL_TOL``; a law with a jump, or one that does not decay,
+raises :class:`QuadratureError`. What decides a sum's bits is its
+grouping alone: a block, or a halving's midpoints, is summed chunk by
+chunk of a fixed size from its first index, and a law's value at a t does
+not depend on the other t of its call. Shadowing is a Gauss-Hermite
+average whose nodes all share one absolute t grid. The simulator's
+link-mass grid is a ``_log_grid`` range of the same average, in t = ln rho,
+with the law values it kept. Success laws are called with numpy arrays of
+mean SNRs, in chunks of bounded size.
 scipy.special is imported inside the shadowing-only oracle, its one user
 here, and numpy inside each routine that builds an array, so importing
 this module loads neither.
@@ -26,11 +26,10 @@ this module loads neither.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from .channel import ChannelParams
 
@@ -92,37 +91,6 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 # ============================================================================
 
 
-def _grid_chunks(
-    f: Callable, rate: float, origin: float, h: float, start: int, stop: int, points: int,
-    width: int,
-) -> Iterator[tuple[int, np.ndarray, float]]:
-    """(first index, f(t), float sum of rate * e^{rate t} * f(t)) of each chunk of a range.
-
-    The grid is t = origin + k * h, k in [start, stop). It splits into runs
-    of ``width`` indices from ``start``, and each run into chunks of at most
-    ``points`` from its first index. ``f`` sees ascending arrays of at most
-    ``points`` values of t, each holding whole chunks; a law whose value at
-    a t does not depend on its call gives each chunk the sum of a call of
-    the chunk alone.
-    """
-    if stop - start > _MAX_POINTS:
-        raise QuadratureError(f"the trapezoid grid would exceed {_MAX_POINTS} points")
-    import numpy as np
-
-    cuts = [a for run in range(start, stop, width)
-            for a in range(run, min(run + width, stop), points)] + [stop]
-    first = 0
-    while first + 1 < len(cuts):
-        last = bisect.bisect_right(cuts, cuts[first] + points) - 1    # whole chunks that fit
-        t = origin + np.arange(cuts[first], cuts[last]) * h
-        values = f(t)
-        terms = rate * np.exp(rate * t) * values
-        for a, b in zip(cuts[first:last], cuts[first + 1 : last + 1]):
-            i, j = a - cuts[first], b - cuts[first]
-            yield a, values[i:j], float(terms[i:j].sum())
-        first = last
-
-
 def _log_grid(
     f: Callable, rate: float, origin: float, t_start: float, t_max: float, h: float,
     points: int, tol: float,
@@ -134,16 +102,16 @@ def _log_grid(
     blocks of width ``_BLOCK_WIDTH`` from the point at or below ``t_start``:
     to the right until a block holds at most ``_TAIL_SHARE * tol`` of the sum
     and no more than the block before it, then to the left until the bound
-    e^{rate t} on the left tail (f <= 1) is below the same share. Each
-    block's sum is formed per chunk of at most ``points``, but one call of
-    ``f`` covers several blocks: up to ``_RIGHT_BLOCKS`` on the right, and
-    on the left every block up to where e^{rate t} falls below the share of
-    the current sum, as far as ``points`` t values allow. The rule then
-    takes the blocks one at a time, and those it does not reach are
-    dropped, so the range and the sum are those of one call per block.
-    Returns (lo, hi, h * sum, f on the grid [lo, hi)). A point beyond
-    ``t_max``, a start whose index could leave int64 in the halvings, or
-    over ``_MAX_POINTS`` points raises QuadratureError.
+    e^{rate t} on the left tail (f <= 1) is below the same share. The rule
+    evaluates up to ``_RIGHT_BLOCKS`` blocks ahead on the right, and on the
+    left every block up to where e^{rate t} falls below the share of the
+    current sum, as far as ``points`` t values allow; it takes them one at
+    a time and drops those it does not reach. ``f`` sees at most ``points``
+    t values at once. Each block is summed chunk by chunk of ``points``
+    from its first index, so the range and the sum are those of one block
+    at a time. Returns (lo, hi, h * sum, f on the grid [lo, hi)). A point
+    beyond ``t_max``, a start whose index could leave int64 in the
+    halvings, or over ``_MAX_POINTS`` points raises QuadratureError.
     """
     import numpy as np
 
@@ -155,18 +123,22 @@ def _log_grid(
         raise QuadratureError(f"the grid would start at t = {min(t_start, t_max):.3g}, "
                               "beyond the integer range of its indices")
     lo = hi = math.floor(start)
-    chunks: list[tuple[int, np.ndarray]] = []
+    kept: dict[int, np.ndarray] = {}
 
     def blocks(first: int, count: int) -> list[float]:
-        """h * sum of each of count blocks from index first; their chunks go to chunks."""
-        sums, acc = [], 0.0
-        for a, values, s in _grid_chunks(f, rate, origin, h, first, first + count * block,
-                                         points, block):
-            chunks.append((a, values))
-            acc += s
-            if (a + len(values) - first) % block == 0:
-                sums.append(h * acc)
-                acc = 0.0
+        """h * sum of each of count blocks from index first; their values go to kept."""
+        if count * block > _MAX_POINTS:    # a step that resolves a steep law, as at tiny sigma
+            raise QuadratureError(f"the trapezoid grid would exceed {_MAX_POINTS} points")
+        t = origin + np.arange(first, first + count * block) * h
+        values = np.concatenate([f(t[a : a + points]) for a in range(0, t.size, points)])
+        terms = rate * np.exp(rate * t) * values
+        sums = []
+        for a in range(0, t.size, block):
+            kept[first + a] = values[a : a + block]
+            acc = 0.0
+            for c in range(a, a + block, points):
+                acc += float(terms[c : min(c + points, a + block)].sum())
+            sums.append(h * acc)
         return sums
 
     total, previous, right = 0.0, math.inf, []
@@ -200,8 +172,7 @@ def _log_grid(
             left = blocks(lo - count * block, count)
         total += left.pop()
         lo -= block
-    kept = sorted(((a, values) for a, values in chunks if lo <= a < hi), key=lambda c: c[0])
-    return lo, hi, total, np.concatenate([values for _, values in kept])
+    return lo, hi, total, np.concatenate([kept[a] for a in range(lo, hi, block)])
 
 
 def _log_trapezoid(
@@ -214,13 +185,19 @@ def _log_trapezoid(
     in [0, 1]. ``grid`` is :func:`_log_grid`'s range and sum on the grid
     t = k * first_step, anchored at zero, never at a feature of S; then the
     step halves, reusing every point, until two sums agree to ``_REL_TOL``.
+    Each halving sums its midpoints chunk by chunk of ``points`` from the
+    first, and refuses more than ``_MAX_POINTS`` of them.
     """
+    import numpy as np
+
     (lo, hi, total, _), h, rel_tol = grid, first_step, _REL_TOL
     for _ in range(_MAX_HALVINGS):
+        if hi - 1 - lo > _MAX_POINTS:
+            raise QuadratureError(f"the trapezoid grid would exceed {_MAX_POINTS} points")
         midpoints = 0.0
-        for _, _, chunk in _grid_chunks(success_of_t, rate, 0.5 * h, h, lo, hi - 1, points,
-                                        points):
-            midpoints += chunk
+        for a in range(lo, hi - 1, points):
+            t = 0.5 * h + np.arange(a, min(a + points, hi - 1)) * h
+            midpoints += float((rate * np.exp(rate * t) * success_of_t(t)).sum())
         refined = 0.5 * total + 0.5 * h * midpoints
         h, lo, hi = 0.5 * h, 2 * lo, 2 * hi - 1
         if not math.isfinite(refined):

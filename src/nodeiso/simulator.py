@@ -541,9 +541,9 @@ def _link_mass_grid(
     ``_log_grid`` range in t = ln rho, to tolerance ``_CUTOFF_MASS``, and
     ascend; pbar at each is the value ``_log_grid`` kept while growing them.
     Each law call holds at most ``_MASS_CHUNK`` grid points times Hermite
-    nodes. A growth block is 256 points: without shadowing one call covers
-    up to four blocks on the right and every block the left tail needs,
-    while a shadowed law (128 points a call) takes two calls per block.
+    nodes. A growth block is 256 points, summed chunk by chunk of that many
+    grid points from its first index, and a law value does not depend on
+    its call, so the grid is that of one block at a time.
     None when the integrand does not decay before e^{2t} leaves the float
     range; ``_check_window`` refuses the rest.
     """

@@ -10,7 +10,6 @@ import functools
 import math
 
 __all__ = [
-    "log_factorial",
     "truncated_exp_series",
 ]
 
@@ -21,15 +20,6 @@ LOG_SPACE_CUTOVER = 700.0
 # e^v rounds to 0.0 for every v below about -745.13; a far entry whose largest
 # term exponent lies below this bound sums to exactly 0.0.
 _UNDERFLOW_EXPONENT = -750.0
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!); exact integer factorial up to 20!, lgamma beyond."""
-    if n < 0:
-        raise ValueError(f"factorial argument must be >= 0, got {n}")
-    if n <= 20:
-        return math.log(math.factorial(n))
-    return math.lgamma(n + 1.0)
 
 
 def truncated_exp_series(x, num_terms: int):
@@ -46,8 +36,8 @@ def truncated_exp_series(x, num_terms: int):
     largest such x and every term is below 2^-54 of its total: under half an
     ulp, and later terms only shrink, so no later term changes a bit.
 
-    Entries past the cutover (the far entries) sum e^{-x + l ln x - ln l!}
-    term by term, on those entries alone. A far entry with
+    Entries past the cutover (the far entries) sum e^{-x + l ln x - ln l!},
+    ln l! from lgamma, term by term, on those entries alone. A far entry with
     -x + (num_terms-1) ln x below -750, which is every x above
     :func:`_underflow_limit`, bounds every term's exponent there, so each
     term, and the result, is exactly 0.0; it is not summed. That covers
@@ -78,7 +68,7 @@ def truncated_exp_series(x, num_terms: int):
             neg_x, lx = -x_live, np.log(x_live)
             acc = 0.0
             for l in range(num_terms):
-                acc = acc + np.exp(neg_x + l * lx - log_factorial(l))
+                acc = acc + np.exp(neg_x + l * lx - math.lgamma(l + 1.0))
             out[live] = acc
     out = np.minimum(out, 1.0).reshape(x.shape)
     return float(out) if out.ndim == 0 else out

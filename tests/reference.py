@@ -8,7 +8,6 @@ import numpy as np
 import nodeiso.quadrature as quadrature
 import nodeiso.simulator as simulator
 from nodeiso.channel import ChannelParams, build_beta_table
-from nodeiso.specialfn import log_factorial
 
 # K = 10, psi = 10 (both linear, i.e. 10 dB), ptx = 1 mW, w = 0.01 mW.
 BASE = dict(ptx=1.0, w=0.01, k=10.0, psi=10.0)
@@ -88,7 +87,7 @@ def truncated_exp_series_full(x, num_terms):
             lx = np.log(x)
             acc = 0.0
             for l in range(num_terms):
-                acc = acc + np.exp(-x + l * lx - log_factorial(l))
+                acc = acc + np.exp(-x + l * lx - math.lgamma(l + 1.0))
         out = np.where(far, np.where(np.isinf(x), 0.0, acc), out)
     out = np.minimum(out, 1.0)
     return float(out) if np.ndim(out) == 0 else out

@@ -462,6 +462,24 @@ def test_batched_growth_fails_where_one_block_per_call_does(monkeypatch, step):
     assert "left tail needs more than" in _same_failure(args)
 
 
+def test_halving_refuses_a_grid_over_the_point_cap(monkeypatch):
+    # A cap that holds the grown range and the first halving's midpoints but
+    # not the second's: the refusal comes from the halving, not the growth.
+    # m = 2 without shadowing takes two halvings.
+    p, scheme = params(m=2), DiversityScheme.no_diversity()
+    lo, hi, _ = log_grid_one_block_per_call(*_grid_arguments(p, scheme, quadrature._FIRST_STEP))
+    monkeypatch.setattr(quadrature, "_MAX_POINTS", 2 * (hi - lo) - 3)
+    with pytest.raises(QuadratureError, match="trapezoid grid would exceed"):
+        expected_r2_numeric_fading(make_success_fn(p, scheme), p)
+
+
+def test_growth_refuses_a_block_over_the_point_cap():
+    # At sigma = 1e-7 the step that resolves the disk edge is about 2^-25, so
+    # one block of width 8 in t alone holds more than _MAX_POINTS points.
+    with pytest.raises(QuadratureError, match="trapezoid grid would exceed"):
+        expected_r2_numeric_nofade(params(sigma=1e-7))
+
+
 @pytest.mark.parametrize("sigma, scheme, most", [
     (2.0, DiversityScheme.mrc(4), 5), (4.0, DiversityScheme.sc(4), 8),
     (0.0, DiversityScheme.no_diversity(), 6)], ids=["mrc4-sigma-2", "sc4-sigma-4", "none"])

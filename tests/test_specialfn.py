@@ -4,24 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from nodeiso.specialfn import log_factorial, truncated_exp_series
+from nodeiso.specialfn import truncated_exp_series
 from reference import truncated_exp_series_full
-
-
-def test_log_factorial_small_exact():
-    assert log_factorial(0) == 0.0
-    assert log_factorial(5) == pytest.approx(math.log(120), rel=1e-15)
-    assert log_factorial(20) == pytest.approx(math.log(2432902008176640000), rel=1e-15)
-
-
-def test_log_factorial_large_matches_lgamma():
-    for n in (21, 50, 170, 1000):
-        assert log_factorial(n) == pytest.approx(math.lgamma(n + 1), rel=1e-14)
-
-
-def test_log_factorial_domain():
-    with pytest.raises(ValueError):
-        log_factorial(-1)
 
 
 def test_incomplete_gamma_trivial_cases():
